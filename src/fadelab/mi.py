@@ -10,17 +10,18 @@ which for the on-off block scheme collapses to (b(alpha - alpha^2) +
 alpha S(b)) / 2.  The Monte Carlo estimator draws (x, y) from the true
 joint law and averages log p(y|x) - log p(y), with p(y) the exact finite
 Gaussian mixture; support points whose conditional covariances coincide
-(global sign flips) are merged first.
+(global phase rotations) are merged first, and classes sharing a modulus
+pattern share one Cholesky factor (see ``_Mixture``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
 
 from . import spectra
 from .errors import BlockTooLarge, DomainError, IllConditioned
@@ -29,8 +30,12 @@ from .simulate import BlockScheme, rng_stream, _cn
 #: mixture enumeration cap on the block length
 BLOCK_CAP = 12
 
-#: internal batch size for vectorized sampling (fixed: results must not
-#: depend on it)
+#: rows per sampling chunk, and (rows x classes) entries per density
+#: evaluation batch.  The draws depend on it: ``_cn`` draws the real parts
+#: of a chunk before its imaginary parts, so another value gives other
+#: samples (with 4096 instead of 2^18 one seed gave 0.0077816 instead of
+#: 0.0077833).  The evaluation batch does not change the draws, only the
+#: rounding of the moment merge.
 _CHUNK = 1 << 18
 
 _LOG_PI = float(np.log(np.pi))
@@ -159,78 +164,127 @@ def second_order_coeff_exact(law: DiscreteInputLaw, model: spectra.FadingModel) 
 
 
 class _Mixture:
-    """Cholesky-factored covariance classes of a law under one channel."""
+    """The output mixture of a law under one channel, factored once per
+    modulus pattern.
+
+    Support rows whose conditional covariances coincide (a global phase
+    apart) are merged into classes.  Classes that share the modulus pattern
+    a = |x| form a group: with x = D_phi a, D_phi = diag(phases), the class
+    covariance is D_phi C D_phi^H with C = cond_covariance(a), so one
+    Cholesky factor L and one precision P = C^{-1} serve the whole group.
+    The class quadratic form
+
+        y^H D_phi P D_phi^H y = sum_i P_ii |y_i|^2
+                                + 2 Re sum_{i<j} P_ij phi_i conj(phi_j) conj(y_i) y_j
+
+    is linear in the features (|y_i|^2, Re and Im of conj(y_i) y_j), so the
+    log densities of every class at a batch of outputs are one GEMM.
+    """
 
     def __init__(self, law: DiscreteInputLaw, model: spectra.FadingModel, sigma2: float):
         b = law.block_length
         if b > BLOCK_CAP:
             raise BlockTooLarge(f"block length {b} exceeds the enumeration cap {BLOCK_CAP}")
-        keys: dict[bytes, int] = {}
-        chols: list[np.ndarray] = []
-        logdets: list[float] = []
-        weights: list[float] = []
-        class_of_row = np.empty(law.support.shape[0], dtype=int)
-        for idx, row in enumerate(law.support):
-            key = _canonical_key(row)
-            if key not in keys:
-                cov = cond_covariance(row, model, sigma2)
-                chol = np.linalg.cholesky(cov)
-                keys[key] = len(chols)
-                chols.append(chol)
-                logdets.append(2.0 * float(np.sum(np.log(np.real(np.diag(chol))))))
-                weights.append(0.0)
-            ci = keys[key]
-            class_of_row[idx] = ci
-            weights[ci] += float(law.probabilities[idx])
+        sup = law.support
+        mags = np.abs(sup)
+        unit = np.divide(sup, mags, out=np.ones(sup.shape, dtype=complex), where=mags > 0.0)
+        # the covariance depends on x only through x_i conj(x_j): rotate each
+        # row so that its first nonzero entry is real positive, then round
+        lead = unit[np.arange(sup.shape[0]), np.argmax(mags > 0.0, axis=1)]
+        canon = np.round(sup * np.conj(lead)[:, None], 12) + (0.0 + 0.0j)  # flush -0.0
+        class_of_row, first = _first_appearance(canon)
+        group_of_class, group_first = _first_appearance(np.round(mags[first], 12))
+
+        covs = [cond_covariance(mags[first[g]], model, sigma2) for g in group_first]
+        self.chols = np.linalg.cholesky(np.array(covs))
+        inv = np.linalg.inv(self.chols)
+        prec = (np.conj(np.swapaxes(inv, 1, 2)) @ inv)[group_of_class]
+        logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(self.chols, axis1=1, axis2=2))), axis=1)
+
         self.b = b
-        self.chols = chols
-        self.logdets = np.asarray(logdets)
-        self.weights = np.asarray(weights)
-        self.log_weights = np.log(self.weights)
+        self.phases = unit[first]
         self.class_of_row = class_of_row
+        self.group_of_class = group_of_class
+        self.weights = np.bincount(class_of_row, weights=law.probabilities)
+        self.log_weights = np.log(self.weights)
+        # coefficients of the features (|y_i|^2, Re, Im of conj(y_i) y_j for i < j)
+        self._pairs = np.triu_indices(b, 1)
+        iu, ju = self._pairs
+        q = prec[:, iu, ju] * self.phases[:, iu] * np.conj(self.phases[:, ju])
+        self._coef = np.concatenate(
+            [np.real(np.diagonal(prec, axis1=1, axis2=2)), 2.0 * q.real, -2.0 * q.imag], axis=1)
+        self._offset = (b * _LOG_PI + logdets[group_of_class])[:, None]
+        #: rows per evaluation batch: at most _CHUNK (rows x classes) entries
+        self.batch_rows = max(1, _CHUNK // self.n_classes)
 
     @property
     def n_classes(self) -> int:
-        return len(self.chols)
+        return self.weights.size
+
+    def factor(self, ci: int) -> np.ndarray:
+        """Cholesky factor D_phi L D_phi^H of class ci's covariance; equal
+        bitwise to the factor of its own covariance for sign patterns."""
+        phi = self.phases[ci]
+        return self.chols[self.group_of_class[ci]] * np.outer(phi, np.conj(phi))
 
     def class_logpdfs(self, y: np.ndarray) -> np.ndarray:
-        """(n_classes, m) conditional log densities for a batch of outputs."""
-        y = np.atleast_2d(y)
-        out = np.empty((self.n_classes, y.shape[0]))
-        for ci, chol in enumerate(self.chols):
-            z = scipy.linalg.solve_triangular(chol, y.T, lower=True, check_finite=False)
-            quad = np.sum(np.abs(z) ** 2, axis=0)
-            out[ci] = -quad - self.b * _LOG_PI - self.logdets[ci]
-        return out
+        """(n_classes, m) conditional log densities for a batch of m outputs."""
+        yt = np.atleast_2d(y).T
+        iu, ju = self._pairs
+        z = np.conj(yt[iu]) * yt[ju]
+        lp = self._coef @ np.concatenate([yt.real ** 2 + yt.imag ** 2, z.real, z.imag])
+        lp += self._offset
+        return np.negative(lp, out=lp)
+
+    def log_mixture(self, lp: np.ndarray) -> np.ndarray:
+        """Mixture log density from a batch of class log densities."""
+        a = lp + self.log_weights[:, None]
+        top = a.max(axis=0)
+        a -= top
+        return top + np.log(np.sum(np.exp(a, out=a), axis=0))
 
     def mixture_logpdf(self, y: np.ndarray) -> np.ndarray:
-        lp = self.class_logpdfs(y)
-        return logsumexp(lp + self.log_weights[:, None], axis=0)
+        """Mixture log density at each row of y."""
+        y = np.atleast_2d(y)
+        out = np.empty(y.shape[0])
+        for s in range(0, y.shape[0], self.batch_rows):
+            out[s:s + self.batch_rows] = self.log_mixture(
+                self.class_logpdfs(y[s:s + self.batch_rows]))
+        return out
 
 
-def _canonical_key(x: np.ndarray) -> bytes:
-    """Hashable key identifying the conditional covariance of x.
+def _first_appearance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label equal rows alike, in order of first appearance: the label of
+    every row and the index of each label's first row."""
+    labels: dict[bytes, int] = {}
+    first: list[int] = []
+    of_row = np.empty(rows.shape[0], dtype=int)
+    for i, row in enumerate(rows):
+        key = row.tobytes()
+        if key not in labels:
+            labels[key] = len(first)
+            first.append(i)
+        of_row[i] = labels[key]
+    return of_row, np.asarray(first, dtype=int)
 
-    The covariance depends on x only through x_i conj(x_j), so a global
-    phase is removed before rounding.
-    """
-    mags = np.abs(x)
-    if np.all(mags == 0.0):
-        return b"zero"
-    first = int(np.argmax(mags > 0.0))
-    phase = x[first] / mags[first]
-    canon = np.round(x * np.conj(phase), 12) + (0.0 + 0.0j)  # flush -0.0
-    return canon.tobytes()
+
+@functools.lru_cache(maxsize=8)
+def _mixture(law: DiscreteInputLaw, model: spectra.FadingModel, sigma2: float) -> _Mixture:
+    """Memoized mixture; laws and models hash by identity."""
+    return _Mixture(law, model, sigma2)
 
 
 def log_output_density(y: np.ndarray, law: DiscreteInputLaw,
-                       model: spectra.FadingModel, sigma2: float) -> float:
-    """log of the exact output mixture density at one output block y."""
-    mix = _Mixture(law, model, sigma2)
-    y = np.asarray(y, dtype=complex).reshape(1, -1)
+                       model: spectra.FadingModel, sigma2: float):
+    """log of the exact output mixture density at one output block y, or an
+    array of them at each row of an (n, b) batch."""
+    y = np.asarray(y, dtype=complex)
+    batch = y.ndim == 2
+    y = y if batch else y.reshape(1, -1)
     if y.shape[1] != law.block_length:
         raise DomainError("output block length does not match the law")
-    return float(mix.mixture_logpdf(y)[0])
+    vals = _mixture(law, model, float(sigma2)).mixture_logpdf(y)
+    return vals if batch else float(vals[0])
 
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
@@ -244,6 +298,37 @@ def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
     mean = mean1 + delta * n2 / n
     m2 = m2_1 + m2_2 + delta * delta * n1 * n2 / n
     return n, mean, m2
+
+
+def _class_draws(rng: np.random.Generator, mix: _Mixture, n: int):
+    """n outputs of the mixture as (class indices, outputs) chunks: multinomial
+    class counts, then each class's outputs in chunks of at most _CHUNK rows."""
+    counts = rng.multinomial(n, mix.weights / mix.weights.sum())
+    for ci, left in enumerate(counts.tolist()):
+        factor_t = mix.factor(ci).T
+        while left > 0:
+            m = min(left, _CHUNK)
+            yield np.full(m, ci), _cn(rng, (m, mix.b)) @ factor_t
+            left -= m
+
+
+def _rebatch(chunks, rows: int):
+    """Regroup (class indices, outputs) chunks into batches of ``rows`` rows
+    (the last one may be shorter), across class boundaries."""
+    held_c, held_y, n_held = [], [], 0
+    for c, y in chunks:
+        held_c.append(c)
+        held_y.append(y)
+        n_held += c.size
+        if n_held < rows:
+            continue
+        c, y = np.concatenate(held_c), np.concatenate(held_y)
+        full = n_held - n_held % rows
+        for s in range(0, full, rows):
+            yield c[s:s + rows], y[s:s + rows]
+        held_c, held_y, n_held = [c[full:]], [y[full:]], n_held - full
+    if n_held:
+        yield np.concatenate(held_c), np.concatenate(held_y)
 
 
 def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: float,
@@ -272,23 +357,14 @@ def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: floa
     for pi, n_p in enumerate(sizes):
         if n_p == 0:
             continue
-        rng = rng_stream(seed, "mi", pi)
-        counts = rng.multinomial(n_p, mix.weights / mix.weights.sum())
-        for ci, m_c in enumerate(counts):
-            left = int(m_c)
-            chol_t = mix.chols[ci].T
-            while left > 0:
-                m = min(left, _CHUNK)
-                xi = _cn(rng, (m, mix.b))
-                y = xi @ chol_t
-                lp = mix.class_logpdfs(y)
-                ratio = lp[ci] - logsumexp(lp + mix.log_weights[:, None], axis=0)
-                c_n = ratio.size
-                c_mean = float(ratio.mean())
-                c_m2 = float(np.sum((ratio - c_mean) ** 2))
-                tot_n, tot_mean, tot_m2 = _merge_moments(
-                    tot_n, tot_mean, tot_m2, c_n, c_mean, c_m2)
-                left -= m
+        draws = _class_draws(rng_stream(seed, "mi", pi), mix, n_p)
+        for ci, y in _rebatch(draws, mix.batch_rows):
+            lp = mix.class_logpdfs(y)
+            ratio = lp[ci, np.arange(ci.size)] - mix.log_mixture(lp)
+            c_mean = float(ratio.mean())
+            c_m2 = float(np.sum((ratio - c_mean) ** 2))
+            tot_n, tot_mean, tot_m2 = _merge_moments(
+                tot_n, tot_mean, tot_m2, ratio.size, c_mean, c_m2)
 
     var = tot_m2 / (tot_n - 1) if tot_n > 1 else 0.0
     std_error = float(np.sqrt(var / tot_n))
