@@ -23,7 +23,6 @@ from .errors import (
     NotNormalized,
     ParamOutOfRange,
     QuadratureFailure,
-    SingularSystem,
     TooShort,
     UsageError,
 )

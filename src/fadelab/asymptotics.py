@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature, spectra
+from . import spectra
 from .errors import (
     ConditionTwelveFails,
-    Diverges,
     DomainError,
     NoDensity,
     QuadratureFailure,
@@ -35,12 +34,6 @@ from .errors import (
 REGIME_QUICKLY_FORGETTING = "quickly_forgetting"
 REGIME_SLOWLY_FORGETTING = "slowly_forgetting"
 REGIME_SPECTRAL_LINE = "spectral_line"
-
-#: partial sums past this value without stagnating are declared divergent
-SERIES_CEILING = 1e4
-
-#: consecutive negligible terms required to stop a generic series
-_STAGNATION_RUN = 20
 
 _ALPHA_GRID = np.linspace(0.0, 1.0, 10001)
 
@@ -97,109 +90,20 @@ def phi_integral(model: spectra.FadingModel) -> float:
     return max(val, 0.0)
 
 
-def _lag_range(model: spectra.FadingModel, start: int, stop: int) -> np.ndarray:
-    """R(start), ..., R(stop - 1) without recomputing earlier lags."""
-    k = model.kind
-    ms = np.arange(start, stop)
-    if k is spectra.ModelKind.MEMORYLESS:
-        out = np.zeros(ms.size, dtype=complex)
-        out[ms == 0] = 1.0
-        return out
-    if k is spectra.ModelKind.AR1:
-        return np.asarray(model.a, dtype=complex) ** ms
-    if k is spectra.ModelKind.BAND_LIMITED:
-        return np.sinc(2.0 * model.lambda_c * ms).astype(complex)
-    if k is spectra.ModelKind.TABULATED_DENSITY:
-        return np.asarray(quadrature.pl_fourier(model.grid, model.values, ms), dtype=complex)
-    if k is spectra.ModelKind.TABULATED_AUTOCORR:
-        out = np.zeros(ms.size, dtype=complex)
-        inside = ms < model.values.size
-        out[inside] = model.values[ms[inside]]
-        return out
-    out = np.zeros(ms.size, dtype=complex)
-    for loc, mass in model.jumps:
-        out += mass * np.exp(2j * np.pi * loc * ms)
-    if model.residual is not None:
-        out += spectra.residual_weight(model) * _lag_range(model.residual, start, stop)
-    return out
-
-
-def phi_series(model: spectra.FadingModel, tol: float = 1e-7,
-               ceiling: float = SERIES_CEILING) -> float:
+def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
     """phi as the lag series sum_{nu >= 1} |R(nu)|^2.
 
-    Truncated by a model-supplied tail bound where one exists (geometric for
-    ar1, 1/(c^2 N) for the band-limited sinc); otherwise by a stagnation
-    rule with a cross-check against the density route.  Partial sums that
-    pass ``ceiling`` without stagnating raise :class:`Diverges`.
+    Truncated by the law's tail bound where it has a closed form (geometric
+    for ar1, 1/(c^2 N) for the band-limited sinc); otherwise by a stagnation
+    rule, cross-checked against the density route for a table with a "yes"
+    verdict.  Partial sums that pass ``spectra.SERIES_CEILING`` raise
+    :class:`Diverges`.
     """
     tol = float(tol)
     if tol <= 0.0:
         raise DomainError("tol must be > 0")
-    k = model.kind
-
-    if k is spectra.ModelKind.MEMORYLESS:
-        return 0.0
-
-    if k is spectra.ModelKind.AR1:
-        r2 = abs(model.a) ** 2
-        if r2 == 0.0:
-            return 0.0
-        # tail after N terms: r2^{N+1} / (1 - r2) <= tol
-        n_terms = int(np.ceil(np.log(tol * (1.0 - r2)) / np.log(r2))) + 1
-        n_terms = max(n_terms, 1)
-        powers = r2 ** np.arange(1, n_terms + 1)
-        total = float(np.sum(powers))
-        if total > ceiling:
-            raise Diverges(f"partial sum exceeded {ceiling:g}")
-        return total
-
-    if k is spectra.ModelKind.BAND_LIMITED:
-        c = 2.0 * np.pi * model.lambda_c
-        n_target = int(np.ceil(1.0 / (c * c * tol)))
-        total = 0.0
-        chunk = 1_000_000
-        start = 1
-        while start <= n_target:
-            stop = min(start + chunk, n_target + 1)
-            nu = np.arange(start, stop)
-            total += float(np.sum(np.sinc(2.0 * model.lambda_c * nu) ** 2))
-            if total > ceiling:
-                raise Diverges(f"partial sum exceeded {ceiling:g}")
-            start = stop
-        return total
-
-    if k is spectra.ModelKind.TABULATED_AUTOCORR:
-        total = float(np.sum(np.abs(model.values[1:]) ** 2))
-        if total > ceiling:
-            raise Diverges(f"partial sum exceeded {ceiling:g}")
-        return total
-
-    # generic route: stagnation plus (when available) a density cross-check
-    total = 0.0
-    quiet = 0
-    start = 1
-    chunk = 512
-    max_lag = 2_000_000
-    while start <= max_lag:
-        terms = np.abs(_lag_range(model, start, start + chunk)) ** 2
-        for t in terms:
-            total += float(t)
-            if total > ceiling:
-                raise Diverges(f"partial sum exceeded {ceiling:g}")
-            if t < tol * max(abs(total), 1.0):
-                quiet += 1
-                if quiet >= _STAGNATION_RUN:
-                    break
-            else:
-                quiet = 0
-        if quiet >= _STAGNATION_RUN:
-            break
-        start += chunk
-    else:
-        raise Diverges("series did not stagnate within the lag budget")
-
-    if model.has_density and model.density_square_integrable == spectra.VERDICT_YES:
+    total = model.series(tol)
+    if model.known_verdict is None and model.density_square_integrable == spectra.VERDICT_YES:
         other = phi_integral(model)
         if abs(total - other) > 1e-4:
             raise QuadratureFailure(
@@ -278,27 +182,24 @@ def s_of_b(model: spectra.FadingModel, b: int) -> float:
 
 def block_coefficient(model: spectra.FadingModel, b: int, alpha: float) -> float:
     """Per-symbol second-order coefficient of the on-off block scheme."""
-    alpha = _check_alpha(alpha)
-    s = s_of_b(model, b)
-    return 0.5 * (alpha - alpha * alpha + alpha * s / int(b))
+    return scheme_coefficients(model, b, alpha).block_coeff
 
 
 def iid_coefficient(model: spectra.FadingModel, b: int, alpha: float) -> float:
     """Per-symbol second-order coefficient of IID on-off inputs at the same
     duty cycle (independent amplitudes give the alpha^2 cross moment)."""
-    alpha = _check_alpha(alpha)
-    s = s_of_b(model, b)
-    return 0.5 * (alpha - alpha * alpha + alpha * alpha * s / int(b))
+    return scheme_coefficients(model, b, alpha).iid_coeff
 
 
 def scheme_coefficients(model: spectra.FadingModel, b: int, alpha: float) -> SchemeCoefficients:
+    """S(b) and both per-symbol coefficients (alpha - alpha^2 + m S(b)/b) / 2,
+    where the amplitude cross moment m is alpha for one amplitude per block
+    and alpha^2 for IID amplitudes."""
     alpha = _check_alpha(alpha)
     b = int(b)
     s = s_of_b(model, b)
-    return SchemeCoefficients(
-        b=b, alpha=alpha, s_of_b=s,
-        block_coeff=0.5 * (alpha - alpha * alpha + alpha * s / b),
-        iid_coeff=0.5 * (alpha - alpha * alpha + alpha * alpha * s / b))
+    block, iid = (0.5 * (alpha - alpha * alpha + m * s / b) for m in (alpha, alpha * alpha))
+    return SchemeCoefficients(b=b, alpha=alpha, s_of_b=s, block_coeff=block, iid_coeff=iid)
 
 
 def _maximize_quadratic(objective, candidates) -> tuple[float, float]:

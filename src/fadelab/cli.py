@@ -56,11 +56,8 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Full resolved configuration, echoed into every report."""
-        skip = {"config"}
         out = {"command": self.command}
         for key in sorted(vars(self.args)):
-            if key in skip:
-                continue
             val = getattr(self.args, key)
             if val is not None:
                 out[key] = val
@@ -118,18 +115,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated float list, got {text!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated int list, got {text!r}")
+def _list_of(kind):
+    """Parser of a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(t) for t in text.split(",") if t.strip()]
+        except ValueError:
+            raise UsageError(f"expected a comma-separated {kind.__name__} list, got {text!r}")
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -144,6 +137,11 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str)
     common.add_argument("--format", dest="fmt", choices=["csv", "json"])
+
+    block = _Parser(add_help=False)
+    block.add_argument("--b", type=int, default=1)
+    block.add_argument("--alpha", type=float, default=1.0)
+    block.add_argument("--A", dest="amplitude", type=float, default=1.0)
 
     parser = _Parser(prog="fadelab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -160,30 +158,21 @@ def build_parser() -> _Parser:
 
     sub.add_parser("capacity", parents=[common])
 
-    p = sub.add_parser("scheme", parents=[common])
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--A", dest="amplitude", type=float, default=1.0)
+    sub.add_parser("scheme", parents=[common, block])
 
-    p = sub.add_parser("simulate", parents=[common])
+    p = sub.add_parser("simulate", parents=[common, block])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--A", dest="amplitude", type=float, default=1.0)
 
-    p = sub.add_parser("mi", parents=[common])
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--A", dest="amplitude", type=float, default=1.0)
+    p = sub.add_parser("mi", parents=[common, block])
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--partitions", type=int, default=1)
 
     p = sub.add_parser("sweep", parents=[common])
-    p.add_argument("--b-list", dest="b_list", type=_int_list, required=True)
-    p.add_argument("--alpha-list", dest="alpha_list", type=_float_list, required=True)
-    p.add_argument("--snr-list", dest="snr_list", type=_float_list, required=True)
+    p.add_argument("--b-list", dest="b_list", type=_list_of(int), required=True)
+    p.add_argument("--alpha-list", dest="alpha_list", type=_list_of(float), required=True)
+    p.add_argument("--snr-list", dest="snr_list", type=_list_of(float), required=True)
     p.add_argument("--mc", action="store_true")
     p.add_argument("--A", dest="amplitude", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100_000)
@@ -207,16 +196,17 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-# flag spellings for config keys, per command
-_CONFIG_KEYS = {
-    "model": "--model", "a": "--a", "lambda_c": "--lambda-c", "table": "--table",
-    "mass": "--mass", "loc": "--loc", "residual": "--residual", "seed": "--seed",
-    "out": "--out", "format": "--format", "method": "--method", "tol": "--tol",
-    "delta2": "--delta2", "past": "--past", "b": "--b", "alpha": "--alpha",
-    "A": "--A", "n": "--n", "sigma2": "--sigma2", "samples": "--samples",
-    "partitions": "--partitions", "b_list": "--b-list", "alpha_list": "--alpha-list",
-    "snr_list": "--snr-list", "mc": "--mc",
-}
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple[str, bool]]:
+    """Config-file key -> (flag, takes a value) for every long option of
+    every command; the key is the flag without its dashes, '-' read as '_'."""
+    keys = {}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag != "--help":
+                    keys[flag[2:].replace("-", "_")] = (flag, action.nargs != 0)
+    return keys
 
 
 def parse_config(argv: list[str]) -> RunConfig:
@@ -242,114 +232,92 @@ def parse_config(argv: list[str]) -> RunConfig:
     if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r}")
 
+    parser = build_parser()
+    keys = _config_keys(parser)
     merged = []
     for key, val in file_kv.items():
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
-        flag = _CONFIG_KEYS[key]
-        if key == "mc":
-            if val.lower() in ("1", "true", "yes"):
-                merged.append(flag)
-        else:
+        flag, takes_value = keys[key]
+        if takes_value:
             merged.extend([flag, val])
+        elif val.lower() in ("1", "true", "yes"):
+            merged.append(flag)
+        elif val.lower() not in ("0", "false", "no"):
+            raise UsageError(f"config key {key!r} takes a boolean, got {val!r}")
     merged.extend(argv)
 
-    parser = build_parser()
     args = parser.parse_args([command] + merged)
     _range_check(command, args)
     return RunConfig(command=command, args=args)
 
 
+def _past_ok(past: str) -> bool:
+    try:
+        return past == "inf" or int(past) >= 1
+    except ValueError:
+        return False
+
+
+#: (option dest, admissible values, check) applied before dispatch
+_RANGES = (
+    ("a", "|a| < 1", lambda v: abs(v) < 1.0),
+    ("lambda_c", "in (0, 1/2]", lambda v: 0.0 < v <= 0.5),
+    ("mass", "in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    ("seed", "a non-negative integer", lambda v: v >= 0),
+    ("b", ">= 1", lambda v: v >= 1),
+    ("n", ">= 1", lambda v: v >= 1),
+    ("samples", ">= 10000", lambda v: v >= 10_000),
+    ("partitions", ">= 1", lambda v: v >= 1),
+    ("alpha", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("amplitude", "> 0", lambda v: v > 0.0),
+    ("sigma2", "> 0", lambda v: v > 0.0),
+    ("delta2", ">= 0", lambda v: v >= 0.0),
+    ("tol", "> 0", lambda v: v > 0.0),
+    ("past", "'inf' or a positive integer", _past_ok),
+    ("alpha_list", "non-empty, entries in [0, 1]", lambda v: v and all(0.0 <= a <= 1.0 for a in v)),
+    ("snr_list", "non-empty, entries > 0", lambda v: v and all(s > 0.0 for s in v)),
+    ("b_list", "non-empty, entries >= 1", lambda v: v and all(b >= 1 for b in v)),
+)
+
+
 def _range_check(command: str, args: argparse.Namespace):
     """Validate every numeric parameter before dispatch."""
-    def bad(msg):
-        raise UsageError(msg)
-
-    if getattr(args, "a", None) is not None and not abs(args.a) < 1.0:
-        bad(f"|a| must be < 1, got {args.a}")
-    if getattr(args, "lambda_c", None) is not None and not (0.0 < args.lambda_c <= 0.5):
-        bad(f"lambda_c must lie in (0, 1/2], got {args.lambda_c}")
-    if getattr(args, "mass", None) is not None and not (0.0 < args.mass <= 1.0):
-        bad(f"mass must lie in (0, 1], got {args.mass}")
-    if getattr(args, "seed", 0) < 0:
-        bad("seed must be a non-negative integer")
-    for key, lo in (("b", 1), ("n", 1), ("samples", 10_000), ("partitions", 1)):
+    for key, admissible, ok in _RANGES:
         v = getattr(args, key, None)
-        if v is not None and v < lo:
-            bad(f"--{key} must be >= {lo}, got {v}")
-    v = getattr(args, "alpha", None)
-    if v is not None and not (0.0 <= v <= 1.0):
-        bad(f"alpha must lie in [0, 1], got {v}")
-    v = getattr(args, "amplitude", None)
-    if v is not None and v <= 0.0:
-        bad(f"--A must be > 0, got {v}")
-    v = getattr(args, "sigma2", None)
-    if v is not None and v <= 0.0:
-        bad(f"sigma2 must be > 0, got {v}")
-    v = getattr(args, "delta2", None)
-    if v is not None and v < 0.0:
-        bad(f"delta2 must be >= 0, got {v}")
-    v = getattr(args, "tol", None)
-    if v is not None and v <= 0.0:
-        bad(f"tol must be > 0, got {v}")
-    past = getattr(args, "past", None)
-    if past is not None and past != "inf":
-        try:
-            if int(past) < 1:
-                bad("--past must be 'inf' or a positive integer")
-        except ValueError:
-            bad(f"--past must be 'inf' or a positive integer, got {past!r}")
-    for key in ("alpha_list", "snr_list", "b_list"):
-        vals = getattr(args, key, None)
-        if vals is not None and not vals:
-            bad(f"--{key.replace('_', '-')} must not be empty")
-    if getattr(args, "alpha_list", None) is not None:
-        if any(not (0.0 <= a <= 1.0) for a in args.alpha_list):
-            bad("alpha list entries must lie in [0, 1]")
-    if getattr(args, "snr_list", None) is not None:
-        if any(s <= 0.0 for s in args.snr_list):
-            bad("snr list entries must be > 0")
-    if getattr(args, "b_list", None) is not None:
-        if any(b < 1 for b in args.b_list):
-            bad("b list entries must be >= 1")
+        if v is not None and not ok(v):
+            raise UsageError(f"{key} must be {admissible}, got {v!r}")
+
+
+def _build_law(kind: str, args: argparse.Namespace, role: str) -> spectra.FadingModel:
+    """The density-type law named by ``--model`` or ``--residual``."""
+    if kind == "memoryless":
+        return spectra.memoryless()
+    if kind == "ar1":
+        if args.a is None:
+            raise UsageError(f"--a is required for the ar1 {role}")
+        return spectra.ar1(args.a)
+    if kind == "bandlimited":
+        if args.lambda_c is None:
+            raise UsageError(f"--lambda-c is required for the bandlimited {role}")
+        return spectra.bandlimited(args.lambda_c)
+    if args.table is None:
+        raise UsageError(f"--table is required for the table {role}")
+    return spectra.load_tabulated_density(args.table)
 
 
 def _build_model(args: argparse.Namespace) -> spectra.FadingModel:
     kind = getattr(args, "model", None)
     if kind is None:
         raise UsageError("--model is required")
-    if kind == "memoryless":
-        return spectra.memoryless()
-    if kind == "ar1":
-        if args.a is None:
-            raise UsageError("--a is required for the ar1 model")
-        return spectra.ar1(args.a)
-    if kind == "bandlimited":
-        if args.lambda_c is None:
-            raise UsageError("--lambda-c is required for the bandlimited model")
-        return spectra.bandlimited(args.lambda_c)
-    if kind == "table":
-        if args.table is None:
-            raise UsageError("--table is required for the table model")
-        return spectra.load_tabulated_density(args.table)
-    # spectral line(s)
+    if kind != "line":
+        return _build_law(kind, args, "model")
     if args.mass is None:
         raise UsageError("--mass is required for the line model")
-    residual = None
     res_kind = args.residual or ("none" if args.mass >= 1.0 else None)
     if res_kind is None:
         raise UsageError("--residual is required when --mass < 1")
-    if res_kind != "none":
-        if res_kind == "memoryless":
-            residual = spectra.memoryless()
-        elif res_kind == "ar1":
-            if args.a is None:
-                raise UsageError("--a is required for an ar1 residual")
-            residual = spectra.ar1(args.a)
-        else:
-            if args.lambda_c is None:
-                raise UsageError("--lambda-c is required for a bandlimited residual")
-            residual = spectra.bandlimited(args.lambda_c)
+    residual = None if res_kind == "none" else _build_law(res_kind, args, "residual")
     return spectra.line_plus_residual([(args.loc, args.mass)], residual)
 
 
@@ -357,9 +325,13 @@ def _build_model(args: argparse.Namespace) -> spectra.FadingModel:
 # command bodies
 # ---------------------------------------------------------------------------
 
+def _scheme(args: argparse.Namespace) -> simulate.BlockScheme:
+    return simulate.BlockScheme(amplitude=args.amplitude, duty_cycle=args.alpha,
+                                block_length=args.b)
+
+
 def _cmd_validate(cfg, model):
-    report = spectra.validate(model)
-    return dict(report.to_dict()), None
+    return spectra.validate(model).to_dict(), None
 
 
 def _cmd_phi(cfg, model):
@@ -400,19 +372,15 @@ def _cmd_predict(cfg, model):
 
 def _cmd_capacity(cfg, model):
     ca = asymptotics.capacity_asymptote(model)
-    out = {"regime": ca.regime}
     if ca.regime == asymptotics.REGIME_SPECTRAL_LINE:
-        out["linear_slope"] = ca.linear_slope
-    else:
-        out = {"phi": ca.phi, "regime": ca.regime,
-               "kappa": ca.kappa, "alpha_star": ca.alpha_star}
-    return out, None
+        return {"regime": ca.regime, "linear_slope": ca.linear_slope}, None
+    return {"phi": ca.phi, "regime": ca.regime, "kappa": ca.kappa,
+            "alpha_star": ca.alpha_star}, None
 
 
 def _cmd_scheme(cfg, model):
     args = cfg.args
-    scheme = simulate.BlockScheme(amplitude=args.amplitude, duty_cycle=args.alpha,
-                                  block_length=args.b)
+    scheme = _scheme(args)
     coeffs = asymptotics.scheme_coefficients(model, args.b, args.alpha)
     support = (1 if args.alpha < 1.0 else 0) + (2 ** args.b if args.alpha > 0.0 else 0)
     return {
@@ -430,8 +398,7 @@ def _cmd_scheme(cfg, model):
 
 def _cmd_simulate(cfg, model):
     args = cfg.args
-    scheme = simulate.BlockScheme(amplitude=args.amplitude, duty_cycle=args.alpha,
-                                  block_length=args.b)
+    scheme = _scheme(args)
     x = simulate.gen_inputs(scheme, args.n, args.seed)
     trace = simulate.apply_channel(x, model, args.sigma2, args.seed)
     return None, trace
@@ -439,8 +406,7 @@ def _cmd_simulate(cfg, model):
 
 def _cmd_mi(cfg, model):
     args = cfg.args
-    scheme = simulate.BlockScheme(amplitude=args.amplitude, duty_cycle=args.alpha,
-                                  block_length=args.b)
+    scheme = _scheme(args)
     est = mi.mi_monte_carlo(scheme, model, args.sigma2, args.samples,
                             args.seed, n_partitions=args.partitions)
     return {
@@ -500,9 +466,8 @@ def _cmd_sweep(cfg, model):
 # report writing
 # ---------------------------------------------------------------------------
 
-def _config_comment_lines(cfg: RunConfig) -> list[str]:
-    resolved = cfg.resolved()
-    return [f"# {k}={_csv_cell(v)}" for k, v in resolved.items()]
+def _config_comments(cfg: RunConfig) -> str:
+    return "".join(f"# {k}={_csv_cell(v)}\n" for k, v in cfg.resolved().items())
 
 
 def _emit(cfg: RunConfig, result, trace, fh):
@@ -519,46 +484,38 @@ def _emit(cfg: RunConfig, result, trace, fh):
             simulate.trace_to_csv(trace, fh)
         return
 
+    if fmt == "json":
+        fh.write(_json_dumps({"config": cfg.resolved(), **result}) + "\n")
+        return
+    fh.write(_config_comments(cfg))
     if cfg.command == "sweep":
-        if fmt == "json":
-            fh.write(_json_dumps({"config": cfg.resolved(), **result}) + "\n")
-            return
-        for line in _config_comment_lines(cfg):
-            fh.write(line + "\n")
         for k, v in result["summary"].items():
             fh.write(f"# {k}={_csv_cell(v)}\n")
         fh.write(SWEEP_HEADER + "\n")
-        cols = SWEEP_HEADER.split(",")
         for row in result["rows"]:
-            fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
-        return
-
-    if cfg.command == "mi" and fmt == "csv":
-        for line in _config_comment_lines(cfg):
-            fh.write(line + "\n")
+            fh.write(",".join(_csv_cell(row[c]) for c in SWEEP_HEADER.split(",")) + "\n")
+    elif cfg.command == "mi":
         fh.write(MI_HEADER + "\n")
-        fh.write(",".join(_csv_cell(result[c]) for c in
-                          ("b", "snr", "alpha", "estimate", "std_error",
-                           "n_samples", "seed")) + "\n")
-        return
-
-    if fmt == "json":
-        fh.write(_json_dumps({"config": cfg.resolved(), **result}) + "\n")
+        fh.write(",".join(_csv_cell(result[c]) for c in MI_HEADER.split(",")) + "\n")
     else:
-        for line in _config_comment_lines(cfg):
-            fh.write(line + "\n")
         keys = [k for k, v in result.items() if not isinstance(v, (dict, list, tuple))]
         fh.write(",".join(keys) + "\n")
         fh.write(",".join(_csv_cell(result[k]) for k in keys) + "\n")
 
 
-def _write_report(cfg: RunConfig, result, trace) -> None:
+def _write_report(cfg: RunConfig, emit) -> int:
+    """Write a report through ``emit(fh)`` to ``--out`` or stdout."""
     out = getattr(cfg.args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _emit(cfg, result, trace, fh)
-    else:
-        _emit(cfg, result, trace, sys.stdout)
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                emit(fh)
+        else:
+            emit(sys.stdout)
+    except OSError as exc:
+        sys.stderr.write(f"fadelab: cannot write report: {exc}\n")
+        return EXIT_IO
+    return EXIT_OK
 
 
 _DISPATCH = {
@@ -586,30 +543,14 @@ def execute(cfg: RunConfig) -> int:
     try:
         result, trace = _DISPATCH[cfg.command](cfg, model)
     except _NUMERICAL_ERRORS as exc:
-        payload = {"config": cfg.resolved(), "error": type(exc).__name__,
-                   "detail": str(exc)}
-        fmt = cfg.args.fmt or "json"
-        text = (_json_dumps(payload) + "\n") if fmt == "json" else (
-            "".join(f"# {k}={_csv_cell(v)}\n" for k, v in cfg.resolved().items())
-            + f"error,{type(exc).__name__}\ndetail,{_csv_cell(str(exc))}\n")
-        out = getattr(cfg.args, "out", None)
-        try:
-            if out:
-                with open(out, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-        except OSError as io_exc:
-            sys.stderr.write(f"fadelab: cannot write report: {io_exc}\n")
-            return EXIT_IO
-        return EXIT_NUMERICAL
-
-    try:
-        _write_report(cfg, result, trace)
-    except OSError as exc:
-        sys.stderr.write(f"fadelab: cannot write report: {exc}\n")
-        return EXIT_IO
-    return EXIT_OK
+        name = type(exc).__name__
+        if (cfg.args.fmt or "json") == "json":
+            text = _json_dumps({"config": cfg.resolved(), "error": name, "detail": str(exc)}) + "\n"
+        else:
+            text = _config_comments(cfg) + f"error,{name}\ndetail,{_csv_cell(str(exc))}\n"
+        code = _write_report(cfg, lambda fh: fh.write(text))
+        return EXIT_NUMERICAL if code == EXIT_OK else code
+    return _write_report(cfg, lambda fh: _emit(cfg, result, trace, fh))
 
 
 def run(argv: list[str] | None = None) -> int:

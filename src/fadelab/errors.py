@@ -48,10 +48,6 @@ class NonConvergent(FadingLabError):
     """A limit extrapolation grows monotonically beyond its configured bound."""
 
 
-class SingularSystem(FadingLabError):
-    """A noiseless prediction system is numerically singular beyond repair."""
-
-
 class EmbeddingFailure(FadingLabError):
     """Circulant embedding produced an eigenvalue below the clipping floor;
     the autocorrelation table is not consistent with a valid spectrum."""

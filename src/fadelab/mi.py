@@ -20,11 +20,11 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import spectra
 from .errors import BlockTooLarge, DomainError, IllConditioned
-from .simulate import BlockScheme, rng_stream, _cn
+from .simulate import BlockScheme, rng_stream
+from .spectra import _cn
 
 #: mixture enumeration cap on the block length
 BLOCK_CAP = 12
@@ -153,9 +153,7 @@ def second_order_coeff_exact(law: DiscreteInputLaw, model: spectra.FadingModel) 
     if a4 == 0.0:
         return 0.0
     b = law.block_length
-    r = spectra.autocorr_lags(model, b - 1)
-    t = scipy.linalg.toeplitz(r, np.conj(r))
-    abs_t2 = np.abs(t) ** 2
+    abs_t2 = np.abs(spectra.toeplitz_cov(model, b)) ** 2
     m, q = law_moments(law)
     first = float(np.sum(abs_t2 * q))
     second = float(np.sum(abs_t2 * np.abs(m) ** 2))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import quadrature, spectra
+from . import spectra
 from .errors import (
     ConditionTwelveFails,
     DomainError,
@@ -86,16 +86,6 @@ def _require_pure_density(model: spectra.FadingModel):
             "this model carries spectral lines")
 
 
-def _zero_set_measure(model: spectra.FadingModel, thresh: float = 1e-12) -> float:
-    """Approximate Lebesgue measure of {lam : f(lam) <= thresh}."""
-    pieces = np.array([-0.5, *spectra._density_breakpoints(model), 0.5])
-    xs = np.unique(np.concatenate([
-        np.linspace(-0.5, 0.5, 8193), pieces]))
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    vals = spectra.density(model, mids)
-    return float(np.sum(np.diff(xs)[vals <= thresh]))
-
-
 def noiseless_pred_error(model: spectra.FadingModel) -> PredictionResult:
     """exp{ integral log f } -- the Kolmogorov one-step error.
 
@@ -103,18 +93,9 @@ def noiseless_pred_error(model: spectra.FadingModel) -> PredictionResult:
     density vanishes on a set of positive measure (deterministic process).
     """
     _require_pure_density(model)
-    if model.kind is spectra.ModelKind.MEMORYLESS:
+    if model.white:
         return PredictionResult(1.0, METHOD_CLOSED_FORM, None, 0.0)
-
-    if model.kind is spectra.ModelKind.TABULATED_DENSITY:
-        log_int = quadrature.pl_log_integral(model.grid, model.values)
-    else:
-        if _zero_set_measure(model) > 1e-9:
-            return PredictionResult(0.0, METHOD_CLOSED_FORM, None, 0.0)
-        floor = 1e-300
-        log_int = quadrature.quad_interval(
-            lambda x: np.log(np.maximum(spectra.density(model, x), floor)),
-            breakpoints=spectra._density_breakpoints(model))
+    log_int = model.log_integral(0.0)
     if not np.isfinite(log_int) or log_int < LOG_INTEGRAL_FLOOR:
         return PredictionResult(0.0, METHOD_CLOSED_FORM, None, 0.0)
     err = float(np.exp(log_int))
@@ -132,17 +113,9 @@ def noisy_pred_error(model: spectra.FadingModel, delta2: float) -> PredictionRes
     if delta2 <= 0.0:
         raise DomainError("delta2 must be > 0 (use the finite-past oracle for delta2 = 0)")
     _require_pure_density(model)
-    if model.kind is spectra.ModelKind.MEMORYLESS:
+    if model.white:
         return PredictionResult(1.0, METHOD_CLOSED_FORM, None, delta2)
-    if model.kind is spectra.ModelKind.TABULATED_DENSITY:
-        shifted = 1.0 + model.values / delta2
-        log_int = float(np.sum(quadrature._log_linear_piece(
-            shifted[:-1], shifted[1:], np.diff(model.grid))))
-    else:
-        log_int = quadrature.quad_interval(
-            lambda x: np.log1p(spectra.density(model, x) / delta2),
-            breakpoints=spectra._density_breakpoints(model))
-    err = float(delta2 * np.expm1(log_int))
+    err = float(delta2 * np.expm1(model.log_integral(delta2)))
     return PredictionResult(min(max(err, 0.0), 1.0), METHOD_CLOSED_FORM, None, delta2)
 
 

@@ -6,10 +6,11 @@ amplitudes, symbol signs, estimator sampling), so each component is
 independently reproducible and identical (model, n, seed) triples yield
 bit-identical output.
 
-Fading synthesis: the first-order autoregression uses its exact recursion
-from a stationary start; other density models use circulant spectral
-synthesis of length >= 8 n; spectral lines contribute complex exponentials
-with a single Gaussian amplitude each.
+Each law synthesizes its own fading paths (``FadingModel.synthesize`` in
+``spectra``): the first-order autoregression uses its exact recursion from
+a stationary start; other density models use circulant spectral synthesis
+of length >= 8 n; spectral lines contribute complex exponentials with a
+single Gaussian amplitude each.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.signal
 
 from . import spectra
-from .errors import DomainError, EmbeddingFailure, TooShort
+from .errors import DomainError, TooShort
+from .spectra import _cn
 
 STREAM_LABELS = {
     "fading": 1,
@@ -31,11 +31,8 @@ STREAM_LABELS = {
     "mi": 5,
 }
 
-#: circulant length multiplier over the requested path length
-EMBED_FACTOR = 8
-
-#: circulant eigenvalues in [-EMBED_CLIP, 0) are clipped to zero
-EMBED_CLIP = 1e-8
+#: contiguous segments of the delete-one-block jackknife
+JACKKNIFE_BLOCKS = 50
 
 
 def rng_stream(seed: int, label: str, index: int = 0) -> np.random.Generator:
@@ -43,13 +40,6 @@ def rng_stream(seed: int, label: str, index: int = 0) -> np.random.Generator:
     key = STREAM_LABELS[label]
     ss = np.random.SeedSequence(int(seed), spawn_key=(key, int(index)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _cn(rng: np.random.Generator, size) -> np.ndarray:
-    """IID standard circularly symmetric complex Gaussians."""
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return (re + 1j * im) * np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -65,7 +55,6 @@ class BlockScheme:
     amplitude: float
     duty_cycle: float
     block_length: int
-    phase_alphabet: str = "binary_real"
 
     def __post_init__(self):
         if self.amplitude <= 0.0:
@@ -74,8 +63,6 @@ class BlockScheme:
             raise DomainError("duty cycle must lie in [0, 1]")
         if int(self.block_length) < 1:
             raise DomainError("block length must be >= 1")
-        if self.phase_alphabet != "binary_real":
-            raise DomainError("only the binary_real phase alphabet is implemented")
         object.__setattr__(self, "block_length", int(self.block_length))
 
 
@@ -94,78 +81,12 @@ class ChannelTrace:
     model: str
 
 
-def _circulant_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    big_n = eigenvalues.size
-    xi = _cn(rng, big_n)
-    coef = np.sqrt(eigenvalues) * xi
-    path = scipy.fft.ifft(coef) * np.sqrt(big_n)
-    return np.ascontiguousarray(path[:n])
-
-
-def _embed_length(n: int) -> int:
-    return scipy.fft.next_fast_len(EMBED_FACTOR * n)
-
-
-def _synthesize(model: spectra.FadingModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    k = model.kind
-
-    if k is spectra.ModelKind.MEMORYLESS:
-        return _cn(rng, n)
-
-    if k is spectra.ModelKind.AR1:
-        a = model.a
-        h0 = _cn(rng, 1)[0]
-        if n == 1:
-            return np.array([h0])
-        v = _cn(rng, n - 1)
-        drive = np.sqrt(1.0 - abs(a) ** 2) * v
-        rest, _ = scipy.signal.lfilter([1.0], [1.0, -a], drive, zi=np.array([a * h0]))
-        return np.concatenate([[h0], rest])
-
-    if k is spectra.ModelKind.LINE_PLUS_RESIDUAL:
-        ks = np.arange(n)
-        h = np.zeros(n, dtype=complex)
-        for loc, mass in model.jumps:
-            g = _cn(rng, 1)[0]
-            h += np.sqrt(mass) * g * np.exp(2j * np.pi * loc * ks)
-        if model.residual is not None:
-            h += np.sqrt(spectra.residual_weight(model)) * _synthesize(model.residual, n, rng)
-        return h
-
-    big_n = _embed_length(n)
-    if k is spectra.ModelKind.TABULATED_AUTOCORR:
-        # circulant row from the exact lags; the truncated table may imply a
-        # slightly indefinite spectrum, hence the clipping policy
-        r = model.values
-        m = min(r.size - 1, big_n // 2)
-        row = np.zeros(big_n, dtype=complex)
-        row[:m + 1] = r[:m + 1]
-        if m >= 1:
-            row[big_n - m:] = np.conj(r[1:m + 1][::-1])
-        eig = np.real(scipy.fft.fft(row))
-        lo = float(eig.min())
-        if lo < -EMBED_CLIP:
-            raise EmbeddingFailure(
-                f"circulant eigenvalue {lo:.3e} below the clipping floor -{EMBED_CLIP:g}")
-        eig = np.maximum(eig, 0.0)
-    else:
-        # sample the density at the circulant frequencies; normalization pins
-        # the synthesized variance at exactly one
-        freqs = np.fft.fftfreq(big_n, d=1.0)
-        eig = np.asarray(spectra.density(model, freqs), dtype=float)
-        mean = float(eig.mean())
-        if mean <= 0.0:
-            raise EmbeddingFailure("density sampled to zero everywhere on the synthesis grid")
-        eig = eig / mean
-    return _circulant_path(eig, n, rng)
-
-
 def gen_fading(model: spectra.FadingModel, n: int, seed: int) -> np.ndarray:
     """Stationary fading path of length n for the given master seed."""
     n = int(n)
     if n < 1:
         raise DomainError("path length must be >= 1")
-    return _synthesize(model, n, rng_stream(seed, "fading"))
+    return model.synthesize(n, rng_stream(seed, "fading"))
 
 
 def gen_inputs(scheme: BlockScheme, n: int, seed: int) -> np.ndarray:
@@ -214,12 +135,12 @@ class AutocorrEstimate:
     n: int
 
 
-def empirical_autocorr(h: np.ndarray, m_max: int, n_blocks: int = 50) -> AutocorrEstimate:
+def empirical_autocorr(h: np.ndarray, m_max: int) -> AutocorrEstimate:
     """Estimate R(m) for m = 0..m_max from one path.
 
-    Standard errors come from a delete-one-block jackknife over ``n_blocks``
-    contiguous segments of the lag products, which stays honest under the
-    serial dependence of the path.
+    Standard errors come from a delete-one-block jackknife over
+    ``JACKKNIFE_BLOCKS`` contiguous segments of the lag products, which
+    stays honest under the serial dependence of the path.
     """
     h = np.asarray(h)
     n = h.size
@@ -235,13 +156,13 @@ def empirical_autocorr(h: np.ndarray, m_max: int, n_blocks: int = 50) -> Autocor
     for m in lags:
         prod = h[m:] * np.conj(h[:n - m]) if m else (h * np.conj(h)).astype(complex)
         values[m] = prod.sum() / n
-        blocks = np.array_split(prod, n_blocks)
+        blocks = np.array_split(prod, JACKKNIFE_BLOCKS)
         sums = np.array([b.sum() for b in blocks])
         sizes = np.array([b.size for b in blocks])
         total, count = prod.sum(), prod.size
         loo = (total - sums) / (count - sizes)
         mean_loo = loo.mean()
-        var = (n_blocks - 1) / n_blocks * np.sum(np.abs(loo - mean_loo) ** 2)
+        var = (JACKKNIFE_BLOCKS - 1) / JACKKNIFE_BLOCKS * np.sum(np.abs(loo - mean_loo) ** 2)
         errors[m] = np.sqrt(var) * (count / n)
     return AutocorrEstimate(lags=lags, values=values, std_errors=errors, n=n)
 

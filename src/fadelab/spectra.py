@@ -7,25 +7,33 @@ absolutely continuous part of that distribution has a density f with
 R(m) = integral of e^{i 2 pi m lam} f(lam), and atoms ("spectral lines")
 carry the remaining mass.
 
-The module provides a small parametric catalog (memoryless, first-order
-autoregressive, band-limited flat, tabulated, line-plus-residual), exact
-or adaptive evaluation of the spectral objects, and a validation report
-that includes a heuristic verdict on square integrability of the density.
+Each kind of law is one frozen subclass of :class:`FadingModel`
+(``Memoryless``, ``AR1``, ``BandLimited``, ``TabulatedDensity``,
+``TabulatedAutocorr``, ``LinePlusResidual``, which composes its residual)
+carrying that kind's formulas: label, lags, density and breakpoints, mass,
+squared and log integrals, lag-series rule and path synthesis.  The module
+functions are the public API and delegate to the class.  Bounded densities
+are square integrable by construction; a tabulated density gets a heuristic
+verdict from a probe of its squared integral on nested grids.
 """
 
 from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
+import scipy.signal
 
 from . import quadrature
 from .errors import (
     DimensionTooLarge,
+    Diverges,
+    EmbeddingFailure,
     NoDensity,
     NotNormalized,
     ParamOutOfRange,
@@ -35,7 +43,7 @@ VERDICT_YES = "yes"
 VERDICT_NO = "no"
 VERDICT_UNDETERMINED = "undetermined"
 
-#: default cap on Toeplitz covariance dimension
+#: cap on Toeplitz covariance dimension
 TOEPLITZ_DIM_CAP = 4096
 
 # square-integrability probe: estimates of the squared-density integral on
@@ -44,6 +52,18 @@ CONDITION12_BASE_INTERVALS = 64
 CONDITION12_ROUNDS = 3
 CONDITION12_DIVERGENCE_FACTOR = 4.0
 CONDITION12_STABILIZE_RTOL = 1e-3
+
+#: lag-series partial sums past this value are declared divergent
+SERIES_CEILING = 1e4
+
+#: consecutive negligible terms required to stop the generic lag series
+_STAGNATION_RUN = 20
+
+#: circulant length multiplier over the requested path length
+EMBED_FACTOR = 8
+
+#: circulant eigenvalues in [-EMBED_CLIP, 0) are clipped to zero
+EMBED_CLIP = 1e-8
 
 
 class ModelKind(enum.Enum):
@@ -55,36 +75,419 @@ class ModelKind(enum.Enum):
     LINE_PLUS_RESIDUAL = "line_plus_residual"
 
 
-@dataclass(frozen=True, eq=False)
-class FadingModel:
-    """Immutable description of a fading law.
+def _cn(rng: np.random.Generator, size) -> np.ndarray:
+    """IID standard circularly symmetric complex Gaussians."""
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    return (re + 1j * im) * np.sqrt(0.5)
 
-    Only the fields relevant to ``kind`` are populated.  ``has_density`` is
-    true iff the spectral distribution is absolutely continuous (models with
-    jumps report false even when a density component exists).
-    ``density_square_integrable`` is the stored verdict of the
-    square-integrability probe: "yes", "no" or "undetermined"; it stays
-    "undetermined" for purely atomic models, where it is never consulted.
+
+def _embed_length(n: int) -> int:
+    return scipy.fft.next_fast_len(EMBED_FACTOR * n)
+
+
+def _circulant_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    big_n = eigenvalues.size
+    xi = _cn(rng, big_n)
+    coef = np.sqrt(eigenvalues) * xi
+    path = scipy.fft.ifft(coef) * np.sqrt(big_n)
+    return np.ascontiguousarray(path[:n])
+
+
+# ---------------------------------------------------------------------------
+# the laws
+# ---------------------------------------------------------------------------
+
+class FadingModel:
+    """Immutable description of a fading law; one frozen subclass per kind.
+
+    A kind defines ``label()``, ``lags(start, stop)`` (R(start), ...,
+    R(stop - 1) as a complex array) and ``_density(x)`` (f on a 1-d array),
+    and overrides the generic routes below where it has an exact formula.
+    ``has_density`` is true iff the spectral distribution is absolutely
+    continuous (models with jumps report false even when a density
+    component exists).  ``density_square_integrable`` is the verdict on
+    square integrability of the density: "yes", "no" or "undetermined"; it
+    stays "undetermined" for models with lines, where it is never consulted.
     """
 
-    kind: ModelKind
-    a: complex | None = None
-    lambda_c: float | None = None
-    grid: np.ndarray | None = None
-    values: np.ndarray | None = None
+    kind: ClassVar[ModelKind]
     jumps: tuple[tuple[float, float], ...] = ()
     residual: "FadingModel | None" = None
-    has_density: bool = True
-    density_square_integrable: str = VERDICT_UNDETERMINED
+    has_density: ClassVar[bool] = True
+    density_square_integrable = VERDICT_YES
+    #: verdict that follows from the law's form, None where only the probe can tell
+    known_verdict: ClassVar[str | None] = VERDICT_YES
+    #: known discontinuities of the density, for adaptive quadrature
+    breakpoints: tuple[float, ...] = ()
+    #: R(m) = 0 for every m != 0: no past predicts the present
+    white: ClassVar[bool] = False
+    #: tables are probed blind on a uniform grid (see ``_sq_density_estimate``)
+    probe_blind: ClassVar[bool] = False
 
     def __repr__(self):  # keep array fields out of the default repr
-        return f"FadingModel({model_label(self)})"
+        return f"FadingModel({self.label()})"
+
+    def density(self, lam):
+        """f(lam) for a scalar or an array; the density component of mixed laws."""
+        arr = np.asarray(lam, dtype=float)
+        out = self._density(np.atleast_1d(arr))
+        return float(out[0]) if arr.ndim == 0 else out
+
+    def mass(self) -> float:
+        """Integral of the density component, by adaptive quadrature."""
+        return quadrature.quad_interval(lambda x: self.density(x))
+
+    def square_integral(self) -> float:
+        """Integral of the squared density component, by adaptive quadrature."""
+        return quadrature.quad_interval(lambda x: self.density(x) ** 2,
+                                        breakpoints=self.breakpoints)
+
+    def log_integral(self, delta2: float) -> float:
+        """integral of log f when delta2 = 0 (-inf when f vanishes on a set of
+        positive measure), else integral of log1p(f / delta2); by adaptive
+        quadrature between the breakpoints."""
+        if delta2 == 0.0:
+            # measure of {f <= 1e-12}, sampled between the breakpoints
+            xs = np.unique(np.concatenate([
+                np.linspace(-0.5, 0.5, 8193), [-0.5, *self.breakpoints, 0.5]]))
+            zero = self.density(0.5 * (xs[:-1] + xs[1:])) <= 1e-12
+            if np.sum(np.diff(xs)[zero]) > 1e-9:
+                return -np.inf
+            return quadrature.quad_interval(
+                lambda x: np.log(np.maximum(self.density(x), 1e-300)),
+                breakpoints=self.breakpoints)
+        return quadrature.quad_interval(
+            lambda x: np.log1p(self.density(x) / delta2), breakpoints=self.breakpoints)
+
+    def series(self, tol: float) -> float:
+        """sum_{nu >= 1} |R(nu)|^2, stopped after a run of negligible terms.
+
+        Partial sums past ``SERIES_CEILING`` raise :class:`Diverges`, as
+        does a series that has not stagnated within 2e6 lags.
+        """
+        total = 0.0
+        quiet = 0
+        start = 1
+        chunk = 512
+        max_lag = 2_000_000
+        while start <= max_lag:
+            terms = np.abs(self.lags(start, start + chunk)) ** 2
+            for t in terms:
+                total += float(t)
+                if total > SERIES_CEILING:
+                    raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
+                if t < tol * max(abs(total), 1.0):
+                    quiet += 1
+                    if quiet >= _STAGNATION_RUN:
+                        break
+                else:
+                    quiet = 0
+            if quiet >= _STAGNATION_RUN:
+                break
+            start += chunk
+        else:
+            raise Diverges("series did not stagnate within the lag budget")
+        return total
+
+    def synthesize(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Path of length n by circulant spectral synthesis of length >= 8 n.
+
+        The density is sampled at the circulant frequencies; normalization
+        pins the synthesized variance at exactly one.
+        """
+        big_n = _embed_length(n)
+        freqs = np.fft.fftfreq(big_n, d=1.0)
+        eig = np.asarray(self.density(freqs), dtype=float)
+        mean = float(eig.mean())
+        if mean <= 0.0:
+            raise EmbeddingFailure("density sampled to zero everywhere on the synthesis grid")
+        eig = eig / mean
+        return _circulant_path(eig, n, rng)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+_law = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_law
+class Memoryless(FadingModel):
+    """White fading: R(m) = 0 for m != 0, flat unit density."""
+
+    kind = ModelKind.MEMORYLESS
+    white = True
+
+    def label(self) -> str:
+        return "memoryless"
+
+    def lags(self, start, stop):
+        ms = np.arange(start, stop)
+        out = np.zeros(ms.size, dtype=complex)
+        out[ms == 0] = 1.0
+        return out
+
+    def _density(self, x):
+        return np.ones_like(x)
+
+    def mass(self):
+        return 1.0
+
+    def square_integral(self):
+        return 1.0
+
+    def series(self, tol):
+        return 0.0
+
+    def synthesize(self, n, rng):
+        return _cn(rng, n)
+
+
+@_law
+class AR1(FadingModel):
+    """First-order autoregression: R(m) = a^m, f = (1-|a|^2)/|1 - a e^{-i 2 pi lam}|^2."""
+
+    a: complex
+    kind = ModelKind.AR1
+
+    def label(self) -> str:
+        a = self.a
+        if a.imag == 0.0:
+            return f"ar1(a={a.real:g})"
+        return f"ar1(a={a.real:g}{a.imag:+g}j)"
+
+    def lags(self, start, stop):
+        return np.asarray(self.a, dtype=complex) ** np.arange(start, stop)
+
+    def _density(self, x):
+        a = self.a
+        return (1.0 - abs(a) ** 2) / np.abs(1.0 - a * np.exp(-2j * np.pi * x)) ** 2
+
+    def series(self, tol):
+        r2 = abs(self.a) ** 2
+        if r2 == 0.0:
+            return 0.0
+        # tail after N terms: r2^{N+1} / (1 - r2) <= tol
+        n_terms = int(np.ceil(np.log(tol * (1.0 - r2)) / np.log(r2))) + 1
+        n_terms = max(n_terms, 1)
+        powers = r2 ** np.arange(1, n_terms + 1)
+        total = float(np.sum(powers))
+        if total > SERIES_CEILING:
+            raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
+        return total
+
+    def synthesize(self, n, rng):
+        """The exact recursion from a stationary start."""
+        a = self.a
+        h0 = _cn(rng, 1)[0]
+        if n == 1:
+            return np.array([h0])
+        v = _cn(rng, n - 1)
+        drive = np.sqrt(1.0 - abs(a) ** 2) * v
+        rest, _ = scipy.signal.lfilter([1.0], [1.0, -a], drive, zi=np.array([a * h0]))
+        return np.concatenate([[h0], rest])
+
+
+@_law
+class BandLimited(FadingModel):
+    """Flat density 1/(2 lambda_c) on the closed band |lam| <= lambda_c."""
+
+    lambda_c: float
+    kind = ModelKind.BAND_LIMITED
+
+    @property
+    def breakpoints(self):
+        return (-self.lambda_c, self.lambda_c)
+
+    def label(self) -> str:
+        return f"bandlimited(lambda_c={self.lambda_c:g})"
+
+    def lags(self, start, stop):
+        return np.sinc(2.0 * self.lambda_c * np.arange(start, stop)).astype(complex)
+
+    def _density(self, x):
+        return np.where(np.abs(x) <= self.lambda_c, 1.0 / (2.0 * self.lambda_c), 0.0)
+
+    def mass(self):
+        return 1.0
+
+    def square_integral(self):
+        return 1.0 / (2.0 * self.lambda_c)
+
+    def series(self, tol):
+        """Sinc^2 terms up to the 1/(c^2 N) tail bound, in 10^6-term chunks."""
+        c = 2.0 * np.pi * self.lambda_c
+        n_target = int(np.ceil(1.0 / (c * c * tol)))
+        total = 0.0
+        chunk = 1_000_000
+        start = 1
+        while start <= n_target:
+            stop = min(start + chunk, n_target + 1)
+            nu = np.arange(start, stop)
+            total += float(np.sum(np.sinc(2.0 * self.lambda_c * nu) ** 2))
+            if total > SERIES_CEILING:
+                raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
+            start = stop
+        return total
+
+
+@_law
+class TabulatedDensity(FadingModel):
+    """Piecewise-linear density through (grid, values), unit mass.
+
+    Mass, squared and log integrals and the lags are exact per-interval
+    formulas; the square-integrability verdict is the probe's.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+    density_square_integrable: str = field(init=False)
+    kind = ModelKind.TABULATED_DENSITY
+    known_verdict = None
+    probe_blind = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "density_square_integrable", condition12_probe(self)[0])
+
+    def label(self) -> str:
+        return f"table(n={self.grid.size})"
+
+    def lags(self, start, stop):
+        return quadrature.pl_fourier(self.grid, self.values, np.arange(start, stop))
+
+    def _density(self, x):
+        return np.interp(x, self.grid, self.values)
+
+    def mass(self):
+        return quadrature.pl_mass(self.grid, self.values)
+
+    def square_integral(self):
+        return quadrature.pl_square_integral(self.grid, self.values)
+
+    def log_integral(self, delta2):
+        if delta2 == 0.0:
+            return quadrature.pl_log_integral(self.grid, self.values)
+        shifted = 1.0 + self.values / delta2
+        return float(np.sum(quadrature._log_linear_piece(
+            shifted[:-1], shifted[1:], np.diff(self.grid))))
+
+
+@_law
+class TabulatedAutocorr(FadingModel):
+    """R(0), ..., R(M) from a table, zero beyond; the density is the
+    truncated Fourier series."""
+
+    values: np.ndarray
+    kind = ModelKind.TABULATED_AUTOCORR
+    probe_blind = True
+
+    def label(self) -> str:
+        return f"autocorr_table(m_max={self.values.size - 1})"
+
+    def lags(self, start, stop):
+        ms = np.arange(start, stop)
+        out = np.zeros(ms.size, dtype=complex)
+        inside = ms < self.values.size
+        out[inside] = self.values[ms[inside]]
+        return out
+
+    def _density(self, x):
+        r = self.values
+        out = np.full(x.shape, float(r[0].real))
+        for m in range(1, r.size):
+            out += 2.0 * np.real(r[m] * np.exp(-2j * np.pi * m * x))
+        return out
+
+    def mass(self):
+        return float(self.values[0].real)
+
+    def square_integral(self):
+        # Parseval: the truncated series squares to the sum of |R|^2
+        r = self.values
+        return float(np.abs(r[0]) ** 2 + 2.0 * np.sum(np.abs(r[1:]) ** 2))
+
+    def series(self, tol):
+        total = float(np.sum(np.abs(self.values[1:]) ** 2))
+        if total > SERIES_CEILING:
+            raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
+        return total
+
+    def synthesize(self, n, rng):
+        """Circulant synthesis from the exact lags; the truncated table may
+        imply a slightly indefinite spectrum, hence the clipping policy."""
+        big_n = _embed_length(n)
+        r = self.values
+        m = min(r.size - 1, big_n // 2)
+        row = np.zeros(big_n, dtype=complex)
+        row[:m + 1] = r[:m + 1]
+        if m >= 1:
+            row[big_n - m:] = np.conj(r[1:m + 1][::-1])
+        eig = np.real(scipy.fft.fft(row))
+        lo = float(eig.min())
+        if lo < -EMBED_CLIP:
+            raise EmbeddingFailure(
+                f"circulant eigenvalue {lo:.3e} below the clipping floor -{EMBED_CLIP:g}")
+        eig = np.maximum(eig, 0.0)
+        return _circulant_path(eig, n, rng)
+
+
+@_law
+class LinePlusResidual(FadingModel):
+    """Spectral lines (location, mass) plus a density-type residual law that
+    carries the remaining weight 1 - sum(masses)."""
+
+    jumps: tuple[tuple[float, float], ...]
+    residual: FadingModel | None = None
+    kind = ModelKind.LINE_PLUS_RESIDUAL
+    has_density = False
+    density_square_integrable = VERDICT_UNDETERMINED
+
+    @property
+    def known_verdict(self):
+        return None if self.residual is None else self.residual.known_verdict
+
+    @property
+    def breakpoints(self):
+        return () if self.residual is None else self.residual.breakpoints
+
+    def label(self) -> str:
+        parts = ",".join(f"{mass:g}@{loc:g}" for loc, mass in self.jumps)
+        if self.residual is None:
+            return f"line({parts})"
+        return f"line({parts};residual={self.residual.label()})"
+
+    def lags(self, start, stop):
+        ms = np.arange(start, stop)
+        out = np.zeros(ms.size, dtype=complex)
+        for loc, mass in self.jumps:
+            out += mass * np.exp(2j * np.pi * loc * ms)
+        if self.residual is not None:
+            out += residual_weight(self) * self.residual.lags(start, stop)
+        return out
+
+    def _density(self, x):
+        if self.residual is None:
+            raise NoDensity("purely atomic spectral distribution has no density")
+        return residual_weight(self) * self.residual.density(x)
+
+    def mass(self):
+        if self.residual is None:
+            return 0.0
+        return residual_weight(self) * self.residual.mass()
+
+    def square_integral(self):
+        if self.residual is None:
+            raise NoDensity("purely atomic spectral distribution has no density")
+        return residual_weight(self) ** 2 * self.residual.square_integral()
+
+    def synthesize(self, n, rng):
+        """One Gaussian amplitude per line, plus the residual's path."""
+        ks = np.arange(n)
+        h = np.zeros(n, dtype=complex)
+        for loc, mass in self.jumps:
+            g = _cn(rng, 1)[0]
+            h += np.sqrt(mass) * g * np.exp(2j * np.pi * loc * ks)
+        if self.residual is not None:
+            h += np.sqrt(residual_weight(self)) * self.residual.synthesize(n, rng)
+        return h
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +496,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def memoryless() -> FadingModel:
     """White fading: R(m) = 0 for m != 0, flat unit density."""
-    return _with_verdict(FadingModel(kind=ModelKind.MEMORYLESS))
+    return Memoryless()
 
 
 def ar1(a: complex) -> FadingModel:
@@ -105,7 +508,7 @@ def ar1(a: complex) -> FadingModel:
     a = complex(a)
     if not abs(a) < 1.0:
         raise ParamOutOfRange(f"ar1 coefficient must satisfy |a| < 1, got |a| = {abs(a)}")
-    return _with_verdict(FadingModel(kind=ModelKind.AR1, a=a))
+    return AR1(a=a)
 
 
 def bandlimited(lambda_c: float) -> FadingModel:
@@ -117,7 +520,7 @@ def bandlimited(lambda_c: float) -> FadingModel:
     lambda_c = float(lambda_c)
     if not (0.0 < lambda_c <= 0.5):
         raise ParamOutOfRange(f"cutoff must lie in (0, 1/2], got {lambda_c}")
-    return _with_verdict(FadingModel(kind=ModelKind.BAND_LIMITED, lambda_c=lambda_c))
+    return BandLimited(lambda_c=lambda_c)
 
 
 def tabulated_density(grid: Sequence[float], values: Sequence[float]) -> FadingModel:
@@ -144,8 +547,9 @@ def tabulated_density(grid: Sequence[float], values: Sequence[float]) -> FadingM
     if abs(mass - 1.0) > 1e-2:
         raise NotNormalized(f"tabulated density integrates to {mass:.6g}, expected 1")
     values = values / mass
-    return _with_verdict(FadingModel(
-        kind=ModelKind.TABULATED_DENSITY, grid=_freeze(grid), values=_freeze(values)))
+    grid.setflags(write=False)
+    values.setflags(write=False)
+    return TabulatedDensity(grid=grid, values=values)
 
 
 def tabulated_autocorr(values: Sequence[complex]) -> FadingModel:
@@ -161,9 +565,9 @@ def tabulated_autocorr(values: Sequence[complex]) -> FadingModel:
         raise ParamOutOfRange(f"R(0) must be 1, got {vals[0]}")
     if np.any(np.abs(vals) > 1.0 + 1e-12):
         raise ParamOutOfRange("|R(m)| <= 1 is required")
-    model = FadingModel(kind=ModelKind.TABULATED_AUTOCORR, values=vals.copy())
-    model.values.setflags(write=False)
-    return _with_verdict(model)
+    vals = vals.copy()
+    vals.setflags(write=False)
+    return TabulatedAutocorr(values=vals)
 
 
 def line_plus_residual(jumps: Sequence[tuple[float, float]],
@@ -188,17 +592,13 @@ def line_plus_residual(jumps: Sequence[tuple[float, float]],
     if total > 1.0 + 1e-12:
         raise ParamOutOfRange(f"line masses sum to {total:.6g} > 1")
     pure = total >= 1.0 - 1e-12
-    if pure:
-        if residual is not None:
-            raise ParamOutOfRange("masses sum to 1; no residual may be attached")
-    else:
-        if residual is None:
-            raise ParamOutOfRange("masses sum to less than 1; a residual model is required")
-        if residual.kind is ModelKind.LINE_PLUS_RESIDUAL:
-            raise ParamOutOfRange("residual must be a density-type model")
-    return FadingModel(kind=ModelKind.LINE_PLUS_RESIDUAL, jumps=jumps,
-                       residual=residual, has_density=False,
-                       density_square_integrable=VERDICT_UNDETERMINED)
+    if pure and residual is not None:
+        raise ParamOutOfRange("masses sum to 1; no residual may be attached")
+    if not pure and residual is None:
+        raise ParamOutOfRange("masses sum to less than 1; a residual model is required")
+    if residual is not None and not residual.has_density:
+        raise ParamOutOfRange("residual must be a density-type model")
+    return LinePlusResidual(jumps=jumps, residual=residual)
 
 
 _CONSTRUCTORS: dict[str, Callable] = {
@@ -257,24 +657,7 @@ def load_tabulated_density(path) -> FadingModel:
 
 def model_label(model: FadingModel) -> str:
     """Short deterministic descriptor used in reports and CSV rows."""
-    k = model.kind
-    if k is ModelKind.MEMORYLESS:
-        return "memoryless"
-    if k is ModelKind.AR1:
-        a = model.a
-        if a.imag == 0.0:
-            return f"ar1(a={a.real:g})"
-        return f"ar1(a={a.real:g}{a.imag:+g}j)"
-    if k is ModelKind.BAND_LIMITED:
-        return f"bandlimited(lambda_c={model.lambda_c:g})"
-    if k is ModelKind.TABULATED_DENSITY:
-        return f"table(n={model.grid.size})"
-    if k is ModelKind.TABULATED_AUTOCORR:
-        return f"autocorr_table(m_max={model.values.size - 1})"
-    parts = ",".join(f"{mass:g}@{loc:g}" for loc, mass in model.jumps)
-    if model.residual is None:
-        return f"line({parts})"
-    return f"line({parts};residual={model_label(model.residual)})"
+    return model.label()
 
 
 def catalog() -> dict[str, FadingModel]:
@@ -305,42 +688,7 @@ def density(model: FadingModel, lam):
     Accepts scalars or arrays.  Raises :class:`NoDensity` for purely atomic
     models.
     """
-    arr = np.asarray(lam, dtype=float)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
-    k = model.kind
-    if k is ModelKind.MEMORYLESS:
-        out = np.ones_like(x)
-    elif k is ModelKind.AR1:
-        a = model.a
-        out = (1.0 - abs(a) ** 2) / np.abs(1.0 - a * np.exp(-2j * np.pi * x)) ** 2
-    elif k is ModelKind.BAND_LIMITED:
-        out = np.where(np.abs(x) <= model.lambda_c, 1.0 / (2.0 * model.lambda_c), 0.0)
-    elif k is ModelKind.TABULATED_DENSITY:
-        out = np.interp(x, model.grid, model.values)
-    elif k is ModelKind.TABULATED_AUTOCORR:
-        r = model.values
-        out = np.full(x.shape, float(r[0].real))
-        for m in range(1, r.size):
-            out += 2.0 * np.real(r[m] * np.exp(-2j * np.pi * m * x))
-    else:  # line plus residual
-        if model.residual is None:
-            raise NoDensity("purely atomic spectral distribution has no density")
-        out = residual_weight(model) * density(model.residual, x)
-    return float(out[0]) if scalar else out
-
-
-def _density_breakpoints(model: FadingModel) -> tuple[float, ...]:
-    """Known discontinuity locations, consumed by adaptive quadrature.
-
-    Tabulated kinds are integrated by exact piecewise formulas elsewhere and
-    report no breakpoints here.
-    """
-    if model.kind is ModelKind.BAND_LIMITED:
-        return (-model.lambda_c, model.lambda_c)
-    if model.kind is ModelKind.LINE_PLUS_RESIDUAL and model.residual is not None:
-        return _density_breakpoints(model.residual)
-    return ()
+    return model.density(lam)
 
 
 def autocorr(model: FadingModel, m: int) -> complex:
@@ -356,83 +704,24 @@ def autocorr_lags(model: FadingModel, m_max: int) -> np.ndarray:
     m_max = int(m_max)
     if m_max < 0:
         raise ParamOutOfRange("m_max must be non-negative")
-    k = model.kind
-    ms = np.arange(m_max + 1)
-    if k is ModelKind.MEMORYLESS:
-        out = np.zeros(m_max + 1, dtype=complex)
-        out[0] = 1.0
-        return out
-    if k is ModelKind.AR1:
-        return np.asarray(model.a, dtype=complex) ** ms
-    if k is ModelKind.BAND_LIMITED:
-        return np.sinc(2.0 * model.lambda_c * ms).astype(complex)
-    if k is ModelKind.TABULATED_DENSITY:
-        return np.asarray(quadrature.pl_fourier(model.grid, model.values, ms), dtype=complex)
-    if k is ModelKind.TABULATED_AUTOCORR:
-        out = np.zeros(m_max + 1, dtype=complex)
-        n = min(m_max + 1, model.values.size)
-        out[:n] = model.values[:n]
-        return out
-    # line plus residual
-    out = np.zeros(m_max + 1, dtype=complex)
-    for loc, mass in model.jumps:
-        out += mass * np.exp(2j * np.pi * loc * ms)
-    if model.residual is not None:
-        out += residual_weight(model) * autocorr_lags(model.residual, m_max)
-    return out
+    return model.lags(0, m_max + 1)
 
 
-def toeplitz_cov(model: FadingModel, n: int, dim_cap: int = TOEPLITZ_DIM_CAP) -> np.ndarray:
+def toeplitz_cov(model: FadingModel, n: int) -> np.ndarray:
     """Hermitian Toeplitz covariance of n consecutive fading samples."""
     n = int(n)
     if n < 1:
         raise ParamOutOfRange("covariance dimension must be >= 1")
-    if n > dim_cap:
-        raise DimensionTooLarge(f"n = {n} exceeds the cap {dim_cap}")
+    if n > TOEPLITZ_DIM_CAP:
+        raise DimensionTooLarge(f"n = {n} exceeds the cap {TOEPLITZ_DIM_CAP}")
     r = autocorr_lags(model, n - 1)
     return scipy.linalg.toeplitz(r, np.conj(r))
-
-
-# ---------------------------------------------------------------------------
-# density integrals
-# ---------------------------------------------------------------------------
-
-def density_mass(model: FadingModel) -> float:
-    """Integral of the density component (1 minus the jump mass when valid)."""
-    k = model.kind
-    if k is ModelKind.MEMORYLESS or k is ModelKind.BAND_LIMITED:
-        return 1.0
-    if k is ModelKind.AR1:
-        return quadrature.quad_interval(lambda x: density(model, x))
-    if k is ModelKind.TABULATED_DENSITY:
-        return quadrature.pl_mass(model.grid, model.values)
-    if k is ModelKind.TABULATED_AUTOCORR:
-        return float(model.values[0].real)
-    if model.residual is None:
-        return 0.0
-    return residual_weight(model) * density_mass(model.residual)
 
 
 def density_square_integral(model: FadingModel) -> float:
     """Integral of the squared density component, by the exact route where
     one exists and adaptive quadrature otherwise."""
-    k = model.kind
-    if k is ModelKind.MEMORYLESS:
-        return 1.0
-    if k is ModelKind.BAND_LIMITED:
-        return 1.0 / (2.0 * model.lambda_c)
-    if k is ModelKind.TABULATED_DENSITY:
-        return quadrature.pl_square_integral(model.grid, model.values)
-    if k is ModelKind.TABULATED_AUTOCORR:
-        # Parseval: the truncated series squares to the sum of |R|^2
-        r = model.values
-        return float(np.abs(r[0]) ** 2 + 2.0 * np.sum(np.abs(r[1:]) ** 2))
-    if k is ModelKind.LINE_PLUS_RESIDUAL:
-        if model.residual is None:
-            raise NoDensity("purely atomic spectral distribution has no density")
-        return residual_weight(model) ** 2 * density_square_integral(model.residual)
-    return quadrature.quad_interval(lambda x: density(model, x) ** 2,
-                                    breakpoints=_density_breakpoints(model))
+    return model.square_integral()
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +734,14 @@ def _sq_density_estimate(model: FadingModel, n_intervals: int) -> float:
     Tabulated models are probed blind (uniform trapezoid on the interpolant),
     deliberately ignoring the table's own nodes: the table approximates an
     unknown density and the probe watches how the estimate behaves as the
-    grid refines.  Closed-form kinds use a midpoint rule between their
-    declared breakpoints, which is exact for piecewise-constant densities
-    and insensitive to the value convention at the discontinuities.
+    grid refines.  Other kinds use a midpoint rule between their declared
+    breakpoints, which is exact for piecewise-constant densities and
+    insensitive to the value convention at the discontinuities.
     """
-    k = model.kind
-    if k in (ModelKind.TABULATED_DENSITY, ModelKind.TABULATED_AUTOCORR):
+    if model.probe_blind:
         xs = np.linspace(-0.5, 0.5, n_intervals + 1)
         return float(np.trapezoid(density(model, xs) ** 2, xs))
-    pieces = [-0.5, *(_density_breakpoints(model)), 0.5]
+    pieces = [-0.5, *model.breakpoints, 0.5]
     total = 0.0
     for a, b in zip(pieces[:-1], pieces[1:]):
         if b <= a:
@@ -464,28 +752,18 @@ def _sq_density_estimate(model: FadingModel, n_intervals: int) -> float:
     return total
 
 
-def _is_table_backed(model: FadingModel) -> bool:
-    if model.kind in (ModelKind.TABULATED_DENSITY, ModelKind.TABULATED_AUTOCORR):
-        return True
-    if model.kind is ModelKind.LINE_PLUS_RESIDUAL and model.residual is not None:
-        return _is_table_backed(model.residual)
-    return False
-
-
 def _lower_darboux_sums(model: FadingModel) -> tuple[float, ...]:
     """Lower Darboux sums of the squared density on nested dyadic grids.
 
     Monotone nondecreasing under refinement by construction, so their
     growth is a stable divergence signal on spiky tables, free of the
     alignment jitter that plagues point-sampling rules near a singularity.
+    Only laws without a known verdict get here: a tabulated density, alone
+    or as the residual of spectral lines.
     """
+    table = model if model.residual is None else model.residual
     n_fine = CONDITION12_BASE_INTERVALS * 2 ** CONDITION12_ROUNDS
-    xs = np.linspace(-0.5, 0.5, n_fine + 1)
-    if model.kind is ModelKind.TABULATED_DENSITY:
-        xs = np.union1d(xs, model.grid)
-    elif (model.kind is ModelKind.LINE_PLUS_RESIDUAL and model.residual is not None
-          and model.residual.kind is ModelKind.TABULATED_DENSITY):
-        xs = np.union1d(xs, model.residual.grid)
+    xs = np.union1d(np.linspace(-0.5, 0.5, n_fine + 1), table.grid)
     sq = np.asarray(density(model, xs), dtype=float) ** 2
     fine_walls = np.linspace(-0.5, 0.5, n_fine + 1)
     out = []
@@ -500,33 +778,28 @@ def _lower_darboux_sums(model: FadingModel) -> tuple[float, ...]:
 
 
 def condition12_probe(model: FadingModel) -> tuple[str, tuple[float, ...]]:
-    """Heuristic verdict on square integrability of the density.
+    """Verdict on square integrability of the density, with the estimates.
 
     Estimates the squared-density integral on nested grids (3 halvings).
-    "yes" when the last two estimates agree to a relative 1e-3.  For
-    table-backed densities that fail to stabilize, lower Darboux sums on
-    the same nested grids decide "no" when they are still growing at the
-    finest grid and have grown past a factor of 4 overall.  Anything else
-    is "undetermined".  A verdict, not a proof.
+    A law whose form decides the verdict (a bounded density) returns that
+    verdict.  Otherwise "yes" when the last two estimates agree to a
+    relative 1e-3; for estimates that fail to stabilize, lower Darboux sums
+    on the same nested grids decide "no" when they are still growing at
+    the finest grid and have grown past a factor of 4 overall.  Anything
+    else is "undetermined".  A verdict, not a proof.
     """
-    est = []
-    for r in range(CONDITION12_ROUNDS + 1):
-        est.append(_sq_density_estimate(model, CONDITION12_BASE_INTERVALS * 2 ** r))
-    est = tuple(float(e) for e in est)
+    est = tuple(float(_sq_density_estimate(model, CONDITION12_BASE_INTERVALS * 2 ** r))
+                for r in range(CONDITION12_ROUNDS + 1))
+    if model.known_verdict is not None:
+        return model.known_verdict, est
     last, prev = est[-1], est[-2]
     if abs(last - prev) <= max(CONDITION12_STABILIZE_RTOL * abs(last), 1e-12):
         return VERDICT_YES, est
-    if _is_table_backed(model):
-        low = _lower_darboux_sums(model)
-        growing = low[-1] > low[-2] * (1.0 + CONDITION12_STABILIZE_RTOL)
-        if growing and low[0] > 0.0 and low[-1] > CONDITION12_DIVERGENCE_FACTOR * low[0]:
-            return VERDICT_NO, est
+    low = _lower_darboux_sums(model)
+    growing = low[-1] > low[-2] * (1.0 + CONDITION12_STABILIZE_RTOL)
+    if growing and low[0] > 0.0 and low[-1] > CONDITION12_DIVERGENCE_FACTOR * low[0]:
+        return VERDICT_NO, est
     return VERDICT_UNDETERMINED, est
-
-
-def _with_verdict(model: FadingModel) -> FadingModel:
-    verdict, _ = condition12_probe(model)
-    return replace(model, density_square_integrable=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +825,7 @@ class ValidationReport:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "has_density": self.has_density,
-            "spectral_line": self.spectral_line,
-            "jump_mass_total": self.jump_mass_total,
-            "autocorr_zero": self.autocorr_zero,
-            "autocorr_zero_ok": self.autocorr_zero_ok,
-            "hermitian_ok": self.hermitian_ok,
-            "unit_mass": self.unit_mass,
-            "unit_mass_ok": self.unit_mass_ok,
-            "psd_min_eigenvalue": self.psd_min_eigenvalue,
-            "psd_ok": self.psd_ok,
-            "density_nonnegative_ok": self.density_nonnegative_ok,
-            "condition12_verdict": self.condition12_verdict,
-            "condition12_estimates": list(self.condition12_estimates),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "condition12_estimates": list(self.condition12_estimates)}
 
 
 def validate(model: FadingModel) -> ValidationReport:
@@ -577,31 +834,20 @@ def validate(model: FadingModel) -> ValidationReport:
     r0 = autocorr(model, 0)
     r0_ok = abs(r0 - 1.0) <= 1e-12
 
-    herm_ok = True
-    for m in (1, 2, 5, 11):
-        if abs(autocorr(model, -m) - np.conj(autocorr(model, m))) > 1e-12:
-            herm_ok = False
-            break
+    herm_ok = not any(abs(autocorr(model, -m) - np.conj(autocorr(model, m))) > 1e-12
+                      for m in (1, 2, 5, 11))
 
     jumps = jump_mass_total(model)
-    try:
-        mass = density_mass(model) + jumps
-        no_density = False
-    except NoDensity:
-        mass = jumps
-        no_density = True
+    mass = model.mass() + jumps
     mass_ok = abs(mass - 1.0) <= 1e-8
 
-    min_eig = np.inf
-    for n in (8, 32, 64):
-        t = toeplitz_cov(model, n)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(t)[0]))
+    min_eig = min(float(np.linalg.eigvalsh(toeplitz_cov(model, n))[0]) for n in (8, 32, 64))
     psd_ok = min_eig >= -1e-9
 
     nonneg_ok: bool | None = None
     verdict: str | None = None
     estimates: tuple[float, ...] = ()
-    if not no_density and (model.kind is not ModelKind.LINE_PLUS_RESIDUAL or model.residual is not None):
+    if model.has_density or model.residual is not None:
         xs = np.linspace(-0.5, 0.5, 4097)
         nonneg_ok = bool(np.min(density(model, xs)) >= -1e-9)
         verdict, estimates = condition12_probe(model)
