@@ -93,11 +93,13 @@ def phi_integral(model: spectra.FadingModel) -> float:
 def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
     """phi as the lag series sum_{nu >= 1} |R(nu)|^2.
 
-    Truncated by the law's tail bound where it has a closed form (geometric
-    for ar1, 1/(c^2 N) for the band-limited sinc); otherwise by a stagnation
-    rule, cross-checked against the density route for a table with a "yes"
-    verdict.  Partial sums that pass ``spectra.SERIES_CEILING`` raise
-    :class:`Diverges`.
+    Summed by the law's own rule where it has a closed form (geometric
+    powers to their tail bound for ar1; for the band-limited sinc^2, the
+    terms up to M plus the exact non-oscillating tail psi'(M + 1) / (2 c^2),
+    with M set by a summation-by-parts bound on the oscillating tail);
+    otherwise by a stagnation rule, cross-checked against the density route
+    for a table with a "yes" verdict.  Partial sums that pass
+    ``spectra.SERIES_CEILING`` raise :class:`Diverges`.
     """
     tol = float(tol)
     if tol <= 0.0:

@@ -8,9 +8,9 @@ observed in IID complex Gaussian noise of variance delta2 it is
     eps2(delta2) = exp{ integral log(f + delta2) } - delta2.
 
 A finite noisy past of length n gives the independent linear-MMSE oracle
-1 - r^H (T_n + delta2 I)^{-1} r on the Toeplitz covariance T_n.  The
-memory parameter is the slope of eps2(1/rho) at rho = 0, which
-``phi_via_limit`` extracts numerically.
+1 - r^H (T_n + delta2 I)^{-1} r on the Toeplitz covariance T_n, solved by
+Durbin's recursion in O(n^2).  The memory parameter is the slope of
+eps2(1/rho) at rho = 0, which ``phi_via_limit`` extracts numerically.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import spectra
 from .errors import (
@@ -38,6 +37,13 @@ LOG_INTEGRAL_FLOOR = -60.0
 LIMIT_RATIO_BOUND = 1e6
 
 DEFAULT_RHO_GRID = (1e-1, 1e-2, 1e-3)
+
+#: decades appended to the default rho grid, one at a time, while the limit
+#: indicator exceeds ``PHI_LIMIT_AGREEMENT``; the last is the floor
+RHO_EXTENSION = (1e-4, 1e-5, 1e-6, 1e-7)
+
+#: agreement required between the limit route and the density route of phi
+PHI_LIMIT_AGREEMENT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -119,12 +125,31 @@ def noisy_pred_error(model: spectra.FadingModel, delta2: float) -> PredictionRes
     return PredictionResult(min(max(err, 0.0), 1.0), METHOD_CLOSED_FORM, None, delta2)
 
 
+def _durbin_error(c: np.ndarray) -> float | None:
+    """Order-n one-step prediction error of Durbin's recursion on the lags
+    c(0), ..., c(n), or None when the recursion breaks down (an order's
+    error is not positive and finite, or a reflection coefficient has
+    modulus >= 1)."""
+    err = float(c[0].real)
+    a = np.zeros(0, dtype=complex)
+    for k in range(1, c.size):
+        kappa = (c[k] - np.dot(a, c[k - 1:0:-1])) / err
+        err *= 1.0 - abs(kappa) ** 2
+        if not (0.0 < err < np.inf) or abs(kappa) >= 1.0:
+            return None
+        a = np.append(a - kappa * np.conj(a[::-1]), kappa)
+    return float(err)
+
+
 def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) -> PredictionResult:
     """Linear MMSE from the n most recent noisy past samples.
 
-    Solves 1 - r^H (T_n + delta2 I)^{-1} r.  With delta2 = 0 the system can
-    be singular for deterministic processes; eigenvalues are then clipped at
-    1e-12 and the result flagged.
+    The noisy observations have lags R(0) + delta2, R(1), ..., R(n); the
+    order-n error E_n of Durbin's recursion on them predicts the next noisy
+    sample, so the fading error is E_n - delta2 = 1 - r^H (T_n + delta2 I)^{-1} r.
+    Where the recursion breaks down (deterministic processes at delta2 = 0)
+    the dense system is solved instead, with eigenvalues clipped at 1e-12,
+    and the result is flagged.
     """
     delta2 = float(delta2)
     if delta2 < 0.0:
@@ -132,20 +157,20 @@ def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) ->
     n = int(n)
     if n < 1:
         raise DomainError("past length must be >= 1")
+    spectra._check_toeplitz_dim(n)
     r_all = spectra.autocorr_lags(model, n)
-    t = spectra.toeplitz_cov(model, n)
-    m = t + delta2 * np.eye(n)
-    r = r_all[1:]
-    clipped = False
-    try:
-        c, low = scipy.linalg.cho_factor(m, check_finite=False)
-        sol = scipy.linalg.cho_solve((c, low), r, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        clipped = True
-        w, v = np.linalg.eigh(m)
+    noisy = r_all.copy()
+    noisy[0] += delta2
+    e_n = _durbin_error(noisy)
+    clipped = e_n is None
+    if clipped:
+        w, v = np.linalg.eigh(spectra._toeplitz(noisy[:n]))
         w = np.maximum(w, 1e-12)
+        r = r_all[1:]
         sol = v @ ((v.conj().T @ r) / w)
-    err = 1.0 - float(np.real(np.vdot(r, sol)))
+        err = 1.0 - float(np.real(np.vdot(r, sol)))
+    else:
+        err = e_n - delta2
     err = min(max(err, 0.0), 1.0)
     return PredictionResult(err, METHOD_FINITE_PAST, n, delta2, clipped=clipped)
 
@@ -169,14 +194,18 @@ def _quadratic_at_zero(rho: np.ndarray, g: np.ndarray) -> float:
 
 
 def phi_via_limit(model: spectra.FadingModel,
-                  rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID) -> PhiLimitEstimate:
+                  rho_grid: tuple[float, ...] | None = None) -> PhiLimitEstimate:
     """Memory parameter as the rho -> 0 limit of (1 - eps2(1/rho)) / rho.
 
     Evaluates the ratio on a decreasing rho grid and extrapolates to zero
     with a quadratic through the last three points.  The indicator is the
     spread between the last two sliding-window extrapolants (or, with
     exactly three points, against the linear extrapolant), and is the trust
-    signal: the guaranteed error term is only o(rho).
+    signal: the guaranteed error term is only o(rho).  Without an explicit
+    grid, ``DEFAULT_RHO_GRID`` is extended by the decades of
+    ``RHO_EXTENSION``, one at a time, while the indicator exceeds
+    ``PHI_LIMIT_AGREEMENT``: a spectral peak of width w needs rho well
+    below w.  An explicit grid is used exactly as given.
     """
     _require_pure_density(model)
     if model.density_square_integrable != spectra.VERDICT_YES:
@@ -184,7 +213,9 @@ def phi_via_limit(model: spectra.FadingModel,
             "square-integrability verdict is "
             f"{model.density_square_integrable!r}; refusing the limit",
             verdict=model.density_square_integrable)
-    rho = np.asarray(tuple(float(r) for r in rho_grid), dtype=float)
+    extend = rho_grid is None
+    rho = np.asarray(tuple(float(r) for r in (DEFAULT_RHO_GRID if extend else rho_grid)),
+                     dtype=float)
     if rho.size < 3:
         raise DomainError("need at least 3 rho values")
     if np.any(rho <= 0.0) or np.any(rho > 1.0):
@@ -192,8 +223,21 @@ def phi_via_limit(model: spectra.FadingModel,
     if np.any(np.diff(rho) >= 0.0):
         raise DomainError("rho grid must be strictly decreasing")
 
-    g = np.array([
-        (1.0 - noisy_pred_error(model, 1.0 / r).error) / r for r in rho])
+    def ratio(r):
+        return (1.0 - noisy_pred_error(model, 1.0 / r).error) / r
+
+    g = np.array([ratio(r) for r in rho])
+    est = _extrapolate(rho, g)
+    for r in RHO_EXTENSION if extend else ():
+        if est.indicator <= PHI_LIMIT_AGREEMENT:
+            break
+        rho, g = np.append(rho, r), np.append(g, ratio(r))
+        est = _extrapolate(rho, g)
+    return est
+
+
+def _extrapolate(rho: np.ndarray, g: np.ndarray) -> PhiLimitEstimate:
+    """Quadratic extrapolant to rho = 0 and its indicator, on the grid so far."""
     if np.all(np.diff(g) > 0.0) and g[-1] > LIMIT_RATIO_BOUND:
         raise NonConvergent(
             f"ratio grew monotonically past {LIMIT_RATIO_BOUND:g}; "

@@ -167,6 +167,11 @@ def empirical_autocorr(h: np.ndarray, m_max: int) -> AutocorrEstimate:
     return AutocorrEstimate(lags=lags, values=values, std_errors=errors, n=n)
 
 
+#: one trace row; a chunk of rows is formatted by one ``%``
+_CSV_ROW = "%d" + ",%.12g" * 6 + "\n"
+_CSV_CHUNK = 512
+
+
 def trace_to_csv(trace: ChannelTrace, fh) -> None:
     """Write a trace in the columnar text format.
 
@@ -177,8 +182,11 @@ def trace_to_csv(trace: ChannelTrace, fh) -> None:
              f"A={trace.peak_amplitude:.12g} snr={trace.snr:.12g} "
              f"seed={trace.seed} n={trace.x.size}\n")
     fh.write("k,re_x,im_x,re_h,im_h,re_y,im_y\n")
-    for k in range(trace.x.size):
-        row = (trace.x[k].real, trace.x[k].imag,
-               trace.h[k].real, trace.h[k].imag,
-               trace.y[k].real, trace.y[k].imag)
-        fh.write(str(k) + "," + ",".join(f"{v:.12g}" for v in row) + "\n")
+    n = trace.x.size
+    for start in range(0, n, _CSV_CHUNK):
+        stop = min(start + _CSV_CHUNK, n)
+        rows = np.empty((stop - start, 7))
+        rows[:, 0] = np.arange(start, stop)  # exact in a double; "%d" prints an integer
+        cols = (trace.x[start:stop], trace.h[start:stop], trace.y[start:stop])
+        rows[:, 1:] = np.column_stack(cols).view(np.float64)  # re, im per column
+        fh.write((_CSV_ROW * (stop - start)) % tuple(rows.ravel().tolist()))

@@ -28,6 +28,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 import scipy.signal
+import scipy.special
 
 from . import quadrature
 from .errors import (
@@ -313,19 +314,25 @@ class BandLimited(FadingModel):
         return 1.0 / (2.0 * self.lambda_c)
 
     def series(self, tol):
-        """Sinc^2 terms up to the 1/(c^2 N) tail bound, in 10^6-term chunks."""
+        """Sinc^2 terms for nu <= M plus the exact non-oscillating tail.
+
+        With c = 2 pi lambda_c each term is (1 - cos 2 c nu) / (2 c^2 nu^2).
+        The tail of the first part is psi'(M + 1) / (2 c^2); by summation by
+        parts the oscillating part beyond M is at most
+        min(1 / (M^2 |sin c|), 1 / M) / (2 c^2), and M is the least with that
+        bound <= tol (the 1/M branch keeps M finite as lambda_c -> 1/2, where
+        sin c -> 0).  The terms are summed in 10^6-term chunks.
+        """
         c = 2.0 * np.pi * self.lambda_c
-        n_target = int(np.ceil(1.0 / (c * c * tol)))
-        total = 0.0
-        chunk = 1_000_000
-        start = 1
-        while start <= n_target:
-            stop = min(start + chunk, n_target + 1)
-            nu = np.arange(start, stop)
+        w = 0.5 / (c * c)
+        n_head = min(np.sqrt(w / (tol * abs(np.sin(c)))), w / tol)
+        n_head = max(int(np.ceil(n_head)), 1)
+        total = w * float(scipy.special.polygamma(1, n_head + 1))
+        for start in range(1, n_head + 1, 1_000_000):
+            nu = np.arange(start, min(start + 1_000_000, n_head + 1))
             total += float(np.sum(np.sinc(2.0 * self.lambda_c * nu) ** 2))
             if total > SERIES_CEILING:
                 raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
-            start = stop
         return total
 
 
@@ -712,9 +719,17 @@ def toeplitz_cov(model: FadingModel, n: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ParamOutOfRange("covariance dimension must be >= 1")
+    _check_toeplitz_dim(n)
+    return _toeplitz(autocorr_lags(model, n - 1))
+
+
+def _check_toeplitz_dim(n: int) -> None:
     if n > TOEPLITZ_DIM_CAP:
         raise DimensionTooLarge(f"n = {n} exceeds the cap {TOEPLITZ_DIM_CAP}")
-    r = autocorr_lags(model, n - 1)
+
+
+def _toeplitz(r: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrix with first column r."""
     return scipy.linalg.toeplitz(r, np.conj(r))
 
 

@@ -7,9 +7,10 @@ by this module from the closed form, and every run reads it by a relative
 path, so the reports do not depend on where the suite runs.
 
 Regenerate after an intended change of output (and list the moved bytes in
-CHANGES.md)::
+CHANGES.md), all cases or only the named ones (``phi_all.ar1_0.5.json``;
+unknown names are refused)::
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [NAME ...]
 """
 
 from __future__ import annotations
@@ -107,13 +108,17 @@ def test_report_replays(name, table_dir, monkeypatch):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record [NAME ...]")
+    names = sys.argv[2:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         write_table(tmp)
         os.chdir(tmp)
-        for case, argv in sorted(CASES.items()):
-            (GOLDEN / f"{case}.txt").write_text(replay(argv), encoding="utf-8")
-    print(f"recorded {len(CASES)} reports in {GOLDEN}")
+        for case in names:
+            (GOLDEN / f"{case}.txt").write_text(replay(CASES[case]), encoding="utf-8")
+    print(f"recorded {len(names)} reports in {GOLDEN}")
