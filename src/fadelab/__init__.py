@@ -28,7 +28,6 @@ from .errors import (
 )
 from .spectra import (
     FadingModel,
-    ModelKind,
     ValidationReport,
     VERDICT_NO,
     VERDICT_UNDETERMINED,
@@ -39,12 +38,10 @@ from .spectra import (
     bandlimited,
     catalog,
     density,
-    density_square_integral,
     line_plus_residual,
     load_tabulated_density,
     make_model,
     memoryless,
-    model_label,
     tabulated_autocorr,
     tabulated_density,
     toeplitz_cov,
@@ -52,13 +49,11 @@ from .spectra import (
 )
 from .prediction import (
     PhiLimitEstimate,
-    PredictionQuery,
     PredictionResult,
     finite_past_pred_error,
     noiseless_pred_error,
     noisy_pred_error,
     phi_via_limit,
-    predict,
 )
 from .asymptotics import (
     CapacityAsymptote,

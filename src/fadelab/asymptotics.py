@@ -35,9 +35,6 @@ REGIME_QUICKLY_FORGETTING = "quickly_forgetting"
 REGIME_SLOWLY_FORGETTING = "slowly_forgetting"
 REGIME_SPECTRAL_LINE = "spectral_line"
 
-_ALPHA_GRID = np.linspace(0.0, 1.0, 10001)
-
-
 @dataclass(frozen=True)
 class CapacityAsymptote:
     """Small-SNR capacity summary of one fading law.
@@ -74,6 +71,8 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _require_verdict_yes(model: spectra.FadingModel):
+    """Refuse phi from the density or the limit route unless the law is a
+    pure density with square-integrability verdict "yes"."""
     if model.jumps or not model.has_density:
         raise NoDensity("memory parameter is undefined for spectra with lines")
     if model.density_square_integrable != spectra.VERDICT_YES:
@@ -86,7 +85,7 @@ def _require_verdict_yes(model: spectra.FadingModel):
 def phi_integral(model: spectra.FadingModel) -> float:
     """phi from the density: half the squared-density integral minus 1/2."""
     _require_verdict_yes(model)
-    val = 0.5 * spectra.density_square_integral(model) - 0.5
+    val = 0.5 * model.square_integral() - 0.5
     return max(val, 0.0)
 
 
@@ -207,8 +206,10 @@ def scheme_coefficients(model: spectra.FadingModel, b: int, alpha: float) -> Sch
 def _maximize_quadratic(objective, candidates) -> tuple[float, float]:
     """Max of a quadratic-in-alpha objective over [0, 1].
 
-    Closed-form stationary candidates are decisive; the uniform grid is a
-    safety net only.
+    A quadratic on an interval attains its maximum at its stationary point
+    or at an end, so the clamped candidates (the closed-form stationary
+    point, None where there is none, and both ends) are exhaustive; the
+    first of equal values, to 1e-15, wins.
     """
     best_alpha, best_val = None, -np.inf
     for cand in candidates:
@@ -218,10 +219,6 @@ def _maximize_quadratic(objective, candidates) -> tuple[float, float]:
         val = objective(cand)
         if val > best_val + 1e-15:
             best_alpha, best_val = cand, val
-    grid_vals = objective(_ALPHA_GRID)
-    gi = int(np.argmax(grid_vals))
-    if grid_vals[gi] > best_val + 1e-12:
-        best_alpha, best_val = float(_ALPHA_GRID[gi]), float(grid_vals[gi])
     return float(best_val), float(best_alpha)
 
 

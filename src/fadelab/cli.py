@@ -42,9 +42,6 @@ _NUMERICAL_ERRORS = (
     TooShort, BlockTooLarge, DomainError,
 )
 
-_COMMANDS = ("validate", "phi", "predict", "capacity", "scheme",
-             "simulate", "mi", "sweep")
-
 SWEEP_HEADER = "model,b,alpha,snr,upper_g,block_coeff,iid_coeff,mi_estimate,mi_stderr,seed"
 MI_HEADER = "b,snr,alpha,estimate,std_error,n_samples,seed"
 
@@ -248,7 +245,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     merged.extend(argv)
 
     args = parser.parse_args([command] + merged)
-    _range_check(command, args)
+    _range_check(args)
     return RunConfig(command=command, args=args)
 
 
@@ -281,7 +278,7 @@ _RANGES = (
 )
 
 
-def _range_check(command: str, args: argparse.Namespace):
+def _range_check(args: argparse.Namespace):
     """Validate every numeric parameter before dispatch."""
     for key, admissible, ok in _RANGES:
         v = getattr(args, key, None)
@@ -359,9 +356,12 @@ def _cmd_phi(cfg, model):
 
 def _cmd_predict(cfg, model):
     args = cfg.args
-    past = None if args.past == "inf" else int(args.past)
-    res = prediction.predict(prediction.PredictionQuery(
-        model=model, noise_variance=args.delta2, past_length=past))
+    if args.past != "inf":
+        res = prediction.finite_past_pred_error(model, args.delta2, int(args.past))
+    elif args.delta2 == 0.0:
+        res = prediction.noiseless_pred_error(model)
+    else:
+        res = prediction.noisy_pred_error(model, args.delta2)
     return {
         "error": res.error,
         "method": res.method,
@@ -428,7 +428,7 @@ def _cmd_sweep(cfg, model):
     if ca.regime == asymptotics.REGIME_SPECTRAL_LINE:
         raise NoDensity("sweep needs a density-regime model")
     phi = ca.phi
-    label = spectra.model_label(model)
+    label = model.label()
     block_max, block_arg = asymptotics.asymptotic_block_max(phi)
     iid_max, iid_arg = asymptotics.asymptotic_iid_max(phi)
     summary = {
@@ -471,8 +471,14 @@ def _config_comments(cfg: RunConfig) -> str:
     return "".join(f"# {k}={_csv_cell(v)}\n" for k, v in cfg.resolved().items())
 
 
+def _report_format(cfg: RunConfig) -> str:
+    """``--format``, else CSV for simulate, mi and sweep and JSON otherwise;
+    results and error reports alike."""
+    return cfg.args.fmt or ("csv" if cfg.command in ("simulate", "sweep", "mi") else "json")
+
+
 def _emit(cfg: RunConfig, result, trace, fh):
-    fmt = cfg.args.fmt or ("csv" if cfg.command in ("simulate", "sweep", "mi") else "json")
+    fmt = _report_format(cfg)
     if trace is not None:
         if fmt == "json":
             payload = {"config": cfg.resolved(),
@@ -530,6 +536,8 @@ _DISPATCH = {
     "sweep": _cmd_sweep,
 }
 
+_COMMANDS = tuple(_DISPATCH)
+
 
 def execute(cfg: RunConfig) -> int:
     """Run one resolved command, writing its report; returns the exit code."""
@@ -545,7 +553,7 @@ def execute(cfg: RunConfig) -> int:
         result, trace = _DISPATCH[cfg.command](cfg, model)
     except _NUMERICAL_ERRORS as exc:
         name = type(exc).__name__
-        if (cfg.args.fmt or "json") == "json":
+        if _report_format(cfg) == "json":
             text = _json_dumps({"config": cfg.resolved(), "error": name, "detail": str(exc)}) + "\n"
         else:
             text = _config_comments(cfg) + f"error,{name}\ndetail,{_csv_cell(str(exc))}\n"

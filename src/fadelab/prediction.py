@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectra
-from .errors import (
-    ConditionTwelveFails,
-    DomainError,
-    NoDensity,
-    NonConvergent,
-)
+from . import asymptotics, spectra
+from .errors import DomainError, NoDensity, NonConvergent
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_FINITE_PAST = "finite_past"
@@ -36,34 +31,13 @@ LOG_INTEGRAL_FLOOR = -60.0
 #: growth guard for the limit extrapolation
 LIMIT_RATIO_BOUND = 1e6
 
-DEFAULT_RHO_GRID = (1e-1, 1e-2, 1e-3)
-
-#: decades appended to the default rho grid, one at a time, while the limit
-#: indicator exceeds ``PHI_LIMIT_AGREEMENT``; the last is the floor
-RHO_EXTENSION = (1e-4, 1e-5, 1e-6, 1e-7)
+#: decreasing rho grid of the limit route: the first three decades always,
+#: each later one while the limit indicator exceeds ``PHI_LIMIT_AGREEMENT``;
+#: the last is the floor
+RHO_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 #: agreement required between the limit route and the density route of phi
 PHI_LIMIT_AGREEMENT = 1e-3
-
-
-@dataclass(frozen=True)
-class PredictionQuery:
-    """A prediction problem: model, observation-noise variance, past length.
-
-    ``past_length`` is a positive integer for the finite-past oracle or
-    ``None`` for the infinite past.  ``noise_variance`` 0 means noiseless
-    past observations.
-    """
-
-    model: spectra.FadingModel
-    noise_variance: float = 0.0
-    past_length: int | None = None
-
-    def __post_init__(self):
-        if self.noise_variance < 0.0:
-            raise DomainError("noise variance must be >= 0")
-        if self.past_length is not None and int(self.past_length) < 1:
-            raise DomainError("finite past length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -175,15 +149,6 @@ def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) ->
     return PredictionResult(err, METHOD_FINITE_PAST, n, delta2, clipped=clipped)
 
 
-def predict(query: PredictionQuery) -> PredictionResult:
-    """Dispatch a prediction query to the appropriate routine."""
-    if query.past_length is not None:
-        return finite_past_pred_error(query.model, query.noise_variance, query.past_length)
-    if query.noise_variance == 0.0:
-        return noiseless_pred_error(query.model)
-    return noisy_pred_error(query.model, query.noise_variance)
-
-
 def _quadratic_at_zero(rho: np.ndarray, g: np.ndarray) -> float:
     """Lagrange quadratic through three points, evaluated at rho = 0."""
     (x0, x1, x2), (y0, y1, y2) = rho, g
@@ -193,42 +158,29 @@ def _quadratic_at_zero(rho: np.ndarray, g: np.ndarray) -> float:
     return float(w0 * y0 + w1 * y1 + w2 * y2)
 
 
-def phi_via_limit(model: spectra.FadingModel,
-                  rho_grid: tuple[float, ...] | None = None) -> PhiLimitEstimate:
+def phi_via_limit(model: spectra.FadingModel) -> PhiLimitEstimate:
     """Memory parameter as the rho -> 0 limit of (1 - eps2(1/rho)) / rho.
 
-    Evaluates the ratio on a decreasing rho grid and extrapolates to zero
-    with a quadratic through the last three points.  The indicator is the
-    spread between the last two sliding-window extrapolants (or, with
-    exactly three points, against the linear extrapolant), and is the trust
-    signal: the guaranteed error term is only o(rho).  Without an explicit
-    grid, ``DEFAULT_RHO_GRID`` is extended by the decades of
-    ``RHO_EXTENSION``, one at a time, while the indicator exceeds
-    ``PHI_LIMIT_AGREEMENT``: a spectral peak of width w needs rho well
-    below w.  An explicit grid is used exactly as given.
+    Evaluates the ratio on the first three decades of ``RHO_GRID`` and
+    extrapolates to zero with a quadratic through the last three points.
+    The indicator is the spread between the last two sliding-window
+    extrapolants (or, with exactly three points, against the linear
+    extrapolant), and is the trust signal: the guaranteed error term is
+    only o(rho).  While the indicator exceeds ``PHI_LIMIT_AGREEMENT`` the
+    next decade of ``RHO_GRID`` is added, down to its floor: a spectral
+    peak of width w needs rho well below w.  Refused as ``phi_integral``
+    refuses: spectral lines, or a square-integrability verdict other than
+    "yes".
     """
-    _require_pure_density(model)
-    if model.density_square_integrable != spectra.VERDICT_YES:
-        raise ConditionTwelveFails(
-            "square-integrability verdict is "
-            f"{model.density_square_integrable!r}; refusing the limit",
-            verdict=model.density_square_integrable)
-    extend = rho_grid is None
-    rho = np.asarray(tuple(float(r) for r in (DEFAULT_RHO_GRID if extend else rho_grid)),
-                     dtype=float)
-    if rho.size < 3:
-        raise DomainError("need at least 3 rho values")
-    if np.any(rho <= 0.0) or np.any(rho > 1.0):
-        raise DomainError("rho grid must lie in (0, 1]")
-    if np.any(np.diff(rho) >= 0.0):
-        raise DomainError("rho grid must be strictly decreasing")
+    asymptotics._require_verdict_yes(model)
 
     def ratio(r):
         return (1.0 - noisy_pred_error(model, 1.0 / r).error) / r
 
+    rho = np.array(RHO_GRID[:3])
     g = np.array([ratio(r) for r in rho])
     est = _extrapolate(rho, g)
-    for r in RHO_EXTENSION if extend else ():
+    for r in RHO_GRID[3:]:
         if est.indicator <= PHI_LIMIT_AGREEMENT:
             break
         rho, g = np.append(rho, r), np.append(g, ratio(r))
@@ -256,9 +208,5 @@ def _extrapolate(rho: np.ndarray, g: np.ndarray) -> PhiLimitEstimate:
         y0, y1 = g[-2:]
         linear = y1 + (y1 - y0) * (0.0 - x1) / (x1 - x0)
         indicator = abs(value - linear)
-    return PhiLimitEstimate(
-        value=float(max(value, 0.0)),
-        indicator=float(indicator),
-        rho_grid=tuple(float(r) for r in rho),
-        ratios=tuple(float(v) for v in g),
-    )
+    return PhiLimitEstimate(float(max(value, 0.0)), float(indicator),
+                            tuple(float(r) for r in rho), tuple(float(v) for v in g))

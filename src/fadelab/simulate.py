@@ -122,7 +122,7 @@ def apply_channel(x: np.ndarray, model: spectra.FadingModel, sigma2: float,
     peak = float(np.max(np.abs(x))) if n else 0.0
     return ChannelTrace(x=x, h=h, z=z, y=y, sigma2=sigma2, seed=int(seed),
                         peak_amplitude=peak, snr=peak * peak / sigma2,
-                        model=spectra.model_label(model))
+                        model=model.label())
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fadelab as fl
 from fadelab.errors import ConditionTwelveFails, Diverges, DomainError, NoDensity
@@ -202,7 +203,21 @@ class TestCoefficients:
         assert rec.block_coeff == pytest.approx(0.2549913194444444, abs=1e-12)
 
 
+#: the uniform duty-cycle grid the closed-form maxima are checked against
+ALPHA_GRID = np.linspace(0.0, 1.0, 10001)
+
+
 class TestDutyCycleMaxima:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 5.0))
+    def test_closed_form_maxima_beat_the_grid(self, phi):
+        for maximum, objective in (
+                (fl.asymptotic_block_max, lambda a: (a - a * a) / 2.0 + phi * a),
+                (fl.asymptotic_iid_max, lambda a: (a - a * a) / 2.0 + phi * a * a)):
+            value, argmax = maximum(phi)
+            assert 0.0 <= argmax <= 1.0 and value == objective(argmax)
+            assert np.max(objective(ALPHA_GRID)) <= value + 1e-15
+
     def test_block_max_is_kappa(self):
         val, arg = fl.asymptotic_block_max(1 / 3)
         assert val == pytest.approx(25 / 72, abs=1e-12)

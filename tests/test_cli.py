@@ -172,6 +172,16 @@ class TestSweep:
         row = doc["rows"][0]
         assert row["block_coeff"] == pytest.approx(0.2549913194444444, abs=1e-9)
 
+    def test_error_report_takes_the_default_format(self, capsys):
+        # a successful sweep writes CSV by default, so its error report does too
+        code, out = run_cli(capsys, [
+            "sweep", "--model", "line", "--mass", "0.3", "--residual", "memoryless",
+            "--b-list", "1", "--alpha-list", "0.5", "--snr-list", "0.1"])
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "# command=sweep"
+        assert lines[-2:] == ["error,NoDensity", "detail,sweep needs a density-regime model"]
+
     def test_sweep_with_mc(self, capsys):
         code, out = run_cli(capsys, [
             "sweep", "--model", "memoryless", "--format", "json", "--mc",

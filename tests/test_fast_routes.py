@@ -57,9 +57,9 @@ def test_dimension_cap_before_any_lag(monkeypatch):
         fl.finite_past_pred_error(table, 0.1, spectra.TOEPLITZ_DIM_CAP + 1)
 
 
-def test_finite_past_computes_the_lags_once(monkeypatch):
-    xs = np.linspace(-0.5, 0.5, 201)
-    table = fl.tabulated_density(xs, fl.density(fl.ar1(0.6), xs))
+@pytest.fixture
+def pl_fourier_lags(monkeypatch):
+    """Lags asked of ``quadrature.pl_fourier``, one entry per call."""
     calls = []
     real = quadrature.pl_fourier
 
@@ -68,8 +68,30 @@ def test_finite_past_computes_the_lags_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "pl_fourier", counting)
+    return calls
+
+
+def ar1_table():
+    xs = np.linspace(-0.5, 0.5, 201)
+    return fl.tabulated_density(xs, fl.density(fl.ar1(0.6), xs))
+
+
+def test_finite_past_computes_the_lags_once(pl_fourier_lags):
+    table = ar1_table()
     fl.finite_past_pred_error(table, 0.1, 64)
-    assert calls == [65]
+    assert pl_fourier_lags == [65]
+
+
+def test_validate_computes_the_lags_once(pl_fourier_lags):
+    table = ar1_table()
+    fl.validate(table)
+    assert pl_fourier_lags == [64]
+
+
+def test_lag_series_fetches_few_lags(pl_fourier_lags):
+    table = ar1_table()
+    fl.phi_series(table)
+    assert sum(pl_fourier_lags) < 128
 
 
 @PROPS
@@ -89,16 +111,13 @@ def test_phi_all_agrees_on_slowly_forgetting_ar1(a, capsys):
     assert abs(doc["phi_limit"] - a * a / (1 - a * a)) <= prediction.PHI_LIMIT_AGREEMENT
 
 
-def test_explicit_rho_grid_is_used_as_given():
-    grid = (1e-1, 1e-2, 1e-3)
-    est = fl.phi_via_limit(fl.ar1(0.97), grid)
-    assert est.rho_grid == grid and est.indicator > prediction.PHI_LIMIT_AGREEMENT
-    assert fl.phi_via_limit(fl.ar1(0.97)).rho_grid[:3] == grid
+def test_rho_grid_starts_with_three_decades():
+    assert fl.phi_via_limit(fl.ar1(0.97)).rho_grid[:3] == (1e-1, 1e-2, 1e-3)
 
 
 def test_default_grid_stops_at_the_floor():
     est = fl.phi_via_limit(fl.ar1(0.995))
-    assert est.rho_grid == prediction.DEFAULT_RHO_GRID + prediction.RHO_EXTENSION
+    assert est.rho_grid == prediction.RHO_GRID
     assert est.indicator > prediction.PHI_LIMIT_AGREEMENT
 
 

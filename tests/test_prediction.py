@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import fadelab as fl
+from fadelab.cli import run
 from fadelab.errors import ConditionTwelveFails, DomainError, NoDensity
 
 
@@ -113,14 +116,20 @@ class TestFinitePast:
         res = fl.finite_past_pred_error(fl.bandlimited(0.25), 0.0, 128)
         assert 0.0 <= res.error <= 0.05
 
-    def test_query_dispatch(self):
-        m = fl.ar1(0.5)
-        r1 = fl.predict(fl.PredictionQuery(m, 1.0, None))
-        assert r1.method == "closed_form"
-        r2 = fl.predict(fl.PredictionQuery(m, 1.0, 8))
-        assert r2.method == "finite_past"
-        r3 = fl.predict(fl.PredictionQuery(m, 0.0, None))
-        assert r3.error == pytest.approx(0.75, abs=1e-10)
+    def test_query_dispatch(self, capsys):
+        def predict(*flags):
+            assert run(["predict", "--model", "ar1", "--a", "0.5", *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        r1 = predict("--delta2", "1.0")
+        assert (r1["method"], r1["past_length"]) == ("closed_form", "inf")
+        assert r1["error"] == fl.noisy_pred_error(fl.ar1(0.5), 1.0).error
+        r2 = predict("--delta2", "1.0", "--past", "8")
+        assert (r2["method"], r2["past_length"]) == ("finite_past", 8)
+        assert r2["error"] == fl.finite_past_pred_error(fl.ar1(0.5), 1.0, 8).error
+        r3 = predict("--delta2", "0")
+        assert (r3["method"], r3["delta2"]) == ("closed_form", 0.0)
+        assert r3["error"] == pytest.approx(0.75, abs=1e-10)
 
 
 class TestPhiLimit:
@@ -128,7 +137,7 @@ class TestPhiLimit:
         assert fl.phi_via_limit(fl.memoryless()).value == pytest.approx(0.0, abs=1e-12)
 
     def test_ar1_examples(self):
-        est = fl.phi_via_limit(fl.ar1(0.5), (1e-1, 1e-2, 1e-3))
+        est = fl.phi_via_limit(fl.ar1(0.5))
         assert est.value == pytest.approx(1 / 3, abs=1e-3)
 
     def test_bandlimited_examples(self):
@@ -144,15 +153,6 @@ class TestPhiLimit:
     def test_refuses_on_bad_verdict(self, jakes_model):
         with pytest.raises(ConditionTwelveFails):
             fl.phi_via_limit(jakes_model)
-
-    def test_grid_validation(self):
-        m = fl.ar1(0.5)
-        with pytest.raises(DomainError):
-            fl.phi_via_limit(m, (0.1, 0.01))
-        with pytest.raises(DomainError):
-            fl.phi_via_limit(m, (0.01, 0.1, 0.001))
-        with pytest.raises(DomainError):
-            fl.phi_via_limit(m, (2.0, 0.1, 0.01))
 
     def test_slope_rate(self, models):
         # the ratio approaches phi linearly in rho; members whose slope

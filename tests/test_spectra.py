@@ -14,9 +14,7 @@ from conftest import write_density_table
 
 def quad_autocorr(model, m):
     """Independent oracle: direct quadrature of e^{i 2 pi m lam} f(lam)."""
-    bps = []
-    if model.kind is fl.ModelKind.BAND_LIMITED:
-        bps = [-model.lambda_c, model.lambda_c]
+    bps = list(model.breakpoints)
     re, _ = scipy.integrate.quad(
         lambda x: np.cos(2 * np.pi * m * x) * fl.density(model, x),
         -0.5, 0.5, points=bps or None, limit=300, epsabs=1e-12)
@@ -75,7 +73,7 @@ class TestConstructors:
 
     def test_make_model_dispatch(self):
         m = fl.make_model("ar1", a=0.5)
-        assert m.kind is fl.ModelKind.AR1
+        assert m.label() == "ar1(a=0.5)"
         mixed = fl.make_model("line_plus_residual", jumps=[(0.1, 0.2)],
                               residual=fl.make_model("ar1", a=0.5))
         assert fl.autocorr(mixed, 1) == pytest.approx(
@@ -84,6 +82,16 @@ class TestConstructors:
             fl.make_model("nonsense")
         with pytest.raises(ParamOutOfRange):
             fl.make_model("ar1", lambda_c=0.2)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("memoryless", {"a": 0.5}),
+        ("ar1", {"a": 0.5, "lambda_c": 0.2}),
+        ("bandlimited", {"lambda_c": 0.2, "a": 0.5}),
+        ("tabulated_autocorr", {"values": [1.0, 0.5], "grid": [0.0, 1.0]}),
+    ])
+    def test_make_model_rejects_keywords_its_kind_does_not_take(self, kind, params):
+        with pytest.raises(ParamOutOfRange):
+            fl.make_model(kind, **params)
 
     def test_complex_ar1(self):
         a = 0.4 + 0.3j
@@ -155,7 +163,7 @@ class TestValidation:
         rep = fl.validate(fl.bandlimited(0.25))
         assert rep.condition12_verdict == "yes"
         assert rep.condition12_estimates[-1] == pytest.approx(2.0, abs=1e-9)
-        assert fl.density_square_integral(fl.bandlimited(0.25)) == pytest.approx(2.0)
+        assert fl.bandlimited(0.25).square_integral() == pytest.approx(2.0)
 
     def test_pure_line_report(self):
         m = fl.line_plus_residual([(0.0, 1.0)])
@@ -189,7 +197,7 @@ class TestValidation:
         for m in models.values():
             if m.density_square_integrable != "yes":
                 continue
-            target = fl.density_square_integral(m)
+            target = m.square_integral()
             prev = 0.0
             for big_m in (4, 16, 64, 256):
                 lags = fl.autocorr_lags(m, big_m)
@@ -240,4 +248,4 @@ class TestTabulatedAutocorr:
     def test_density_is_truncated_series(self):
         m = fl.tabulated_autocorr([1.0, 0.25])
         assert fl.density(m, 0.0) == pytest.approx(1.5)
-        assert fl.density_square_integral(m) == pytest.approx(1.0 + 2 * 0.25 ** 2)
+        assert m.square_integral() == pytest.approx(1.0 + 2 * 0.25 ** 2)
