@@ -73,7 +73,7 @@ def _check_alpha(alpha: float) -> float:
 def _require_verdict_yes(model: spectra.FadingModel):
     """Refuse phi from the density or the limit route unless the law is a
     pure density with square-integrability verdict "yes"."""
-    if model.jumps or not model.has_density:
+    if model.jumps:
         raise NoDensity("memory parameter is undefined for spectra with lines")
     if model.density_square_integrable != spectra.VERDICT_YES:
         raise ConditionTwelveFails(

@@ -14,33 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, mi, prediction, simulate, spectra
-from .errors import (
-    BlockTooLarge,
-    ConditionTwelveFails,
-    DimensionTooLarge,
-    Diverges,
-    DomainError,
-    EmbeddingFailure,
-    IllConditioned,
-    NoDensity,
-    NonConvergent,
-    NotNormalized,
-    ParamOutOfRange,
-    QuadratureFailure,
-    TooShort,
-    UsageError,
-)
+from .errors import (FadingLabError, NoDensity, NotNormalized, ParamOutOfRange,
+                     QuadratureFailure, UsageError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
-
-_NUMERICAL_ERRORS = (
-    ConditionTwelveFails, Diverges, NonConvergent, EmbeddingFailure,
-    QuadratureFailure, IllConditioned, NoDensity, DimensionTooLarge,
-    TooShort, BlockTooLarge, DomainError,
-)
 
 SWEEP_HEADER = "model,b,alpha,snr,upper_g,block_coeff,iid_coeff,mi_estimate,mi_stderr,seed"
 MI_HEADER = "b,snr,alpha,estimate,std_error,n_samples,seed"
@@ -164,7 +144,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mi", parents=[common, block])
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--partitions", type=int, default=1)
 
     p = sub.add_parser("sweep", parents=[common])
     p.add_argument("--b-list", dest="b_list", type=_list_of(int), required=True)
@@ -173,7 +152,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mc", action="store_true")
     p.add_argument("--A", dest="amplitude", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--partitions", type=int, default=1)
 
     return parser
 
@@ -265,7 +243,6 @@ _RANGES = (
     ("b", ">= 1", lambda v: v >= 1),
     ("n", ">= 1", lambda v: v >= 1),
     ("samples", ">= 10000", lambda v: v >= 10_000),
-    ("partitions", ">= 1", lambda v: v >= 1),
     ("alpha", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     ("amplitude", "> 0", lambda v: v > 0.0),
     ("sigma2", "> 0", lambda v: v > 0.0),
@@ -279,7 +256,11 @@ _RANGES = (
 
 
 def _range_check(args: argparse.Namespace):
-    """Validate every numeric parameter before dispatch."""
+    """Validate every numeric parameter before dispatch: every float, alone
+    or in a list, must be finite, and each option of ``_RANGES`` in range."""
+    for key, v in vars(args).items():
+        if isinstance(v, (float, list)) and not np.all(np.isfinite(v)):
+            raise UsageError(f"{key} must be finite, got {v!r}")
     for key, admissible, ok in _RANGES:
         v = getattr(args, key, None)
         if v is not None and not ok(v):
@@ -408,8 +389,7 @@ def _cmd_simulate(cfg, model):
 def _cmd_mi(cfg, model):
     args = cfg.args
     scheme = _scheme(args)
-    est = mi.mi_monte_carlo(scheme, model, args.sigma2, args.samples,
-                            args.seed, n_partitions=args.partitions)
+    est = mi.mi_monte_carlo(scheme, model, args.sigma2, args.samples, args.seed)
     return {
         "b": est.block_length,
         "snr": est.snr,
@@ -418,7 +398,6 @@ def _cmd_mi(cfg, model):
         "std_error": est.std_error,
         "n_samples": est.n_samples,
         "seed": est.seed,
-        "n_partitions": est.n_partitions,
     }, None
 
 
@@ -449,8 +428,7 @@ def _cmd_sweep(cfg, model):
                     scheme = simulate.BlockScheme(
                         amplitude=args.amplitude, duty_cycle=alpha, block_length=b)
                     sigma2 = args.amplitude ** 2 / snr
-                    r = mi.mi_monte_carlo(scheme, model, sigma2, args.samples,
-                                          args.seed, n_partitions=args.partitions)
+                    r = mi.mi_monte_carlo(scheme, model, sigma2, args.samples, args.seed)
                     est, stderr = r.estimate / b, r.std_error / b
                 rows.append({
                     "model": label, "b": b, "alpha": alpha, "snr": snr,
@@ -551,7 +529,7 @@ def execute(cfg: RunConfig) -> int:
 
     try:
         result, trace = _DISPATCH[cfg.command](cfg, model)
-    except _NUMERICAL_ERRORS as exc:
+    except FadingLabError as exc:  # usage errors are all raised before dispatch
         name = type(exc).__name__
         if _report_format(cfg) == "json":
             text = _json_dumps({"config": cfg.resolved(), "error": name, "detail": str(exc)}) + "\n"

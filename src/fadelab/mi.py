@@ -70,7 +70,7 @@ class DiscreteInputLaw:
 
 @dataclass(frozen=True)
 class MIEstimate:
-    """Monte Carlo per-block mutual information estimate, in nats."""
+    """Seeded Monte Carlo per-block mutual information estimate, in nats."""
 
     block_length: int
     snr: float
@@ -79,7 +79,6 @@ class MIEstimate:
     std_error: float
     n_samples: int
     seed: int
-    n_partitions: int = 1
 
 
 @dataclass(frozen=True)
@@ -325,39 +324,28 @@ def _rebatch(chunks, rows: int):
 
 
 def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: float,
-                   n_samples: int, seed: int, n_partitions: int = 1) -> MIEstimate:
+                   n_samples: int, seed: int) -> MIEstimate:
     """Monte Carlo estimate of the per-block mutual information in nats.
 
     Draws (x, y) from the joint law (y sampled directly from its conditional
-    Gaussian) and averages log p(y|x) - log p(y).  Sampling is split into
-    ``n_partitions`` sub-streams with fixed sizes; the merged estimate is
-    deterministic for a fixed (seed, n_partitions).
+    Gaussian) and averages log p(y|x) - log p(y).  Every draw comes from the
+    seed's "mi" stream, so the estimate is deterministic given the seed.
     """
     n_samples = int(n_samples)
     if n_samples < 10_000:
         raise DomainError("need at least 1e4 samples for a meaningful standard error")
-    n_partitions = int(n_partitions)
-    if n_partitions < 1:
-        raise DomainError("n_partitions must be >= 1")
     law = scheme_to_law(scheme)
     mix = _Mixture(law, model, sigma2)
 
-    base = n_samples // n_partitions
-    sizes = [base + (1 if i < n_samples % n_partitions else 0)
-             for i in range(n_partitions)]
-
     tot_n, tot_mean, tot_m2 = 0, 0.0, 0.0
-    for pi, n_p in enumerate(sizes):
-        if n_p == 0:
-            continue
-        draws = _class_draws(rng_stream(seed, "mi", pi), mix, n_p)
-        for ci, y in _rebatch(draws, mix.batch_rows):
-            lp = mix.class_logpdfs(y)
-            ratio = lp[ci, np.arange(ci.size)] - mix.log_mixture(lp)
-            c_mean = float(ratio.mean())
-            c_m2 = float(np.sum((ratio - c_mean) ** 2))
-            tot_n, tot_mean, tot_m2 = _merge_moments(
-                tot_n, tot_mean, tot_m2, ratio.size, c_mean, c_m2)
+    draws = _class_draws(rng_stream(seed, "mi"), mix, n_samples)
+    for ci, y in _rebatch(draws, mix.batch_rows):
+        lp = mix.class_logpdfs(y)
+        ratio = lp[ci, np.arange(ci.size)] - mix.log_mixture(lp)
+        c_mean = float(ratio.mean())
+        c_m2 = float(np.sum((ratio - c_mean) ** 2))
+        tot_n, tot_mean, tot_m2 = _merge_moments(
+            tot_n, tot_mean, tot_m2, ratio.size, c_mean, c_m2)
 
     var = tot_m2 / (tot_n - 1) if tot_n > 1 else 0.0
     std_error = float(np.sqrt(var / tot_n))
@@ -369,7 +357,6 @@ def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: floa
         std_error=std_error,
         n_samples=n_samples,
         seed=int(seed),
-        n_partitions=n_partitions,
     )
 
 

@@ -60,7 +60,7 @@ class PhiLimitEstimate:
 
 
 def _require_pure_density(model: spectra.FadingModel):
-    if model.jumps or not model.has_density:
+    if model.jumps:
         raise NoDensity(
             "closed-form prediction needs an absolutely continuous spectrum; "
             "this model carries spectral lines")

@@ -35,10 +35,11 @@ STREAM_LABELS = {
 JACKKNIFE_BLOCKS = 50
 
 
-def rng_stream(seed: int, label: str, index: int = 0) -> np.random.Generator:
-    """Philox generator for one named stream of a master seed."""
+def rng_stream(seed: int, label: str) -> np.random.Generator:
+    """Philox generator for the named stream of a master seed; the spawn
+    key's trailing 0 is part of every stream's definition."""
     key = STREAM_LABELS[label]
-    ss = np.random.SeedSequence(int(seed), spawn_key=(key, int(index)))
+    ss = np.random.SeedSequence(int(seed), spawn_key=(key, 0))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -95,16 +95,15 @@ class FadingModel:
     A kind defines ``label()``, ``lags(start, stop)`` (R(start), ...,
     R(stop - 1) as a complex array) and ``_density(x)`` (f on a 1-d array),
     and overrides the generic routes below where it has an exact formula.
-    ``has_density`` is true iff the spectral distribution is absolutely
-    continuous (models with jumps report false even when a density
-    component exists).  ``density_square_integrable`` is the verdict on
-    square integrability of the density: "yes", "no" or "undetermined"; it
-    stays "undetermined" for models with lines, where it is never consulted.
+    ``jumps`` lists the spectral lines (location, mass); the distribution is
+    absolutely continuous iff there are none.  ``density_square_integrable``
+    is the verdict on square integrability of the density: "yes", "no" or
+    "undetermined"; it stays "undetermined" for models with lines, where it
+    is never consulted.
     """
 
     jumps: tuple[tuple[float, float], ...] = ()
     residual: "FadingModel | None" = None
-    has_density: ClassVar[bool] = True
     density_square_integrable = VERDICT_YES
     #: verdict that follows from the law's form, None where only the probe can tell
     known_verdict: ClassVar[str | None] = VERDICT_YES
@@ -357,6 +356,13 @@ class TabulatedDensity(FadingModel):
         return quadrature.pl_log_integral(
             self.grid, self.values if delta2 == 0.0 else 1.0 + self.values / delta2)
 
+    def series(self, tol):
+        """The generic lag series, refused before any lag is fetched when its
+        exact total (integral f^2 - 1) / 2 (Parseval) passes ``SERIES_CEILING``."""
+        if 0.5 * (self.square_integral() - 1.0) > SERIES_CEILING:
+            raise Diverges(f"the lag series sums to more than {SERIES_CEILING:g}")
+        return super().series(tol)
+
 
 @_law
 class TabulatedAutocorr(FadingModel):
@@ -423,7 +429,6 @@ class LinePlusResidual(FadingModel):
 
     jumps: tuple[tuple[float, float], ...]
     residual: FadingModel | None = None
-    has_density = False
     density_square_integrable = VERDICT_UNDETERMINED
 
     @property
@@ -513,13 +518,15 @@ def tabulated_density(grid: Sequence[float], values: Sequence[float]) -> FadingM
     """Density sampled on a strictly increasing grid covering [-1/2, 1/2].
 
     Interpreted as piecewise linear between nodes and renormalized to unit
-    mass.  Samples must be non-negative; a mass further than 1% from one is
-    rejected rather than silently rescaled.
+    mass.  Nodes and samples must be finite and samples non-negative; a mass
+    further than 1% from one is rejected rather than silently rescaled.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
         raise ParamOutOfRange("grid and values must be equal-length 1-d arrays with >= 2 nodes")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise ParamOutOfRange("grid and values must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ParamOutOfRange("grid must be strictly increasing")
     if abs(grid[0] + 0.5) > 1e-9 or abs(grid[-1] - 0.5) > 1e-9:
@@ -582,7 +589,7 @@ def line_plus_residual(jumps: Sequence[tuple[float, float]],
         raise ParamOutOfRange("masses sum to 1; no residual may be attached")
     if not pure and residual is None:
         raise ParamOutOfRange("masses sum to less than 1; a residual model is required")
-    if residual is not None and not residual.has_density:
+    if residual is not None and residual.jumps:
         raise ParamOutOfRange("residual must be a density-type model")
     return LinePlusResidual(jumps=jumps, residual=residual)
 
@@ -636,10 +643,11 @@ def load_tabulated_density(path) -> FadingModel:
     grid, vals = [], []
     for ln in lines[1:]:
         cols = ln.split(",")
-        if len(cols) < 2:
-            raise ParamOutOfRange(f"malformed table row: {ln!r}")
-        grid.append(float(cols[0]))
-        vals.append(float(cols[1]))
+        try:
+            grid.append(float(cols[0]))
+            vals.append(float(cols[1]))
+        except (IndexError, ValueError):
+            raise ParamOutOfRange(f"malformed table row: {ln!r}") from None
     return tabulated_density(grid, vals)
 
 
@@ -838,7 +846,7 @@ def validate(model: FadingModel) -> ValidationReport:
     nonneg_ok: bool | None = None
     verdict: str | None = None
     estimates: tuple[float, ...] = ()
-    if model.has_density or model.residual is not None:
+    if not model.jumps or model.residual is not None:
         xs = np.linspace(-0.5, 0.5, 4097)
         nonneg_ok = bool(np.min(density(model, xs)) >= -1e-9)
         verdict, estimates = condition12_probe(model)
@@ -846,7 +854,7 @@ def validate(model: FadingModel) -> ValidationReport:
     ok = r0_ok and mass_ok and psd_ok and (nonneg_ok is not False)
     return ValidationReport(
         model=model.label(),
-        has_density=model.has_density,
+        has_density=not model.jumps,
         spectral_line=bool(model.jumps),
         jump_mass_total=jumps,
         autocorr_zero=float(abs(r0)),

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import fadelab as fl
 from fadelab.errors import ConditionTwelveFails, Diverges, DomainError, NoDensity
+from test_laws import PROPS, every_law
 
 
 def s_of_b_double_sum(model, b):
@@ -129,11 +130,10 @@ class TestBlockSums:
         assert fl.s_of_b(m, 2) == pytest.approx(0.5, abs=1e-15)
         assert fl.s_of_b(m, 3) == pytest.approx(1.125, abs=1e-15)
 
-    def test_recursion_equals_double_sum(self, models):
-        for m in models.values():
-            for b in (1, 2, 3, 5, 8, 13, 16):
-                assert fl.s_of_b(m, b) == pytest.approx(
-                    s_of_b_double_sum(m, b), abs=1e-12)
+    @PROPS
+    @given(every_law, st.integers(1, 16))
+    def test_recursion_equals_double_sum(self, model, b):
+        assert fl.s_of_b(model, b) == pytest.approx(s_of_b_double_sum(model, b), abs=1e-12)
 
     def test_cesaro_limit(self):
         m = fl.ar1(0.5)

@@ -86,6 +86,25 @@ class TestCommands:
         assert run(["nonsense"]) == 1
         assert run(["mi", "--model", "memoryless", "--sigma2", "1.0", "--samples", "10"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--model", "ar1", "--a", "0.5", "--delta2", "inf"],
+        ["phi", "--model", "ar1", "--a", "0.5", "--method", "series", "--tol", "inf"],
+        ["simulate", "--model", "memoryless", "--n", "8", "--sigma2", "inf"],
+        ["scheme", "--model", "memoryless", "--A", "inf"],
+        ["sweep", "--model", "memoryless", "--b-list", "1", "--alpha-list", "0.5",
+         "--snr-list", "0.1,inf"],
+    ], ids=["delta2", "tol", "sigma2", "A", "snr_list"])
+    def test_non_finite_flag_is_usage_error(self, capsys, argv):
+        assert run(argv) == 1
+
+    @pytest.mark.parametrize("command,row", [
+        ("validate", "abc,1"), ("capacity", "0.1,nan"), ("validate", "nan,1"),
+    ], ids=["unparsable", "nan_value", "nan_node"])
+    def test_bad_table_number_is_usage_error(self, capsys, tmp_path, command, row):
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(["lambda,value", "-0.5,1", "-0.25,1", row, "0.25,1", "0.5,1"]))
+        assert run([command, "--model", "table", "--table", str(path)]) == 1
+
     def test_predict(self, capsys):
         code, out = run_cli(capsys, ["predict", "--model", "ar1", "--a", "0.5",
                                      "--delta2", "1.0"])

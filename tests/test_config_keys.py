@@ -14,7 +14,7 @@ SAMPLE = {
     "loc": "0.1", "residual": "memoryless", "seed": "7", "out": "r.txt", "fmt": "csv",
     "method": "series", "tol": "1e-6", "delta2": "0.5", "past": "16", "b": "3",
     "alpha": "0.5", "amplitude": "2.0", "n": "100", "sigma2": "2.0", "samples": "20000",
-    "partitions": "2", "b_list": "1,2", "alpha_list": "0.5,1", "snr_list": "0.1",
+    "b_list": "1,2", "alpha_list": "0.5,1", "snr_list": "0.1",
 }
 
 
@@ -66,7 +66,7 @@ def test_boolean_key_values(tmp_path):
         parse_config(["--config", _write(tmp_path, [*base, ("mc", "maybe")])])
 
 
-@pytest.mark.parametrize("key", ["help", "bogus", "config", "fmt", "amplitude"])
+@pytest.mark.parametrize("key", ["help", "bogus", "config", "fmt", "amplitude", "partitions"])
 def test_unknown_keys_rejected(tmp_path, key):
     with pytest.raises(UsageError):
         parse_config(["--config", _write(tmp_path, [("command", "capacity"), (key, "1")])])

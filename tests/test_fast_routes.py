@@ -1,8 +1,9 @@
 """The structured kernels behind phi and the finite-past error, against
 brute-force oracles: Durbin's recursion against a dense Cholesky solve,
 the band-limited lag series with its closed-form tail against
-1/(4 lambda_c) - 1/2, the decade extension of the phi-limit grid, and the
-chunked trace writer against a per-row writer."""
+1/(4 lambda_c) - 1/2, the table series refused by its Parseval total,
+the decade extension of the phi-limit grid, and the chunked trace writer
+against a per-row writer."""
 
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, strategies as st
 import fadelab as fl
 from fadelab import prediction, quadrature, simulate, spectra
 from fadelab.cli import run
-from fadelab.errors import DimensionTooLarge
+from fadelab.errors import DimensionTooLarge, Diverges
 from test_laws import PROPS, every_law
 
 
@@ -92,6 +93,14 @@ def test_lag_series_fetches_few_lags(pl_fourier_lags):
     table = ar1_table()
     fl.phi_series(table)
     assert sum(pl_fourier_lags) < 128
+
+
+def test_lag_series_past_the_ceiling_fetches_no_lag(pl_fourier_lags, jakes_model):
+    # Parseval: the interpolant's lag series sums to (integral f^2 - 1) / 2
+    assert 0.5 * (jakes_model.square_integral() - 1.0) > spectra.SERIES_CEILING
+    with pytest.raises(Diverges):
+        fl.phi_series(jakes_model)
+    assert pl_fourier_lags == []
 
 
 @PROPS

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import dblquad
 
 import fadelab as fl
+from fadelab import mi
 from fadelab.errors import BlockTooLarge, DomainError, IllConditioned
 from fadelab.mi import _Mixture
 
@@ -187,16 +188,18 @@ class TestMonteCarlo:
                                 fl.memoryless(), 1.0, 10_000, SEED)
         assert est.estimate == 0.0
 
-    def test_deterministic_and_partitioned(self):
+    def test_deterministic_and_partitioned(self, monkeypatch):
         sch = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=2)
         a = fl.mi_monte_carlo(sch, fl.ar1(0.5), 4.0, 20_000, SEED)
         b = fl.mi_monte_carlo(sch, fl.ar1(0.5), 4.0, 20_000, SEED)
         assert a.estimate == b.estimate and a.std_error == b.std_error
-        c = fl.mi_monte_carlo(sch, fl.ar1(0.5), 4.0, 20_000, SEED, n_partitions=4)
-        d = fl.mi_monte_carlo(sch, fl.ar1(0.5), 4.0, 20_000, SEED, n_partitions=4)
-        assert c.estimate == d.estimate
-        assert c.n_partitions == 4
-        assert abs(c.estimate - a.estimate) < 6 * a.std_error
+        # the same draws evaluated in batches of 997 rows, across class
+        # boundaries: only the rounding of the moment merge may change
+        rebatch = mi._rebatch
+        monkeypatch.setattr(mi, "_rebatch", lambda chunks, rows: rebatch(chunks, 997))
+        c = fl.mi_monte_carlo(sch, fl.ar1(0.5), 4.0, 20_000, SEED)
+        assert c.estimate == pytest.approx(a.estimate, rel=1e-12)
+        assert c.std_error == pytest.approx(a.std_error, rel=1e-12)
 
     def test_stderr_scales_with_samples(self):
         sch = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=2)

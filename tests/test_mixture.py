@@ -12,16 +12,16 @@ from fadelab.mi import _Mixture
 SEED = 314159
 
 #: mi_monte_carlo values recorded before the mixture was factored per
-#: modulus pattern: (scheme, model, sigma2, samples, partitions) ->
-#: (estimate, std_error)
+#: modulus pattern (the b = 3 case with the one "mi" stream, before the
+#: sub-streams went): (scheme, model, sigma2, samples) -> (estimate, std_error)
 GOLDEN = [
-    ((1.0, 0.5, 2), ("ar1", 0.5), 4.0, 20_000, 1,
+    ((1.0, 0.5, 2), ("ar1", 0.5), 4.0, 20_000,
      (0.016191997035328812, 0.0013148778848443112)),
-    ((1.0, 0.5, 3), ("ar1", 0.5), 4.0, 30_000, 3,
-     (0.031656318217026226, 0.001442892190098173)),
-    ((1.0, 5 / 6, 8), ("ar1", 0.5), 10.0, 10_000, 1,
+    ((1.0, 0.5, 3), ("ar1", 0.5), 4.0, 30_000,
+     (0.030120756506621032, 0.0014240313433262824)),
+    ((1.0, 5 / 6, 8), ("ar1", 0.5), 10.0, 10_000,
      (0.01791236150152574, 0.002018070091265627)),
-    ((1.0, 5 / 6, 8), ("bandlimited", 0.25), 10.0, 10_000, 1,
+    ((1.0, 5 / 6, 8), ("bandlimited", 0.25), 10.0, 10_000,
      (0.02547283738563454, 0.002308439221110071)),
 ]
 
@@ -103,12 +103,12 @@ class TestFactors:
                 assert np.array_equal(mix.factor(ci), want)
 
 
-@pytest.mark.parametrize("scheme,spec,sigma2,samples,parts,want", GOLDEN)
-def test_golden_estimates(scheme, spec, sigma2, samples, parts, want):
+@pytest.mark.parametrize("scheme,spec,sigma2,samples,want", GOLDEN)
+def test_golden_estimates(scheme, spec, sigma2, samples, want):
     amp, alpha, b = scheme
     model = fl.ar1(spec[1]) if spec[0] == "ar1" else fl.bandlimited(spec[1])
     est = fl.mi_monte_carlo(fl.BlockScheme(amplitude=amp, duty_cycle=alpha, block_length=b),
-                            model, sigma2, samples, SEED, n_partitions=parts)
+                            model, sigma2, samples, SEED)
     assert est.estimate == pytest.approx(want[0], rel=1e-12, abs=0)
     assert est.std_error == pytest.approx(want[1], rel=1e-12, abs=0)
 

@@ -1,5 +1,7 @@
+import bisect
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +23,52 @@ def ar1_noisy_error_oracle(a, delta2):
     assert 0 < d < 1
     c = delta2 * a / d
     return c - delta2
+
+
+def mp_pred_error(f, nodes, delta2):
+    """exp(integral log f) for delta2 = 0, else delta2 expm1(integral
+    log1p(f / delta2)), by Gauss-Legendre quadrature between the nodes at 50
+    digits; f is an mpmath function of lam."""
+    with mp.workdps(50):
+        if delta2 == 0.0:
+            return float(mp.exp(mp.quad(lambda x: mp.log(f(x)), nodes, method="gauss-legendre")))
+        log_int = mp.quad(lambda x: mp.log1p(f(x) / delta2), nodes, method="gauss-legendre")
+        return float(delta2 * mp.expm1(log_int))
+
+
+def mp_ar1(model):
+    a = mp.mpf(model.a.real)
+    return lambda x: (1 - a * a) / (1 - 2 * a * mp.cos(2 * mp.pi * x) + a * a), [-0.5, 0.0, 0.5]
+
+
+def mp_bandlimited(model):
+    lc = mp.mpf(model.lambda_c)
+    return lambda x: 1 / (2 * lc) if abs(x) <= lc else mp.mpf(0), [-0.5, -lc, lc, 0.5]
+
+
+def mp_table(model):
+    """The piecewise-linear interpolant through the table's nodes."""
+    grid = [mp.mpf(float(v)) for v in model.grid]
+    vals = [mp.mpf(float(v)) for v in model.values]
+
+    def f(x):
+        i = min(max(bisect.bisect_right(grid, x) - 1, 0), len(grid) - 2)
+        return vals[i] + (vals[i + 1] - vals[i]) * (x - grid[i]) / (grid[i + 1] - grid[i])
+    return f, grid
+
+
+def ar1_table():
+    xs = np.linspace(-0.5, 0.5, 201)
+    return fl.tabulated_density(xs, fl.density(fl.ar1(0.6), xs))
+
+
+@pytest.mark.parametrize("delta2", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("model,mp_density", [
+    (fl.ar1(0.5), mp_ar1), (fl.bandlimited(0.25), mp_bandlimited), (ar1_table(), mp_table),
+], ids=["ar1_0.5", "bandlimited_0.25", "table_ar1_0.6_n201"])
+def test_log_integral_against_mpmath(model, mp_density, delta2):
+    res = fl.noiseless_pred_error(model) if delta2 == 0.0 else fl.noisy_pred_error(model, delta2)
+    assert res.error == pytest.approx(mp_pred_error(*mp_density(model), delta2), abs=1e-10)
 
 
 class TestNoiseless:
