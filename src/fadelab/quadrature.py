@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.integrate
 
 from .errors import QuadratureFailure
 
@@ -23,6 +22,7 @@ DEFAULT_TOL = 1e-10
 
 def quad_interval(fn, breakpoints=()) -> float:
     """Integrate ``fn`` over [-1/2, 1/2] with optional interior breakpoints."""
+    import scipy.integrate
     pts = sorted({float(p) for p in breakpoints if -HALF < float(p) < HALF})
     out = scipy.integrate.quad(
         fn, -HALF, HALF,

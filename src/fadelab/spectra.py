@@ -24,10 +24,7 @@ from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
-import scipy.signal
-import scipy.special
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quadrature
 from .errors import (
@@ -74,10 +71,12 @@ def _cn(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def _embed_length(n: int) -> int:
+    import scipy.fft
     return scipy.fft.next_fast_len(EMBED_FACTOR * n)
 
 
 def _circulant_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    import scipy.fft
     big_n = eigenvalues.size
     xi = _cn(rng, big_n)
     coef = np.sqrt(eigenvalues) * xi
@@ -262,6 +261,7 @@ class AR1(FadingModel):
 
     def synthesize(self, n, rng):
         """The exact recursion from a stationary start."""
+        import scipy.signal
         a = self.a
         h0 = _cn(rng, 1)[0]
         if n == 1:
@@ -307,6 +307,7 @@ class BandLimited(FadingModel):
         bound <= tol (the 1/M branch keeps M finite as lambda_c -> 1/2, where
         sin c -> 0).  The terms are summed in 10^6-term chunks.
         """
+        import scipy.special
         c = 2.0 * np.pi * self.lambda_c
         w = 0.5 / (c * c)
         n_head = min(np.sqrt(w / (tol * abs(np.sin(c)))), w / tol)
@@ -406,6 +407,7 @@ class TabulatedAutocorr(FadingModel):
     def synthesize(self, n, rng):
         """Circulant synthesis from the exact lags; the truncated table may
         imply a slightly indefinite spectrum, hence the clipping policy."""
+        import scipy.fft
         big_n = _embed_length(n)
         r = self.values
         m = min(r.size - 1, big_n // 2)
@@ -468,6 +470,11 @@ class LinePlusResidual(FadingModel):
         if self.residual is None:
             raise NoDensity("purely atomic spectral distribution has no density")
         return residual_weight(self) ** 2 * self.residual.square_integral()
+
+    def series(self, tol):
+        """Refused before any lag is fetched: a line of mass m keeps the mean
+        of |R(nu)|^2 at or above m^2, so the lag series diverges."""
+        raise Diverges("a spectral line keeps |R(nu)|^2 from decaying; the lag series diverges")
 
     def synthesize(self, n, rng):
         """One Gaussian amplitude per line, plus the residual's path."""
@@ -626,8 +633,9 @@ def make_model(kind: str, **params) -> FadingModel:
 def load_tabulated_density(path) -> FadingModel:
     """Load a tabulated density from `lambda,value` text.
 
-    The file must start with a header row naming the two columns; the grid
-    must be strictly increasing and cover [-1/2, 1/2].
+    The file must start with a header row naming the two columns, and every
+    row must have exactly two; the grid must be strictly increasing and
+    cover [-1/2, 1/2].
     """
     if hasattr(path, "read"):
         text = path.read()
@@ -638,16 +646,16 @@ def load_tabulated_density(path) -> FadingModel:
     if not lines:
         raise ParamOutOfRange("empty density table")
     header = [c.strip().lower() for c in lines[0].split(",")]
-    if header[:2] != ["lambda", "value"]:
+    if header != ["lambda", "value"]:
         raise ParamOutOfRange("density table must start with a 'lambda,value' header row")
     grid, vals = [], []
     for ln in lines[1:]:
-        cols = ln.split(",")
         try:
-            grid.append(float(cols[0]))
-            vals.append(float(cols[1]))
-        except (IndexError, ValueError):
+            lam, val = map(float, ln.split(","))
+        except ValueError:
             raise ParamOutOfRange(f"malformed table row: {ln!r}") from None
+        grid.append(lam)
+        vals.append(val)
     return tabulated_density(grid, vals)
 
 
@@ -713,8 +721,13 @@ def _check_toeplitz_dim(n: int) -> None:
 
 
 def _toeplitz(r: np.ndarray) -> np.ndarray:
-    """Hermitian Toeplitz matrix with first column r."""
-    return scipy.linalg.toeplitz(r, np.conj(r))
+    """Hermitian Toeplitz matrix with first column r.
+
+    Row n-1-k is the window vals[k:k + n] of vals = [r[n-1..0], conj r[1..n-1]];
+    the windows are a stride view, copied once in reverse order.
+    """
+    vals = np.concatenate((r[::-1], np.conj(r[1:])))
+    return sliding_window_view(vals, r.size)[::-1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,14 @@ class TestCommands:
     def test_non_finite_flag_is_usage_error(self, capsys, argv):
         assert run(argv) == 1
 
-    @pytest.mark.parametrize("command,row", [
-        ("validate", "abc,1"), ("capacity", "0.1,nan"), ("validate", "nan,1"),
-    ], ids=["unparsable", "nan_value", "nan_node"])
-    def test_bad_table_number_is_usage_error(self, capsys, tmp_path, command, row):
+    @pytest.mark.parametrize("command,header,row", [
+        ("validate", "lambda,value", "abc,1"), ("capacity", "lambda,value", "0.1,nan"),
+        ("validate", "lambda,value", "nan,1"), ("validate", "lambda,value", "0,1,junk"),
+        ("validate", "lambda,value,note", "0,1"),
+    ], ids=["unparsable", "nan_value", "nan_node", "extra_column", "extra_header_column"])
+    def test_bad_table_number_is_usage_error(self, capsys, tmp_path, command, header, row):
         path = tmp_path / "table.csv"
-        path.write_text("\n".join(["lambda,value", "-0.5,1", "-0.25,1", row, "0.25,1", "0.5,1"]))
+        path.write_text("\n".join([header, "-0.5,1", "-0.25,1", row, "0.25,1", "0.5,1"]))
         assert run([command, "--model", "table", "--table", str(path)]) == 1
 
     def test_predict(self, capsys):

@@ -2,8 +2,8 @@
 brute-force oracles: Durbin's recursion against a dense Cholesky solve,
 the band-limited lag series with its closed-form tail against
 1/(4 lambda_c) - 1/2, the table series refused by its Parseval total,
-the decade extension of the phi-limit grid, and the chunked trace writer
-against a per-row writer."""
+the line-law series refused before any lag, the decade extension of the
+phi-limit grid, and the chunked trace writer against a per-row writer."""
 
 import io
 import json
@@ -100,6 +100,13 @@ def test_lag_series_past_the_ceiling_fetches_no_lag(pl_fourier_lags, jakes_model
     assert 0.5 * (jakes_model.square_integral() - 1.0) > spectra.SERIES_CEILING
     with pytest.raises(Diverges):
         fl.phi_series(jakes_model)
+    assert pl_fourier_lags == []
+
+
+def test_line_law_series_fetches_no_lag(pl_fourier_lags):
+    # a line of mass m keeps the mean of |R(nu)|^2 at or above m^2
+    with pytest.raises(Diverges):
+        fl.phi_series(fl.line_plus_residual([(0.1, 0.2)], ar1_table()))
     assert pl_fourier_lags == []
 
 

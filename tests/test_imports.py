@@ -1,0 +1,72 @@
+"""Cold start: a command imports only the scipy modules it runs.
+
+Each check runs a fresh interpreter on this checkout's ``src``, since the
+test process itself has long since imported scipy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.linalg
+from hypothesis import given, strategies as st
+
+from fadelab import spectra
+from fadelab.cli import run
+from test_laws import PROPS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HEAVY = ("scipy.integrate", "scipy.signal", "scipy.linalg", "scipy.fft", "scipy.stats")
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+
+
+def imported(proc: subprocess.CompletedProcess) -> set[str]:
+    """Modules a ``python -X importtime`` run imported, read from its stderr."""
+    return {ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines()
+            if ln.startswith("import time:") and not ln.endswith("| imported package")}
+
+
+def test_import_cli_loads_no_scipy():
+    proc = fresh("-X", "importtime", "-c", "import fadelab.cli")
+    assert proc.returncode == 0, proc.stderr
+    modules = imported(proc)
+    assert "fadelab.cli" in modules
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_mi_run_loads_no_heavy_scipy_module():
+    proc = fresh("-X", "importtime", "-m", "fadelab.cli", "mi", "--model", "ar1", "--a", "0.5",
+                 "--b", "4", "--sigma2", "10", "--samples", "10000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("# command=mi")
+    modules = imported(proc)
+    assert "fadelab.mi" in modules
+    assert {".".join(m.split(".")[:2]) for m in modules}.isdisjoint(HEAVY)
+
+
+def test_module_entry_point_prints_the_report(capsys):
+    argv = ["capacity", "--model", "memoryless"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    proc = fresh("-m", "fadelab.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert expected and proc.stdout == expected
+
+
+@PROPS
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=300))
+def test_toeplitz_matches_scipy(values):
+    r = np.array(values, dtype=complex)
+    got = spectra._toeplitz(r)
+    want = scipy.linalg.toeplitz(r, r.conj())
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
