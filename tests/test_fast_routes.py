@@ -1,7 +1,9 @@
 """The structured kernels behind phi and the finite-past error, against
 brute-force oracles: Durbin's recursion against a dense Cholesky solve,
 the band-limited lag series with its closed-form tail against
-1/(4 lambda_c) - 1/2, the table series refused by its Parseval total,
+1/(4 lambda_c) - 1/2, uniform-grid table lags at one point each and a
+nudged grid on the per-piece route against mpmath, the table series
+refused by its Parseval total,
 the line-law series refused before any lag, the decade extension of the
 phi-limit grid, and the chunked trace writer against a per-row writer."""
 
@@ -18,7 +20,7 @@ import fadelab as fl
 from fadelab import prediction, quadrature, simulate, spectra
 from fadelab.cli import run
 from fadelab.errors import DimensionTooLarge, Diverges
-from test_laws import PROPS, every_law
+from test_laws import PROPS, _mp_pl_fourier, every_law
 
 
 def dense_finite_past(model, delta2, n):
@@ -72,9 +74,40 @@ def pl_fourier_lags(monkeypatch):
     return calls
 
 
-def ar1_table():
-    xs = np.linspace(-0.5, 0.5, 201)
+@pytest.fixture
+def g12_points(monkeypatch):
+    """Points evaluated by ``quadrature._g12``, one entry per call."""
+    calls = []
+    real = quadrature._g12
+
+    def counting(z):
+        calls.append(z.size)
+        return real(z)
+
+    monkeypatch.setattr(quadrature, "_g12", counting)
+    return calls
+
+
+def ar1_table(nodes=201):
+    xs = np.linspace(-0.5, 0.5, nodes)
     return fl.tabulated_density(xs, fl.density(fl.ar1(0.6), xs))
+
+
+def test_uniform_table_lags_take_one_point_each(g12_points):
+    fl.finite_past_pred_error(ar1_table(2001), 0.1, 1024)
+    assert sum(g12_points) == 1025
+
+
+def test_a_nudged_node_takes_the_per_piece_route(g12_points):
+    table = ar1_table(2001)
+    grid = np.array(table.grid)
+    grid[1000] += 1e-9
+    nudged = fl.tabulated_density(grid, table.values)
+    ms = np.array([1, 7, 2000, 2001])
+    got = quadrature.pl_fourier(nudged.grid, nudged.values, ms)
+    assert sum(g12_points) == ms.size * 2000
+    for m, r in zip(ms, got):
+        assert abs(r - _mp_pl_fourier(nudged.grid, nudged.values, int(m))) <= 1e-12
 
 
 def test_finite_past_computes_the_lags_once(pl_fourier_lags):

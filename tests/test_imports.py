@@ -13,7 +13,8 @@ import numpy as np
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from fadelab import spectra
+from conftest import write_density_table
+from fadelab import ar1, density, spectra
 from fadelab.cli import run
 from test_laws import PROPS
 
@@ -39,6 +40,19 @@ def test_import_cli_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     modules = imported(proc)
     assert "fadelab.cli" in modules
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_table_predict_loads_no_scipy(tmp_path):
+    # the uniform-grid table lags come from numpy.fft, the finite past from Durbin
+    xs = np.linspace(-0.5, 0.5, 201)
+    table = write_density_table(tmp_path / "ar1.csv", xs, density(ar1(0.6), xs))
+    proc = fresh("-X", "importtime", "-m", "fadelab.cli", "predict", "--model", "table",
+                 "--table", str(table), "--delta2", "0.1", "--past", "64")
+    assert proc.returncode == 0, proc.stderr
+    assert '"command": "predict"' in proc.stdout
+    modules = imported(proc)
+    assert "fadelab.prediction" in modules
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 

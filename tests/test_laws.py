@@ -23,10 +23,17 @@ def ar1_laws(draw):
 
 @st.composite
 def table_laws(draw):
-    inner = draw(st.lists(st.floats(-0.499, 0.499), min_size=1, max_size=30, unique=True))
-    grid = np.array(sorted({-0.5, 0.5, *inner}))
+    """Half uniform grids, which take ``pl_fourier``'s FFT route, with equal or
+    unequal end values; half scattered grids, which take the per-piece route."""
+    if draw(st.booleans()):
+        grid = np.linspace(-0.5, 0.5, draw(st.integers(2, 400)) + 1)
+    else:
+        inner = draw(st.lists(st.floats(-0.499, 0.499), min_size=1, max_size=30, unique=True))
+        grid = np.array(sorted({-0.5, 0.5, *inner}))
     vals = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=grid.size, max_size=grid.size)))
     vals = vals + 0.1
+    if draw(st.booleans()):
+        vals[-1] = vals[0]
     return fl.tabulated_density(grid, vals / np.trapezoid(vals, grid))
 
 
@@ -105,6 +112,37 @@ def _mp_pl_fourier(grid, vals, m):
 def test_pl_fourier_on_narrow_edge_pieces(m):
     model = fl.tabulated_density(*jakes_like_table())
     assert abs(fl.autocorr(model, m) - _mp_pl_fourier(model.grid, model.values, m)) <= 1e-12
+
+
+def uniform_table(n, equal_ends):
+    grid = np.linspace(-0.5, 0.5, n + 1)
+    vals = np.random.default_rng(n).uniform(0.1, 5.0, n + 1)
+    if equal_ends:
+        vals[-1] = vals[0]
+    return grid, vals
+
+
+@pytest.mark.parametrize("equal_ends", [True, False])
+@pytest.mark.parametrize("n", [2, 7, 64, 401])
+def test_pl_fourier_on_a_uniform_grid(n, equal_ends):
+    # lags at and past N fold onto the DFT's aliases; m = 0 is the mass
+    grid, vals = uniform_table(n, equal_ends)
+    ms = np.array([1, n - 1, n, n + 1, 3 * n + 2, 1000])
+    got = quadrature.pl_fourier(grid, vals, ms)
+    for m, r in zip(ms, got):
+        assert abs(r - _mp_pl_fourier(grid, vals, int(m))) <= 1e-12
+    assert abs(quadrature.pl_fourier(grid, vals, np.array([0]))[0]
+               - quadrature.pl_mass(grid, vals)) <= 1e-14
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_pl_fourier_of_a_scalar_lag_is_a_complex_scalar(uniform):
+    grid, vals = uniform_table(7, False)
+    if not uniform:
+        grid[3] += 1e-3
+    r = quadrature.pl_fourier(grid, vals, 5)
+    assert np.ndim(r) == 0 and np.iscomplexobj(r)
+    assert r == quadrature.pl_fourier(grid, vals, np.array([5]))[0]
 
 
 @pytest.mark.parametrize("a", [0.97, 0.99, 0.995])
