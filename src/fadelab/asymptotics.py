@@ -78,8 +78,7 @@ def _require_verdict_yes(model: spectra.FadingModel):
     if model.density_square_integrable != spectra.VERDICT_YES:
         raise ConditionTwelveFails(
             "square-integrability verdict is "
-            f"{model.density_square_integrable!r}; refusing phi",
-            verdict=model.density_square_integrable)
+            f"{model.density_square_integrable!r}; refusing phi")
 
 
 def phi_integral(model: spectra.FadingModel) -> float:
@@ -96,20 +95,14 @@ def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
     powers to their tail bound for ar1; for the band-limited sinc^2, the
     terms up to M plus the exact non-oscillating tail psi'(M + 1) / (2 c^2),
     with M set by a summation-by-parts bound on the oscillating tail);
-    otherwise by a stagnation rule, cross-checked against the density route
-    for a table with a "yes" verdict.  Partial sums that pass
-    ``spectra.SERIES_CEILING`` raise :class:`Diverges`.
+    otherwise by a stagnation rule, which a tabulated density with a "yes"
+    verdict cross-checks against its exact Parseval total.  Partial sums
+    that pass ``spectra.SERIES_CEILING`` raise :class:`Diverges`.
     """
     tol = float(tol)
     if tol <= 0.0:
         raise DomainError("tol must be > 0")
-    total = model.series(tol)
-    if model.known_verdict is None and model.density_square_integrable == spectra.VERDICT_YES:
-        other = phi_integral(model)
-        if abs(total - other) > 1e-4:
-            raise QuadratureFailure(
-                f"series ({total:.8g}) and density ({other:.8g}) routes disagree")
-    return total
+    return model.series(tol)
 
 
 def kappa_of_phi(phi: float) -> float:
@@ -203,47 +196,26 @@ def scheme_coefficients(model: spectra.FadingModel, b: int, alpha: float) -> Sch
     return SchemeCoefficients(b=b, alpha=alpha, s_of_b=s, block_coeff=block, iid_coeff=iid)
 
 
-def _maximize_quadratic(objective, candidates) -> tuple[float, float]:
-    """Max of a quadratic-in-alpha objective over [0, 1].
-
-    A quadratic on an interval attains its maximum at its stationary point
-    or at an end, so the clamped candidates (the closed-form stationary
-    point, None where there is none, and both ends) are exhaustive; the
-    first of equal values, to 1e-15, wins.
-    """
-    best_alpha, best_val = None, -np.inf
-    for cand in candidates:
-        if cand is None:
-            continue
-        cand = min(max(float(cand), 0.0), 1.0)
-        val = objective(cand)
-        if val > best_val + 1e-15:
-            best_alpha, best_val = cand, val
-    return float(best_val), float(best_alpha)
-
-
 def asymptotic_block_max(phi: float) -> tuple[float, float]:
     """(value, argmax) of the large-b block coefficient over the duty cycle.
 
-    The objective is (alpha - alpha^2)/2 + phi*alpha; the value equals the
-    capacity curvature and the argmax the optimal duty cycle.
+    The objective is (alpha - alpha^2)/2 + phi*alpha, concave with its
+    stationary point at phi + 1/2, so the argmax is that point clamped into
+    [0, 1]: the value equals the capacity curvature and the argmax the
+    optimal duty cycle.
     """
     phi = float(phi)
-    return _maximize_quadratic(
-        lambda a: (a - a * a) / 2.0 + phi * a,
-        candidates=(phi + 0.5, 0.0, 1.0))
+    a = min(max(phi + 0.5, 0.0), 1.0)
+    return (a - a * a) / 2.0 + phi * a, a
 
 
 def asymptotic_iid_max(phi: float) -> tuple[float, float]:
     """(value, argmax) of the large-b IID coefficient over the duty cycle.
 
-    The objective is (alpha - alpha^2)/2 + phi*alpha^2, whose interior
-    stationary point 1/(2(1 - 2 phi)) is clamped into [0, 1].
+    The objective is (alpha - alpha^2)/2 + phi*alpha^2: for phi < 1/2 it is
+    concave with its stationary point at 1/(2(1 - 2 phi)) >= 1/2, clamped to
+    1; for phi >= 1/2 it is largest at alpha = 1.
     """
     phi = float(phi)
-    interior = None
-    if phi < 0.5:
-        interior = 1.0 / (2.0 * (1.0 - 2.0 * phi))
-    return _maximize_quadratic(
-        lambda a: (a - a * a) / 2.0 + phi * a * a,
-        candidates=(interior, 0.0, 1.0))
+    a = min(1.0 / (2.0 * (1.0 - 2.0 * phi)), 1.0) if phi < 0.5 else 1.0
+    return (a - a * a) / 2.0 + phi * a * a, a

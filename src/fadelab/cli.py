@@ -23,7 +23,6 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 SWEEP_HEADER = "model,b,alpha,snr,upper_g,block_coeff,iid_coeff,mi_estimate,mi_stderr,seed"
-MI_HEADER = "b,snr,alpha,estimate,std_error,n_samples,seed"
 
 
 @dataclass
@@ -479,9 +478,6 @@ def _emit(cfg: RunConfig, result, trace, fh):
         fh.write(SWEEP_HEADER + "\n")
         for row in result["rows"]:
             fh.write(",".join(_csv_cell(row[c]) for c in SWEEP_HEADER.split(",")) + "\n")
-    elif cfg.command == "mi":
-        fh.write(MI_HEADER + "\n")
-        fh.write(",".join(_csv_cell(result[c]) for c in MI_HEADER.split(",")) + "\n")
     else:
         keys = [k for k, v in result.items() if not isinstance(v, (dict, list, tuple))]
         fh.write(",".join(keys) + "\n")

@@ -29,14 +29,7 @@ class QuadratureFailure(FadingLabError):
 
 class ConditionTwelveFails(FadingLabError):
     """The squared density does not pass the integrability check required for
-    the memory parameter to be finite.
-
-    Carries the verdict string ("no" or "undetermined") as `.verdict`.
-    """
-
-    def __init__(self, message: str, verdict: str = "no"):
-        super().__init__(message)
-        self.verdict = verdict
+    the memory parameter to be finite."""
 
 
 class Diverges(FadingLabError):

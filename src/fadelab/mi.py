@@ -384,6 +384,8 @@ def fit_coefficient(points) -> FitResult:
     an unweighted fit.
     """
     snr, est, err = _as_points(points)
+    if not np.all(snr > 0.0):
+        raise DomainError("SNR values must be > 0")
     uniq = np.unique(snr)
     if uniq.size < 3:
         raise DomainError("need at least 3 distinct SNR values")

@@ -176,8 +176,9 @@ _CSV_CHUNK = 512
 def trace_to_csv(trace: ChannelTrace, fh) -> None:
     """Write a trace in the columnar text format.
 
-    The header comment carries the model, noise variance, peak amplitude and
-    seed; columns are k,re_x,im_x,re_h,im_h,re_y,im_y.
+    The header comment carries the model, noise variance, peak amplitude
+    (the largest |x| actually sent, 0 when no block is on), SNR, seed and
+    length; columns are k,re_x,im_x,re_h,im_h,re_y,im_y.
     """
     fh.write(f"# model={trace.model} sigma2={trace.sigma2:.12g} "
              f"A={trace.peak_amplitude:.12g} snr={trace.snr:.12g} "

@@ -14,13 +14,15 @@ carrying that kind's formulas: label, lags, density and breakpoints, mass,
 squared and log integrals, lag-series rule and path synthesis.  The module
 functions are the public API and delegate to the class.  Bounded densities
 are square integrable by construction; a tabulated density gets a heuristic
-verdict from a probe of its squared integral on nested grids.
+verdict, once, at construction, from a probe of its squared integral on
+nested grids.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ from .errors import (
     NoDensity,
     NotNormalized,
     ParamOutOfRange,
+    QuadratureFailure,
 )
 
 VERDICT_YES = "yes"
@@ -96,22 +99,20 @@ class FadingModel:
     and overrides the generic routes below where it has an exact formula.
     ``jumps`` lists the spectral lines (location, mass); the distribution is
     absolutely continuous iff there are none.  ``density_square_integrable``
-    is the verdict on square integrability of the density: "yes", "no" or
-    "undetermined"; it stays "undetermined" for models with lines, where it
-    is never consulted.
+    is the one verdict on square integrability of the density: "yes", "no"
+    or "undetermined".  Each kind sets it once: "yes" for the bounded
+    densities, the probe's verdict for a tabulated density (decided at
+    construction), the residual's for a line law ("undetermined" for pure
+    lines).
     """
 
     jumps: tuple[tuple[float, float], ...] = ()
     residual: "FadingModel | None" = None
     density_square_integrable = VERDICT_YES
-    #: verdict that follows from the law's form, None where only the probe can tell
-    known_verdict: ClassVar[str | None] = VERDICT_YES
     #: known discontinuities of the density, for adaptive quadrature
     breakpoints: tuple[float, ...] = ()
     #: R(m) = 0 for every m != 0: no past predicts the present
     white: ClassVar[bool] = False
-    #: tables are probed blind on a uniform grid (see ``_sq_density_estimate``)
-    probe_blind: ClassVar[bool] = False
 
     def __repr__(self):  # keep array fields out of the default repr
         return f"FadingModel({self.label()})"
@@ -147,6 +148,28 @@ class FadingModel:
                 breakpoints=self.breakpoints)
         return quadrature.quad_interval(
             lambda x: np.log1p(self.density(x) / delta2), breakpoints=self.breakpoints)
+
+    def square_integral_estimate(self, n_intervals: int) -> float:
+        """Midpoint-rule estimate of the squared-density integral, with
+        n_intervals per piece between the breakpoints: exact for
+        piecewise-constant densities and insensitive to the value convention
+        at the discontinuities."""
+        pieces = [-0.5, *self.breakpoints, 0.5]
+        total = 0.0
+        for a, b in zip(pieces[:-1], pieces[1:]):
+            if b <= a:
+                continue
+            h = (b - a) / n_intervals
+            mids = a + h * (np.arange(n_intervals) + 0.5)
+            total += float(np.sum(density(self, mids) ** 2) * h)
+        return total
+
+    @cached_property
+    def condition12_estimates(self) -> tuple[float, ...]:
+        """Squared-density estimates on 64 intervals and 3 halvings, made
+        once per law."""
+        return tuple(self.square_integral_estimate(CONDITION12_BASE_INTERVALS * 2 ** r)
+                     for r in range(CONDITION12_ROUNDS + 1))
 
     def series(self, tol: float) -> float:
         """sum_{nu >= 1} |R(nu)|^2, stopped after a run of negligible terms.
@@ -326,17 +349,23 @@ class TabulatedDensity(FadingModel):
     """Piecewise-linear density through (grid, values), unit mass.
 
     Mass, squared and log integrals and the lags are exact per-interval
-    formulas; the square-integrability verdict is the probe's.
+    formulas; the square-integrability verdict is the probe's, decided at
+    construction from the law's estimates.
     """
 
     grid: np.ndarray
     values: np.ndarray
     density_square_integrable: str = field(init=False)
-    known_verdict = None
-    probe_blind = True
 
     def __post_init__(self):
-        object.__setattr__(self, "density_square_integrable", condition12_probe(self)[0])
+        object.__setattr__(self, "density_square_integrable", _table_verdict(self))
+
+    def square_integral_estimate(self, n_intervals):
+        """Blind uniform trapezoid on the interpolant, deliberately ignoring
+        the table's own nodes: the table approximates an unknown density and
+        the probe watches how the estimate behaves as the grid refines."""
+        xs = np.linspace(-0.5, 0.5, n_intervals + 1)
+        return float(np.trapezoid(density(self, xs) ** 2, xs))
 
     def label(self) -> str:
         return f"table(n={self.grid.size})"
@@ -358,11 +387,18 @@ class TabulatedDensity(FadingModel):
             self.grid, self.values if delta2 == 0.0 else 1.0 + self.values / delta2)
 
     def series(self, tol):
-        """The generic lag series, refused before any lag is fetched when its
-        exact total (integral f^2 - 1) / 2 (Parseval) passes ``SERIES_CEILING``."""
-        if 0.5 * (self.square_integral() - 1.0) > SERIES_CEILING:
+        """The generic lag series, checked against its exact total
+        (integral f^2 - 1) / 2 (Parseval): refused before any lag is fetched
+        when that total passes ``SERIES_CEILING``, and :class:`QuadratureFailure`
+        when the verdict is "yes" and the two differ by more than 1e-4."""
+        exact = 0.5 * (self.square_integral() - 1.0)
+        if exact > SERIES_CEILING:
             raise Diverges(f"the lag series sums to more than {SERIES_CEILING:g}")
-        return super().series(tol)
+        total = super().series(tol)
+        if self.density_square_integrable == VERDICT_YES and abs(total - exact) > 1e-4:
+            raise QuadratureFailure(
+                f"series ({total:.8g}) and density ({exact:.8g}) routes disagree")
+        return total
 
 
 @_law
@@ -371,7 +407,6 @@ class TabulatedAutocorr(FadingModel):
     truncated Fourier series."""
 
     values: np.ndarray
-    probe_blind = True
 
     def label(self) -> str:
         return f"autocorr_table(m_max={self.values.size - 1})"
@@ -431,11 +466,12 @@ class LinePlusResidual(FadingModel):
 
     jumps: tuple[tuple[float, float], ...]
     residual: FadingModel | None = None
-    density_square_integrable = VERDICT_UNDETERMINED
 
     @property
-    def known_verdict(self):
-        return None if self.residual is None else self.residual.known_verdict
+    def density_square_integrable(self):
+        if self.residual is None:
+            return VERDICT_UNDETERMINED
+        return self.residual.density_square_integrable
 
     @property
     def breakpoints(self):
@@ -734,43 +770,16 @@ def _toeplitz(r: np.ndarray) -> np.ndarray:
 # square-integrability probe
 # ---------------------------------------------------------------------------
 
-def _sq_density_estimate(model: FadingModel, n_intervals: int) -> float:
-    """One estimate of the squared-density integral at a given resolution.
-
-    Tabulated models are probed blind (uniform trapezoid on the interpolant),
-    deliberately ignoring the table's own nodes: the table approximates an
-    unknown density and the probe watches how the estimate behaves as the
-    grid refines.  Other kinds use a midpoint rule between their declared
-    breakpoints, which is exact for piecewise-constant densities and
-    insensitive to the value convention at the discontinuities.
-    """
-    if model.probe_blind:
-        xs = np.linspace(-0.5, 0.5, n_intervals + 1)
-        return float(np.trapezoid(density(model, xs) ** 2, xs))
-    pieces = [-0.5, *model.breakpoints, 0.5]
-    total = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        if b <= a:
-            continue
-        h = (b - a) / n_intervals
-        mids = a + h * (np.arange(n_intervals) + 0.5)
-        total += float(np.sum(density(model, mids) ** 2) * h)
-    return total
-
-
-def _lower_darboux_sums(model: FadingModel) -> tuple[float, ...]:
+def _lower_darboux_sums(table: TabulatedDensity) -> tuple[float, ...]:
     """Lower Darboux sums of the squared density on nested dyadic grids.
 
     Monotone nondecreasing under refinement by construction, so their
     growth is a stable divergence signal on spiky tables, free of the
     alignment jitter that plagues point-sampling rules near a singularity.
-    Only laws without a known verdict get here: a tabulated density, alone
-    or as the residual of spectral lines.
     """
-    table = model if model.residual is None else model.residual
     n_fine = CONDITION12_BASE_INTERVALS * 2 ** CONDITION12_ROUNDS
     xs = np.union1d(np.linspace(-0.5, 0.5, n_fine + 1), table.grid)
-    sq = np.asarray(density(model, xs), dtype=float) ** 2
+    sq = np.asarray(density(table, xs), dtype=float) ** 2
     fine_walls = np.linspace(-0.5, 0.5, n_fine + 1)
     out = []
     for r in range(CONDITION12_ROUNDS + 1):
@@ -783,29 +792,32 @@ def _lower_darboux_sums(model: FadingModel) -> tuple[float, ...]:
     return tuple(out)
 
 
-def condition12_probe(model: FadingModel) -> tuple[str, tuple[float, ...]]:
-    """Verdict on square integrability of the density, with the estimates.
-
-    Estimates the squared-density integral on nested grids (3 halvings).
-    A law whose form decides the verdict (a bounded density) returns that
-    verdict.  Otherwise "yes" when the last two estimates agree to a
-    relative 1e-3; for estimates that fail to stabilize, lower Darboux sums
-    on the same nested grids decide "no" when they are still growing at
-    the finest grid and have grown past a factor of 4 overall.  Anything
-    else is "undetermined".  A verdict, not a proof.
-    """
-    est = tuple(float(_sq_density_estimate(model, CONDITION12_BASE_INTERVALS * 2 ** r))
-                for r in range(CONDITION12_ROUNDS + 1))
-    if model.known_verdict is not None:
-        return model.known_verdict, est
+def _table_verdict(table: TabulatedDensity) -> str:
+    """Verdict "yes" when the last two estimates agree to a relative 1e-3; for
+    estimates that fail to stabilize, lower Darboux sums on the same nested
+    grids decide "no" when they are still growing at the finest grid and
+    have grown past a factor of 4 overall.  Anything else is
+    "undetermined".  A verdict, not a proof."""
+    est = table.condition12_estimates
     last, prev = est[-1], est[-2]
     if abs(last - prev) <= max(CONDITION12_STABILIZE_RTOL * abs(last), 1e-12):
-        return VERDICT_YES, est
-    low = _lower_darboux_sums(model)
+        return VERDICT_YES
+    low = _lower_darboux_sums(table)
     growing = low[-1] > low[-2] * (1.0 + CONDITION12_STABILIZE_RTOL)
     if growing and low[0] > 0.0 and low[-1] > CONDITION12_DIVERGENCE_FACTOR * low[0]:
-        return VERDICT_NO, est
-    return VERDICT_UNDETERMINED, est
+        return VERDICT_NO
+    return VERDICT_UNDETERMINED
+
+
+def condition12_probe(model: FadingModel) -> tuple[str, tuple[float, ...]]:
+    """The law's square-integrability verdict, with estimates of its
+    squared-density integral on nested grids (64 intervals, 3 halvings).
+
+    The verdict is ``model.density_square_integrable``; a tabulated density
+    decided it at construction from these same estimates, which every law
+    makes once and keeps.
+    """
+    return model.density_square_integrable, model.condition12_estimates
 
 
 # ---------------------------------------------------------------------------

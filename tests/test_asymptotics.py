@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fadelab as fl
 from fadelab.errors import ConditionTwelveFails, Diverges, DomainError, NoDensity
@@ -210,6 +210,11 @@ ALPHA_GRID = np.linspace(0.0, 1.0, 10001)
 class TestDutyCycleMaxima:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.floats(0.0, 5.0))
+    @example(0.0)
+    @example(0.25)
+    @example(np.nextafter(0.25, 0.0))
+    @example(0.5)
+    @example(np.nextafter(0.5, 0.0))
     def test_closed_form_maxima_beat_the_grid(self, phi):
         for maximum, objective in (
                 (fl.asymptotic_block_max, lambda a: (a - a * a) / 2.0 + phi * a),

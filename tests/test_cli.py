@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fadelab as fl
-from fadelab.cli import MI_HEADER, SWEEP_HEADER, parse_config, run
+from fadelab.cli import SWEEP_HEADER, parse_config, run
 from fadelab.errors import UsageError
 from conftest import jakes_like_table, write_density_table
 
@@ -143,7 +143,7 @@ class TestCommands:
                                      "--samples", "20000", "--seed", "5"])
         assert code == 0
         lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
-        assert lines[0] == MI_HEADER
+        assert lines[0] == "b,snr,alpha,estimate,std_error,n_samples,seed"
         cells = lines[1].split(",")
         assert int(cells[0]) == 1
         assert float(cells[1]) == pytest.approx(0.25)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fadelab as fl
 from fadelab import quadrature, spectra
+from fadelab.errors import QuadratureFailure
 from conftest import jakes_like_table
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -154,14 +155,18 @@ def test_capacity_of_slowly_forgetting_ar1(a):
 
 
 def test_closed_form_kinds_skip_the_probe(monkeypatch):
+    """The squared-density estimates run once per law, and only when asked
+    for or to build a table: closed-form and line laws carry their verdict,
+    and a table's validate, phi_series and capacity reuse what it built."""
     calls = []
-    estimate = spectra._sq_density_estimate
+    for cls in (spectra.FadingModel, spectra.TabulatedDensity):
+        estimate = cls.square_integral_estimate
 
-    def counted(*args):
-        calls.append(args)
-        return estimate(*args)
+        def counted(self, n, estimate=estimate):
+            calls.append(n)
+            return estimate(self, n)
 
-    monkeypatch.setattr(spectra, "_sq_density_estimate", counted)
+        monkeypatch.setattr(cls, "square_integral_estimate", counted)
     for model in (fl.memoryless(), fl.ar1(0.5), fl.ar1(0.99), fl.bandlimited(0.1),
                   fl.tabulated_autocorr([1.0, 0.5]),
                   fl.line_plus_residual([(0.1, 0.3)], fl.ar1(0.5)),
@@ -169,5 +174,27 @@ def test_closed_form_kinds_skip_the_probe(monkeypatch):
         assert model.density_square_integrable in ("yes", "undetermined")
     assert calls == []
     xs = np.linspace(-0.5, 0.5, 11)
-    assert fl.tabulated_density(xs, np.ones_like(xs)).density_square_integrable == "yes"
+    table = fl.tabulated_density(xs, np.ones_like(xs))
+    assert table.density_square_integrable == "yes"
+    assert calls == [64, 128, 256, 512]
+    rep = fl.validate(table)
+    fl.phi_series(table)
+    fl.capacity_asymptote(table)
     assert len(calls) == 4
+    assert (rep.condition12_verdict, rep.condition12_estimates) == spectra.condition12_probe(table)
+
+
+@PROPS
+@given(table_laws(), st.floats(-0.5, 0.49), st.floats(0.05, 0.95))
+def test_a_line_law_reports_its_residual_verdict(table, loc, mass):
+    rep = fl.validate(fl.line_plus_residual([(loc, mass)], table))
+    assert rep.condition12_verdict == table.density_square_integrable
+
+
+def test_table_series_is_checked_against_parseval():
+    xs = np.linspace(-0.5, 0.5, 2001)
+    table = fl.tabulated_density(xs, fl.density(fl.ar1(0.95), xs))
+    assert table.density_square_integrable == "yes"
+    with pytest.raises(QuadratureFailure,
+                       match=r"series \(8\.1816771\) and density \(9\.2533659\) routes disagree"):
+        fl.phi_series(table, tol=0.5)

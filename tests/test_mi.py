@@ -239,6 +239,10 @@ class TestFit:
             fl.fit_coefficient([(0.3, 1.0, 0.0), (0.4, 1.0, 0.0), (0.7, 1.0, 0.0)])
         with pytest.raises(IllConditioned):
             fl.fit_coefficient([(0.2, 1.0, 0.0), (0.25, 1.0, 0.0), (0.3, 1.0, 0.0)])
+        with pytest.raises(DomainError, match="SNR values must be > 0"):
+            fl.fit_coefficient([(-0.1, 1.0, 0.0), (-0.2, 1.0, 0.0), (-0.4, 1.0, 0.0)])
+        with pytest.raises(DomainError, match="SNR values must be > 0"):
+            fl.fit_coefficient([(0.0, 0.0, 0.0), (0.1, 1.0, 0.0), (0.3, 2.0, 0.0)])
 
     def test_weighted_uncertainty(self):
         rng = np.random.default_rng(11)
