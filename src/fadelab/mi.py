@@ -245,13 +245,8 @@ class _Mixture:
         return top + np.log(np.sum(np.exp(a, out=a), axis=0))
 
     def mixture_logpdf(self, y: np.ndarray) -> np.ndarray:
-        """Mixture log density at each row of y."""
-        y = np.atleast_2d(y)
-        out = np.empty(y.shape[0])
-        for s in range(0, y.shape[0], self.batch_rows):
-            out[s:s + self.batch_rows] = self.log_mixture(
-                self.class_logpdfs(y[s:s + self.batch_rows]))
-        return out
+        """Mixture log density at each row of y, as one batch."""
+        return self.log_mixture(self.class_logpdfs(y))
 
 
 def _first_appearance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +276,6 @@ def log_output_density(y: np.ndarray, law: DiscreteInputLaw,
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
     """Chan-style pooling of (count, mean, sum of squared deviations)."""
-    if n2 == 0:
-        return n1, mean1, m2_1
     if n1 == 0:
         return n2, mean2, m2_2
     delta = mean2 - mean1

@@ -42,6 +42,10 @@ PHI_LIMIT_AGREEMENT = 1e-3
 
 @dataclass(frozen=True)
 class PredictionResult:
+    """A one-step prediction error and the route that gave it.  ``clipped``
+    marks a finite-past error reported as 0 because Durbin's recursion broke
+    down (see :func:`finite_past_pred_error`)."""
+
     error: float
     method: str
     past_length: int | None
@@ -122,8 +126,9 @@ def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) ->
     order-n error E_n of Durbin's recursion on them predicts the next noisy
     sample, so the fading error is E_n - delta2 = 1 - r^H (T_n + delta2 I)^{-1} r.
     Where the recursion breaks down (deterministic processes at delta2 = 0)
-    the dense system is solved instead, with eigenvalues clipped at 1e-12,
-    and the result is flagged.
+    the error is reported as 0 and flagged ``clipped``: past the order of
+    the breakdown the past predicts the next sample to working precision,
+    and 0 is exact when T_n is singular, as for a pure line.
     """
     delta2 = float(delta2)
     if delta2 < 0.0:
@@ -132,21 +137,13 @@ def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) ->
     if n < 1:
         raise DomainError("past length must be >= 1")
     spectra._check_toeplitz_dim(n)
-    r_all = spectra.autocorr_lags(model, n)
-    noisy = r_all.copy()
+    noisy = spectra.autocorr_lags(model, n)
     noisy[0] += delta2
     e_n = _durbin_error(noisy)
-    clipped = e_n is None
-    if clipped:
-        w, v = np.linalg.eigh(spectra._toeplitz(noisy[:n]))
-        w = np.maximum(w, 1e-12)
-        r = r_all[1:]
-        sol = v @ ((v.conj().T @ r) / w)
-        err = 1.0 - float(np.real(np.vdot(r, sol)))
-    else:
-        err = e_n - delta2
-    err = min(max(err, 0.0), 1.0)
-    return PredictionResult(err, METHOD_FINITE_PAST, n, delta2, clipped=clipped)
+    if e_n is None:
+        return PredictionResult(0.0, METHOD_FINITE_PAST, n, delta2, clipped=True)
+    err = min(max(e_n - delta2, 0.0), 1.0)
+    return PredictionResult(err, METHOD_FINITE_PAST, n, delta2)
 
 
 def _quadratic_at_zero(rho: np.ndarray, g: np.ndarray) -> float:

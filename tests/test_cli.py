@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fadelab as fl
+from fadelab import asymptotics
 from fadelab.cli import SWEEP_HEADER, parse_config, run
 from fadelab.errors import UsageError
 from conftest import jakes_like_table, write_density_table
@@ -49,6 +50,35 @@ class TestParsing:
     def test_no_command(self):
         with pytest.raises(UsageError):
             parse_config(["--model", "ar1"])
+
+    def test_config_flag_without_a_path(self, capsys):
+        assert run(["capacity", "--model", "memoryless", "--config"]) == 1
+        assert "--config needs a path" in capsys.readouterr().err
+
+    def test_malformed_config_line(self, capsys, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("command=capacity\nmodel memoryless\n")
+        assert run(["--config", str(p)]) == 1
+        assert "malformed config line: 'model memoryless'" in capsys.readouterr().err
+
+    def test_non_numeric_list_entry(self, capsys):
+        assert run(["sweep", "--model", "memoryless", "--b-list", "1,x",
+                    "--alpha-list", "0.5", "--snr-list", "0.1"]) == 1
+        assert "expected a comma-separated int list, got '1,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        ([], "--model is required"),
+        (["--model", "ar1"], "--a is required for the ar1 model"),
+        (["--model", "bandlimited"], "--lambda-c is required for the bandlimited model"),
+        (["--model", "table"], "--table is required for the table model"),
+        (["--model", "line"], "--mass is required for the line model"),
+        (["--model", "line", "--mass", "0.3"], "--residual is required when --mass < 1"),
+        (["--model", "line", "--mass", "0.3", "--residual", "ar1"],
+         "--a is required for the ar1 residual"),
+    ], ids=["model", "a", "lambda_c", "table", "mass", "residual", "residual_a"])
+    def test_missing_law_flag(self, capsys, flags, message):
+        assert run(["capacity", *flags]) == 1
+        assert capsys.readouterr().err == f"fadelab: {message}\n"
 
 
 class TestCommands:
@@ -160,6 +190,20 @@ class TestCommands:
         assert lines[1] == "k,re_x,im_x,re_h,im_h,re_y,im_y"
         assert len(lines) == 18
 
+    def test_simulate_json_trace(self, capsys):
+        code, out = run_cli(capsys, ["simulate", "--model", "ar1", "--a", "0.5", "--n", "5",
+                                     "--alpha", "0.5", "--b", "1", "--seed", "9",
+                                     "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["command"] == "simulate" and doc["config"]["fmt"] == "json"
+        assert doc["k"] == [0, 1, 2, 3, 4]
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=1)
+        trace = fl.apply_channel(fl.gen_inputs(scheme, 5, 9), fl.ar1(0.5), 1.0, 9)
+        for name, column in (("x", trace.x), ("h", trace.h), ("y", trace.y)):
+            assert doc[f"re_{name}"] == column.real.tolist()
+            assert doc[f"im_{name}"] == column.imag.tolist()
+
 
 class TestSweep:
     def test_csv_contract(self, capsys):
@@ -232,6 +276,20 @@ class TestNumericalConditions:
                                      "--method", "series"])
         assert code == 2
         assert json.loads(out)["error"] == "Diverges"
+
+    @pytest.mark.parametrize("argv,detail", [
+        (["capacity"], "phi routes disagree: density 0.333333333 vs series 1.33333333"),
+        (["phi", "--method", "all"], "phi cross-method disagreement: integral 0.333333333, "
+                                     "series 1.33333333, limit 0.33333"),
+    ], ids=["capacity", "phi_all"])
+    def test_phi_route_disagreement_exit_two(self, capsys, monkeypatch, argv, detail):
+        series = asymptotics.phi_series
+        monkeypatch.setattr(asymptotics, "phi_series",
+                            lambda model, tol=1e-7: series(model, tol) + 1.0)
+        code, out = run_cli(capsys, [*argv, "--model", "ar1", "--a", "0.5"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "QuadratureFailure" and doc["detail"].startswith(detail)
 
     def test_missing_table_is_io_error(self, capsys):
         assert run(["phi", "--model", "table", "--table", "/nonexistent/x.csv"]) == 3

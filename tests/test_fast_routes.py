@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import fadelab as fl
 from fadelab import prediction, quadrature, simulate, spectra
@@ -40,9 +40,14 @@ def test_durbin_matches_dense_solve(model, delta2, n):
 
 
 @PROPS
-@given(every_law, st.floats(1e-3, 10.0))
+@given(every_law, st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+@example(fl.bandlimited(0.1), 0.0)
+@example(fl.bandlimited(0.25), 0.0)
+@example(fl.bandlimited(0.4), 0.0)
+@example(fl.line_plus_residual([(0.1, 0.3)], fl.bandlimited(0.25)), 0.0)
+@example(fl.line_plus_residual([(0.1, 1.0)]), 0.0)
 def test_finite_past_error_nonincreasing_in_n(model, delta2):
-    errs = [fl.finite_past_pred_error(model, delta2, n).error for n in range(1, 41)]
+    errs = [fl.finite_past_pred_error(model, delta2, n).error for n in range(1, 81)]
     assert np.all(np.diff(errs) <= 1e-12)
 
 
@@ -50,6 +55,18 @@ def test_breakdown_takes_the_clipping_route():
     # noiseless band-limited fading is deterministic: the recursion breaks down
     assert fl.finite_past_pred_error(fl.bandlimited(0.25), 0.0, 128).clipped
     assert not fl.finite_past_pred_error(fl.ar1(0.5), 0.0, 128).clipped
+    # a pure line is predicted exactly from any past
+    pure = fl.finite_past_pred_error(fl.line_plus_residual([(0.1, 1.0)]), 0.0, 8)
+    assert (pure.error, pure.clipped) == (0.0, True)
+
+
+def test_breakdown_solves_no_dense_system(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(args))
+    for lc in (0.1, 0.25):
+        res = fl.finite_past_pred_error(fl.bandlimited(lc), 0.0, spectra.TOEPLITZ_DIM_CAP)
+        assert (res.error, res.clipped) == (0.0, True)
+    assert calls == []
 
 
 def test_dimension_cap_before_any_lag(monkeypatch):

@@ -187,8 +187,12 @@ def test_closed_form_kinds_skip_the_probe(monkeypatch):
 @PROPS
 @given(table_laws(), st.floats(-0.5, 0.49), st.floats(0.05, 0.95))
 def test_a_line_law_reports_its_residual_verdict(table, loc, mass):
+    """The report carries the residual table's verdict and the table's own
+    estimates, scaled by the squared residual weight."""
     rep = fl.validate(fl.line_plus_residual([(loc, mass)], table))
     assert rep.condition12_verdict == table.density_square_integrable
+    w = 1.0 - mass
+    assert rep.condition12_estimates == tuple(w ** 2 * e for e in table.condition12_estimates)
 
 
 def test_table_series_is_checked_against_parseval():
