@@ -458,12 +458,7 @@ def _emit(cfg: RunConfig, result, trace, fh):
     fmt = _report_format(cfg)
     if trace is not None:
         if fmt == "json":
-            payload = {"config": cfg.resolved(),
-                       "k": list(range(trace.x.size)),
-                       "re_x": trace.x.real, "im_x": trace.x.imag,
-                       "re_h": trace.h.real, "im_h": trace.h.imag,
-                       "re_y": trace.y.real, "im_y": trace.y.imag}
-            fh.write(_json_dumps(payload) + "\n")
+            _trace_to_json(cfg, trace, fh)
         else:
             simulate.trace_to_csv(trace, fh)
         return
@@ -482,6 +477,24 @@ def _emit(cfg: RunConfig, result, trace, fh):
         keys = [k for k, v in result.items() if not isinstance(v, (dict, list, tuple))]
         fh.write(",".join(keys) + "\n")
         fh.write(",".join(_csv_cell(result[k]) for k in keys) + "\n")
+
+
+def _trace_to_json(cfg: RunConfig, trace, fh) -> None:
+    """The trace as one JSON object {config, k, re_x, im_x, re_h, im_h, re_y,
+    im_y}, written a column slice at a time: the bytes of ``_json_dumps`` on
+    the whole object, without holding its text."""
+    columns = {"k": np.arange(trace.x.size),
+               "re_x": trace.x.real, "im_x": trace.x.imag,
+               "re_h": trace.h.real, "im_h": trace.h.imag,
+               "re_y": trace.y.real, "im_y": trace.y.imag}
+    fh.write('{"config": ' + _json_dumps(cfg.resolved()))
+    for name, col in columns.items():
+        fh.write(f', "{name}": [')
+        for start in range(0, col.size, simulate.TRACE_CHUNK):
+            part = col[start:start + simulate.TRACE_CHUNK]
+            fh.write((", " if start else "") + ", ".join(map(_json_dumps, part.tolist())))
+        fh.write("]")
+    fh.write("}\n")
 
 
 def _write_report(cfg: RunConfig, emit) -> int:

@@ -103,20 +103,20 @@ def noisy_pred_error(model: spectra.FadingModel, delta2: float) -> PredictionRes
     return PredictionResult(min(max(err, 0.0), 1.0), METHOD_CLOSED_FORM, None, delta2)
 
 
-def _durbin_error(c: np.ndarray) -> float | None:
-    """Order-n one-step prediction error of Durbin's recursion on the lags
-    c(0), ..., c(n), or None when the recursion breaks down (an order's
-    error is not positive and finite, or a reflection coefficient has
-    modulus >= 1)."""
+def _durbin_error(c: np.ndarray) -> tuple[float | None, int]:
+    """Durbin's recursion on the lags c(0), ..., c(n): the order-n one-step
+    prediction error and n, or None and the order at which the recursion
+    breaks down (that order's error is not positive and finite, or its
+    reflection coefficient has modulus >= 1)."""
     err = float(c[0].real)
     a = np.zeros(0, dtype=complex)
     for k in range(1, c.size):
         kappa = (c[k] - np.dot(a, c[k - 1:0:-1])) / err
         err *= 1.0 - abs(kappa) ** 2
         if not (0.0 < err < np.inf) or abs(kappa) >= 1.0:
-            return None
+            return None, k
         a = np.append(a - kappa * np.conj(a[::-1]), kappa)
-    return float(err)
+    return float(err), c.size - 1
 
 
 def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) -> PredictionResult:
@@ -125,10 +125,16 @@ def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) ->
     The noisy observations have lags R(0) + delta2, R(1), ..., R(n); the
     order-n error E_n of Durbin's recursion on them predicts the next noisy
     sample, so the fading error is E_n - delta2 = 1 - r^H (T_n + delta2 I)^{-1} r.
-    Where the recursion breaks down (deterministic processes at delta2 = 0)
-    the error is reported as 0 and flagged ``clipped``: past the order of
-    the breakdown the past predicts the next sample to working precision,
-    and 0 is exact when T_n is singular, as for a pure line.
+    Where the recursion breaks down at order k with delta2 at most the
+    rounding floor k^2 eps sum_{j <= k} |c(j)| of the noisy lags c (each of
+    the k orders rounds an inner product over up to k of them; an empirical
+    floor, which valid laws' breakdowns stay about ten times under), the
+    error is reported as 0 and flagged ``clipped``: past the order
+    of the breakdown the past predicts the next sample to working precision,
+    and 0 is exact when T_n is singular, as at delta2 = 0 for a pure line.
+    Above that floor a breakdown is refused with :class:`DomainError`: a
+    covariance keeps every order's error at or above delta2, so the lags
+    are not one.
     """
     delta2 = float(delta2)
     if delta2 < 0.0:
@@ -139,8 +145,13 @@ def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) ->
     spectra._check_toeplitz_dim(n)
     noisy = spectra.autocorr_lags(model, n)
     noisy[0] += delta2
-    e_n = _durbin_error(noisy)
+    e_n, order = _durbin_error(noisy)
     if e_n is None:
+        floor = order * order * np.finfo(float).eps * float(np.abs(noisy[:order + 1]).sum())
+        if delta2 > floor:
+            raise DomainError(
+                f"Durbin's recursion broke down at order {order} with delta2 = {delta2:g} "
+                f"above the rounding floor {floor:.3g}: the lags are not a covariance")
         return PredictionResult(0.0, METHOD_FINITE_PAST, n, delta2, clipped=True)
     err = min(max(e_n - delta2, 0.0), 1.0)
     return PredictionResult(err, METHOD_FINITE_PAST, n, delta2)

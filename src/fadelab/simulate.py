@@ -118,8 +118,10 @@ def apply_channel(x: np.ndarray, model: spectra.FadingModel, sigma2: float,
     x = np.asarray(x, dtype=complex)
     n = x.size
     h = gen_fading(model, n, seed)
-    z = np.sqrt(sigma2) * _cn(rng_stream(seed, "noise"), n)
-    y = h * x + z
+    z = _cn(rng_stream(seed, "noise"), n)
+    z *= np.sqrt(sigma2)
+    y = h * x
+    y += z
     peak = float(np.max(np.abs(x))) if n else 0.0
     return ChannelTrace(x=x, h=h, z=z, y=y, sigma2=sigma2, seed=int(seed),
                         peak_amplitude=peak, snr=peak * peak / sigma2,
@@ -170,7 +172,8 @@ def empirical_autocorr(h: np.ndarray, m_max: int) -> AutocorrEstimate:
 
 #: one trace row; a chunk of rows is formatted by one ``%``
 _CSV_ROW = "%d" + ",%.12g" * 6 + "\n"
-_CSV_CHUNK = 512
+#: rows per written slice of a trace, CSV or JSON
+TRACE_CHUNK = 512
 
 
 def trace_to_csv(trace: ChannelTrace, fh) -> None:
@@ -185,8 +188,8 @@ def trace_to_csv(trace: ChannelTrace, fh) -> None:
              f"seed={trace.seed} n={trace.x.size}\n")
     fh.write("k,re_x,im_x,re_h,im_h,re_y,im_y\n")
     n = trace.x.size
-    for start in range(0, n, _CSV_CHUNK):
-        stop = min(start + _CSV_CHUNK, n)
+    for start in range(0, n, TRACE_CHUNK):
+        stop = min(start + TRACE_CHUNK, n)
         rows = np.empty((stop - start, 7))
         rows[:, 0] = np.arange(start, stop)  # exact in a double; "%d" prints an integer
         cols = (trace.x[start:stop], trace.h[start:stop], trace.y[start:stop])

@@ -65,12 +65,30 @@ EMBED_FACTOR = 8
 #: circulant eigenvalues in [-EMBED_CLIP, 0) are clipped to zero
 EMBED_CLIP = 1e-8
 
+#: normal draws per slice of ``_cn``'s scratch; no value changes a result
+_SYNTH_CHUNK = 1 << 15
+
 
 def _cn(rng: np.random.Generator, size) -> np.ndarray:
-    """IID standard circularly symmetric complex Gaussians."""
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return (re + 1j * im) * np.sqrt(0.5)
+    """IID standard circularly symmetric complex Gaussians of shape ``size``.
+
+    The draw order is a contract that ``mi._CHUNK`` relies on: all real
+    parts in C order, then all imaginary parts; the value is bitwise
+    ``(re + 1j * im) * sqrt(0.5)`` for ``re = rng.standard_normal(size)``
+    drawn before ``im``.  Draws pass through a scratch of ``_SYNTH_CHUNK``
+    doubles (draws in slices equal one draw), so the result, 16 B per
+    point, is the only full-size allocation.
+    """
+    out = np.empty(size, dtype=complex)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(flat.size, _SYNTH_CHUNK))
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, _SYNTH_CHUNK):
+            draw = scratch[:min(_SYNTH_CHUNK, flat.size - start)]
+            rng.standard_normal(out=draw)
+            part[start:start + draw.size] = draw
+    out *= np.sqrt(0.5)
+    return out
 
 
 def _embed_length(n: int) -> int:
@@ -78,13 +96,21 @@ def _embed_length(n: int) -> int:
     return scipy.fft.next_fast_len(EMBED_FACTOR * n)
 
 
-def _circulant_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def _circulant_path(n: int, rng: np.random.Generator, eigenvalues) -> np.ndarray:
+    """First n points of a circulant Gaussian path of length
+    N = ``_embed_length(n)`` with covariance eigenvalues ``eigenvalues(N)``,
+    a fresh float array that is consumed.  One complex buffer runs from the
+    draws to the inverse FFT, both scaled and transformed in place: about
+    24 B per circulant point, plus the FFT's plan and scratch.
+    """
     import scipy.fft
-    big_n = eigenvalues.size
-    xi = _cn(rng, big_n)
-    coef = np.sqrt(eigenvalues) * xi
-    path = scipy.fft.ifft(coef) * np.sqrt(big_n)
-    return np.ascontiguousarray(path[:n])
+    big_n = _embed_length(n)
+    eig = eigenvalues(big_n)
+    coef = _cn(rng, big_n)
+    coef *= np.sqrt(eig, out=eig)
+    del eig  # freed before the FFT allocates its scratch
+    path = scipy.fft.ifft(coef, overwrite_x=True)
+    return path[:n] * np.sqrt(big_n)
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +227,20 @@ class FadingModel:
         raise Diverges("series did not stagnate within the lag budget")
 
     def synthesize(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Path of length n by circulant spectral synthesis of length >= 8 n.
+        """Path of length n by circulant spectral synthesis of length >= 8 n,
+        from ``_circulant_eigenvalues``; about 24 B per circulant point, plus
+        the FFT's plan and scratch."""
+        return _circulant_path(n, rng, self._circulant_eigenvalues)
 
-        The density is sampled at the circulant frequencies; normalization
-        pins the synthesized variance at exactly one.
-        """
-        big_n = _embed_length(n)
-        freqs = np.fft.fftfreq(big_n, d=1.0)
-        eig = np.asarray(self.density(freqs), dtype=float)
+    def _circulant_eigenvalues(self, big_n: int) -> np.ndarray:
+        """The density sampled at the circulant frequencies, divided by its
+        mean, which pins the synthesized variance at exactly one."""
+        eig = np.asarray(self._density(np.fft.fftfreq(big_n)), dtype=float)
         mean = float(eig.mean())
         if mean <= 0.0:
             raise EmbeddingFailure("density sampled to zero everywhere on the synthesis grid")
-        eig = eig / mean
-        return _circulant_path(eig, n, rng)
+        eig /= mean
+        return eig
 
 
 _law = dataclass(frozen=True, eq=False, repr=False)
@@ -439,24 +466,22 @@ class TabulatedAutocorr(FadingModel):
             raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
         return total
 
-    def synthesize(self, n, rng):
-        """Circulant synthesis from the exact lags; the truncated table may
+    def _circulant_eigenvalues(self, big_n):
+        """The FFT of the exact lags' circulant row; the truncated table may
         imply a slightly indefinite spectrum, hence the clipping policy."""
         import scipy.fft
-        big_n = _embed_length(n)
         r = self.values
         m = min(r.size - 1, big_n // 2)
         row = np.zeros(big_n, dtype=complex)
         row[:m + 1] = r[:m + 1]
         if m >= 1:
             row[big_n - m:] = np.conj(r[1:m + 1][::-1])
-        eig = np.real(scipy.fft.fft(row))
+        eig = scipy.fft.fft(row, overwrite_x=True).real.copy()
         lo = float(eig.min())
         if lo < -EMBED_CLIP:
             raise EmbeddingFailure(
                 f"circulant eigenvalue {lo:.3e} below the clipping floor -{EMBED_CLIP:g}")
-        eig = np.maximum(eig, 0.0)
-        return _circulant_path(eig, n, rng)
+        return np.maximum(eig, 0.0, out=eig)
 
 
 @_law

@@ -1,11 +1,13 @@
 """The structured kernels behind phi and the finite-past error, against
-brute-force oracles: Durbin's recursion against a dense Cholesky solve,
+brute-force oracles: Durbin's recursion against a dense Cholesky solve
+(a breakdown with noise above the rounding floor refused),
 the band-limited lag series with its closed-form tail against
 1/(4 lambda_c) - 1/2, uniform-grid table lags at one point each and a
 nudged grid on the per-piece route against mpmath, the table series
 refused by its Parseval total,
 the line-law series refused before any lag, the decade extension of the
-phi-limit grid, and the chunked trace writer against a per-row writer."""
+phi-limit grid, the chunked trace writer against a per-row writer, and the
+streamed JSON trace against the whole object's text."""
 
 import io
 import json
@@ -17,9 +19,9 @@ import scipy.linalg
 from hypothesis import example, given, strategies as st
 
 import fadelab as fl
-from fadelab import prediction, quadrature, simulate, spectra
+from fadelab import cli, prediction, quadrature, simulate, spectra
 from fadelab.cli import run
-from fadelab.errors import DimensionTooLarge, Diverges
+from fadelab.errors import DimensionTooLarge, Diverges, DomainError
 from test_laws import PROPS, _mp_pl_fourier, every_law
 
 
@@ -58,6 +60,23 @@ def test_breakdown_takes_the_clipping_route():
     # a pure line is predicted exactly from any past
     pure = fl.finite_past_pred_error(fl.line_plus_residual([(0.1, 1.0)]), 0.0, 8)
     assert (pure.error, pure.clipped) == (0.0, True)
+
+
+def test_breakdown_with_noise_is_refused():
+    # T_2 of these lags is indefinite: with delta2 > 0 no covariance breaks down
+    bad = fl.tabulated_autocorr([1.0, 0.99, 0.0])
+    for delta2, n in [(0.01, 2), (1e-9, 4096)]:
+        with pytest.raises(DomainError, match="order 2"):
+            fl.finite_past_pred_error(bad, delta2, n)
+    res = fl.finite_past_pred_error(bad, 0.0, 2)
+    assert (res.error, res.clipped) == (0.0, True)
+    # valid laws that break down by rounding keep the clipping route: a tiny
+    # delta2, and one that breaks down at order 151 = n with delta2 above
+    # n^2 eps R(0) but under the floor k^2 eps sum |c(j)|
+    for law, delta2, n in [(fl.bandlimited(0.25), 1e-15, 128),
+                           (fl.bandlimited(0.04), 10.0 ** -11.125, 151)]:
+        res = fl.finite_past_pred_error(law, delta2, n)
+        assert (res.error, res.clipped) == (0.0, True)
 
 
 def test_breakdown_solves_no_dense_system(monkeypatch):
@@ -196,7 +215,7 @@ def per_row_csv(trace, fh):
 
 
 def test_chunked_csv_matches_per_row_writer():
-    n = 2 * simulate._CSV_CHUNK + 37
+    n = 2 * simulate.TRACE_CHUNK + 37
     rng = np.random.default_rng(5)
 
     def cn():
@@ -215,3 +234,25 @@ def test_chunked_csv_matches_per_row_writer():
     assert len(got_rows) == len(want_rows)
     bad = [i for i, (g, w) in enumerate(zip(got_rows, want_rows)) if g != w]
     assert not bad, (len(bad), got_rows[bad[0]], want_rows[bad[0]])
+
+
+def test_streamed_json_trace_is_the_whole_object():
+    n = 2 * simulate.TRACE_CHUNK + 37
+    rng = np.random.default_rng(6)
+
+    def cn():
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) + 1j * rng.standard_normal(n)
+
+    x, h = cn(), cn()
+    x.real[:3] = (-0.0, 0.0, 1e16)
+    h.imag[n - 5] = np.nan
+    trace = simulate.ChannelTrace(x=x, h=h, z=cn(), y=cn(), sigma2=0.5, seed=1,
+                                  peak_amplitude=1.0, snr=2.0, model="m")
+    cfg = cli.parse_config(["simulate", "--model", "memoryless", "--n", str(n), "--format", "json"])
+    got = io.StringIO()
+    cli._trace_to_json(cfg, trace, got)
+    payload = {"config": cfg.resolved(), "k": list(range(n)),
+               "re_x": x.real, "im_x": x.imag, "re_h": h.real, "im_h": h.imag,
+               "re_y": trace.y.real, "im_y": trace.y.imag}
+    assert got.getvalue() == cli._json_dumps(payload) + "\n"
+    assert '"re_x": [-0, 0, 10000000000000000, ' in got.getvalue()
