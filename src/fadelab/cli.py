@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -481,8 +482,8 @@ def _emit(cfg: RunConfig, result, trace, fh):
 
 def _trace_to_json(cfg: RunConfig, trace, fh) -> None:
     """The trace as one JSON object {config, k, re_x, im_x, re_h, im_h, re_y,
-    im_y}, written a column slice at a time: the bytes of ``_json_dumps`` on
-    the whole object, without holding its text."""
+    im_y}, written a column at a time by the CSV trace's range writer: the
+    bytes of ``_json_dumps`` on the whole object, without holding its text."""
     columns = {"k": np.arange(trace.x.size),
                "re_x": trace.x.real, "im_x": trace.x.imag,
                "re_h": trace.h.real, "im_h": trace.h.imag,
@@ -490,11 +491,14 @@ def _trace_to_json(cfg: RunConfig, trace, fh) -> None:
     fh.write('{"config": ' + _json_dumps(cfg.resolved()))
     for name, col in columns.items():
         fh.write(f', "{name}": [')
-        for start in range(0, col.size, simulate.TRACE_CHUNK):
-            part = col[start:start + simulate.TRACE_CHUNK]
-            fh.write((", " if start else "") + ", ".join(map(_json_dumps, part.tolist())))
+        simulate._write_ranges(col.size, partial(_json_slice, col), fh)
         fh.write("]")
     fh.write("}\n")
+
+
+def _json_slice(col, lo: int, hi: int) -> str:
+    """The JSON text of col[lo:hi], led by the separator unless lo is 0."""
+    return (", " if lo else "") + ", ".join(map(_json_dumps, col[lo:hi].tolist()))
 
 
 def _write_report(cfg: RunConfig, emit) -> int:

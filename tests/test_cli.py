@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,18 @@ class TestCommands:
         assert lines[0].startswith("# model=ar1(a=0.5)")
         assert lines[1] == "k,re_x,im_x,re_h,im_h,re_y,im_y"
         assert len(lines) == 18
+
+    def test_split_trace_on_stdout_is_the_out_file(self, tmp_path):
+        # 2 * 10^5 // R_MIN = 3: the rows are cut into min(CPUs, 3) forked ranges
+        argv = ["simulate", "--model", "memoryless", "--n", "200000", "--seed", "4"]
+        out_path = tmp_path / "trace.csv"
+        assert run(argv + ["--out", str(out_path)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "fadelab.cli", *argv], env=env,
+                              capture_output=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out_path.read_bytes()
+        assert proc.stdout.count(b"\n") == 200002
 
     def test_simulate_json_trace(self, capsys):
         code, out = run_cli(capsys, ["simulate", "--model", "ar1", "--a", "0.5", "--n", "5",

@@ -6,11 +6,13 @@ the band-limited lag series with its closed-form tail against
 nudged grid on the per-piece route against mpmath, the table series
 refused by its Parseval total,
 the line-law series refused before any lag, the decade extension of the
-phi-limit grid, the chunked trace writer against a per-row writer, and the
-streamed JSON trace against the whole object's text."""
+phi-limit grid, the chunked trace writer against a per-row writer, split
+into 1 to 4 row ranges or not, the streamed JSON trace against the whole
+object's text, and the trace writer's workers reaped whoever fails first."""
 
 import io
 import json
+import os
 import time
 
 import numpy as np
@@ -214,17 +216,20 @@ def per_row_csv(trace, fh):
         fh.write(str(k) + "," + ",".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def test_chunked_csv_matches_per_row_writer():
-    n = 2 * simulate.TRACE_CHUNK + 37
-    rng = np.random.default_rng(5)
+def random_trace(n, seed):
+    """A trace whose values spread over 16 decades, with signed zeros."""
+    rng = np.random.default_rng(seed)
 
     def cn():
         return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) + 1j * rng.standard_normal(n)
 
     x = cn()
-    x.imag[:4] = (-0.0, 1e-5, 1e16, 0.0)
-    trace = simulate.ChannelTrace(x=x, h=cn(), z=cn(), y=cn(), sigma2=0.5, seed=1,
-                                  peak_amplitude=1.0, snr=2.0, model="m")
+    x.imag[:4] = (-0.0, 1e-5, 1e16, 0.0)[:n]
+    return simulate.ChannelTrace(x=x, h=cn(), z=cn(), y=cn(), sigma2=0.5, seed=1,
+                                 peak_amplitude=1.0, snr=2.0, model="m")
+
+
+def assert_matches_per_row_writer(trace):
     got = io.StringIO()
     simulate.trace_to_csv(trace, got)
     want = io.StringIO()
@@ -236,23 +241,101 @@ def test_chunked_csv_matches_per_row_writer():
     assert not bad, (len(bad), got_rows[bad[0]], want_rows[bad[0]])
 
 
-def test_streamed_json_trace_is_the_whole_object():
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs the trace writer sees and the fewest rows per range to 1,
+    so that a trace of n rows is cut into min(cpus, n) ranges."""
+    def use(count):
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(count)))
+        monkeypatch.setattr(simulate, "R_MIN", 1)
+    return use
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_chunked_csv_matches_per_row_writer():
+    assert_matches_per_row_writer(random_trace(2 * simulate.TRACE_CHUNK + 37, 5))
+
+
+@pytest.mark.parametrize("n", [1, simulate.TRACE_CHUNK - 1, simulate.TRACE_CHUNK + 1,
+                               3 * simulate.TRACE_CHUNK + 37])
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_split_csv_matches_per_row_writer(cpus, count, n):
+    # the range bounds n * i // count fall inside a TRACE_CHUNK slice
+    cpus(count)
+    assert simulate._n_workers(n) == min(count, n)
+    assert_matches_per_row_writer(random_trace(n, 7))
+    assert_no_child_left()
+
+
+class FailingFile(io.StringIO):
+    """Takes the header and the first slice of rows, then raises."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc, self.calls = exc, 0
+
+    def write(self, text):
+        self.calls += 1
+        if self.calls > 3:
+            raise self.exc
+        return super().write(text)
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), BrokenPipeError(), KeyboardInterrupt()],
+                         ids=lambda exc: type(exc).__name__)
+def test_failed_write_leaves_no_worker(cpus, monkeypatch, exc):
+    cpus(4)
+    parent, rows = os.getpid(), simulate._csv_slice
+
+    def stalls_in_a_worker(trace, lo, hi):
+        if os.getpid() != parent:
+            time.sleep(30.0)
+        return rows(trace, lo, hi)
+
+    monkeypatch.setattr(simulate, "_csv_slice", stalls_in_a_worker)
+    fh = FailingFile(exc)
+    t0 = time.perf_counter()
+    with pytest.raises(type(exc)):
+        # range 0 spans two slices, so the write fails before any pipe is read
+        simulate.trace_to_csv(random_trace(8 * simulate.TRACE_CHUNK + 37, 8), fh)
+    assert time.perf_counter() - t0 < 10.0  # the stalled workers were killed
+    assert fh.calls == 4
+    assert_no_child_left()
+
+
+def test_failed_worker_raises_and_leaves_no_worker(cpus, monkeypatch):
+    cpus(3)
+    parent, rows = os.getpid(), simulate._csv_slice
+
+    def fails_in_a_worker(trace, lo, hi):
+        if os.getpid() != parent:
+            raise ValueError("worker fails")
+        return rows(trace, lo, hi)
+
+    monkeypatch.setattr(simulate, "_csv_slice", fails_in_a_worker)
+    with pytest.raises(OSError, match="exited with status 1"):
+        simulate.trace_to_csv(random_trace(3 * simulate.TRACE_CHUNK + 37, 9), io.StringIO())
+    assert_no_child_left()
+
+
+def test_streamed_json_trace_is_the_whole_object(cpus):
     n = 2 * simulate.TRACE_CHUNK + 37
-    rng = np.random.default_rng(6)
-
-    def cn():
-        return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) + 1j * rng.standard_normal(n)
-
-    x, h = cn(), cn()
+    trace = random_trace(n, 6)
+    x, h = trace.x, trace.h
     x.real[:3] = (-0.0, 0.0, 1e16)
     h.imag[n - 5] = np.nan
-    trace = simulate.ChannelTrace(x=x, h=h, z=cn(), y=cn(), sigma2=0.5, seed=1,
-                                  peak_amplitude=1.0, snr=2.0, model="m")
     cfg = cli.parse_config(["simulate", "--model", "memoryless", "--n", str(n), "--format", "json"])
-    got = io.StringIO()
-    cli._trace_to_json(cfg, trace, got)
     payload = {"config": cfg.resolved(), "k": list(range(n)),
                "re_x": x.real, "im_x": x.imag, "re_h": h.real, "im_h": h.imag,
                "re_y": trace.y.real, "im_y": trace.y.imag}
-    assert got.getvalue() == cli._json_dumps(payload) + "\n"
-    assert '"re_x": [-0, 0, 10000000000000000, ' in got.getvalue()
+    for parts in (1, 3):
+        cpus(parts)
+        got = io.StringIO()
+        cli._trace_to_json(cfg, trace, got)
+        assert got.getvalue() == cli._json_dumps(payload) + "\n"
+        assert '"re_x": [-0, 0, 10000000000000000, ' in got.getvalue()
+    assert_no_child_left()

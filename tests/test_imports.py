@@ -1,4 +1,5 @@
-"""Cold start: a command imports only the scipy modules it runs.
+"""Cold start: a command imports only the scipy modules it runs, and no
+process pool.
 
 Each check runs a fresh interpreter on this checkout's ``src``, since the
 test process itself has long since imported scipy.
@@ -41,6 +42,14 @@ def test_import_cli_loads_no_scipy():
     modules = imported(proc)
     assert "fadelab.cli" in modules
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_import_cli_loads_no_process_pool():
+    # the trace writer forks with os.fork and os.pipe alone
+    modules = imported(fresh("-X", "importtime", "-c", "import fadelab.cli"))
+    assert "fadelab.cli" in modules
+    assert not [m for m in modules if m.split(".")[0] == "multiprocessing"
+                or m.startswith("concurrent.futures")]
 
 
 def test_table_predict_loads_no_scipy(tmp_path):
