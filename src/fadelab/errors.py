@@ -42,8 +42,9 @@ class NonConvergent(FadingLabError):
 
 
 class EmbeddingFailure(FadingLabError):
-    """Circulant embedding produced an eigenvalue below the clipping floor;
-    the autocorrelation table is not consistent with a valid spectrum."""
+    """No allowed circulant length synthesizes a path whose covariance is
+    within the bound of the law's lags (e.g. an autocorrelation table whose
+    spectrum is clipped far below zero)."""
 
 
 class TooShort(FadingLabError):

@@ -2,8 +2,8 @@
 
 Closed-form densities go through adaptive quadrature with declared
 breakpoints; tabulated densities are piecewise linear, so their mass,
-squared integral, log integrals and Fourier coefficients all have exact
-per-interval expressions which are used instead of sampling.  On a
+CDF, squared integral, log integrals and Fourier coefficients all have
+exact per-interval expressions which are used instead of sampling.  On a
 uniform grid the Fourier coefficients come instead from one FFT of the
 node values: the interpolant is a sum of hat functions, each lag one DFT
 entry times the hat's transform, plus a half-hat term when the two end
@@ -44,6 +44,18 @@ def quad_interval(fn, breakpoints=()) -> float:
 def pl_mass(grid: np.ndarray, vals: np.ndarray) -> float:
     """Exact integral of the piecewise-linear interpolant."""
     return float(np.trapezoid(vals, grid))
+
+
+def pl_cdf(grid: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact integral of the piecewise-linear interpolant from ``grid[0]``
+    to each x in [grid[0], grid[-1]]: the cumulative trapezoid up to the
+    node below x, plus the piece's quadratic from that node to x."""
+    w = np.diff(grid)
+    cum = np.concatenate(([0.0], np.cumsum(w * (vals[:-1] + vals[1:]) * 0.5)))
+    slope = np.diff(vals) / w
+    i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    d = x - grid[i]
+    return cum[i] + d * (vals[i] + 0.5 * slope[i] * d)
 
 
 def pl_square_integral(grid: np.ndarray, vals: np.ndarray) -> float:

@@ -9,8 +9,9 @@ bit-identical output.
 Each law synthesizes its own fading paths (``FadingModel.synthesize`` in
 ``spectra``): the first-order autoregression uses its exact recursion from
 a stationary start; other density models use circulant spectral synthesis
-of length >= 8 n; spectral lines contribute complex exponentials with a
-single Gaussian amplitude each.
+on the shortest length next_fast_len(2^j n) whose computed covariance error
+is at most 0.1 / sqrt(n); spectral lines contribute complex exponentials
+with a single Gaussian amplitude each.
 """
 
 from __future__ import annotations

@@ -59,13 +59,8 @@ SERIES_CEILING = 1e4
 #: consecutive negligible terms required to stop the generic lag series
 _STAGNATION_RUN = 20
 
-#: circulant length multiplier over the requested path length
-EMBED_FACTOR = 8
-
-#: circulant eigenvalues in [-EMBED_CLIP, 0) are clipped to zero
-EMBED_CLIP = 1e-8
-
-#: normal draws per slice of ``_cn``'s scratch; no value changes a result
+#: points per slice of ``_cn``'s scratch and of a law's circulant cell
+#: edges; no value changes a result
 _SYNTH_CHUNK = 1 << 15
 
 
@@ -91,26 +86,40 @@ def _cn(rng: np.random.Generator, size) -> np.ndarray:
     return out
 
 
-def _embed_length(n: int) -> int:
-    import scipy.fft
-    return scipy.fft.next_fast_len(EMBED_FACTOR * n)
+def checked_circulant(model: "FadingModel", n: int) -> tuple[np.ndarray, float]:
+    """Eigenvalues ``model._circulant_eigenvalues(N)`` at the shortest
+    checked circulant length N for a path of n samples, and its covariance
+    error.
 
-
-def _circulant_path(n: int, rng: np.random.Generator, eigenvalues) -> np.ndarray:
-    """First n points of a circulant Gaussian path of length
-    N = ``_embed_length(n)`` with covariance eigenvalues ``eigenvalues(N)``,
-    a fresh float array that is consumed.  One complex buffer runs from the
-    draws to the inverse FFT, both scaled and transformed in place: about
-    24 B per circulant point, plus the FFT's plan and scratch.
+    N runs through next_fast_len(2^j n), j = 1, 2, ...  The path's
+    covariance is exactly R~(m) = (1/N) sum_k lambda_k e^{i 2 pi k m / N},
+    the conjugate of one real FFT of the eigenvalues over N; its error is
+    max |R~(m) - R(m)| over m < min(n, ``TOEPLITZ_DIM_CAP``), against the
+    law's own lags, fetched once.  The first N whose error is at most
+    0.1 / sqrt(n) is kept: a tenth of the smallest standard error with which
+    one path of n samples estimates a lag.  A law still above the bound at
+    the longest allowed length, max(next_fast_len(8 n), 2^20), raises
+    :class:`EmbeddingFailure`.
     """
     import scipy.fft
-    big_n = _embed_length(n)
-    eig = eigenvalues(big_n)
-    coef = _cn(rng, big_n)
-    coef *= np.sqrt(eig, out=eig)
-    del eig  # freed before the FFT allocates its scratch
-    path = scipy.fft.ifft(coef, overwrite_x=True)
-    return path[:n] * np.sqrt(big_n)
+    lags = model.lags(0, min(n, TOEPLITZ_DIM_CAP))
+    bound = 0.1 / np.sqrt(n)
+    longest = max(scipy.fft.next_fast_len(8 * n), 1 << 20)
+    scale = 2
+    while True:
+        big_n = scipy.fft.next_fast_len(scale * n)
+        eig = model._circulant_eigenvalues(big_n)
+        # the FFT's output is freed at once, before any draw
+        error = float(np.max(np.abs(
+            scipy.fft.rfft(eig)[:lags.size].conj() / big_n - lags)))
+        if error <= bound:
+            return eig, error
+        del eig
+        scale *= 2
+        if scipy.fft.next_fast_len(scale * n) > longest:
+            raise EmbeddingFailure(
+                f"circulant covariance error {error:.3e} exceeds the bound "
+                f"0.1/sqrt(n) = {bound:.3e} at the longest length N = {big_n}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,9 @@ class FadingModel:
     A kind defines ``label()``, ``lags(start, stop)`` (R(start), ...,
     R(stop - 1) as a complex array) and ``_density(x)`` (f on a 1-d array),
     and overrides the generic routes below where it has an exact formula.
+    A kind synthesized by the circulant route also defines ``_cdf(x)``, the
+    integral of f from -1/2 to each x in [-1/2, 1/2], or its own
+    ``_circulant_eigenvalues``.
     ``jumps`` lists the spectral lines (location, mass); the distribution is
     absolutely continuous iff there are none.  ``density_square_integrable``
     is the one verdict on square integrability of the density: "yes", "no"
@@ -227,20 +239,41 @@ class FadingModel:
         raise Diverges("series did not stagnate within the lag budget")
 
     def synthesize(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Path of length n by circulant spectral synthesis of length >= 8 n,
-        from ``_circulant_eigenvalues``; about 24 B per circulant point, plus
+        """Path of length n: the first n points of a circulant Gaussian path
+        with the eigenvalues of ``checked_circulant``, which are consumed.
+        One complex buffer runs from the draws to the inverse FFT, both
+        scaled and transformed in place: about 24 B per circulant point, plus
         the FFT's plan and scratch."""
-        return _circulant_path(n, rng, self._circulant_eigenvalues)
+        import scipy.fft
+        eig, _ = checked_circulant(self, n)
+        big_n = eig.size
+        coef = _cn(rng, big_n)
+        coef *= np.sqrt(eig, out=eig)
+        del eig  # freed before the FFT allocates its scratch
+        path = scipy.fft.ifft(coef, overwrite_x=True)
+        return path[:n] * np.sqrt(big_n)
 
     def _circulant_eigenvalues(self, big_n: int) -> np.ndarray:
-        """The density sampled at the circulant frequencies, divided by its
-        mean, which pins the synthesized variance at exactly one."""
-        eig = np.asarray(self._density(np.fft.fftfreq(big_n)), dtype=float)
-        mean = float(eig.mean())
-        if mean <= 0.0:
-            raise EmbeddingFailure("density sampled to zero everywhere on the synthesis grid")
-        eig /= mean
-        return eig
+        """lambda_k = N times the density's mass on the cell
+        [(k - 1/2)/N, (k + 1/2)/N), cells wrapping round the circle, from the
+        kind's exact CDF ``_cdf`` at the N + 1 cell edges, taken in slices of
+        ``_SYNTH_CHUNK``.  The eigenvalues keep the law's mass without
+        renormalizing, and damp each alias R(m + jN) of the covariance by
+        sinc((m + jN)/N).  Rounding below zero is clipped."""
+        half = big_n // 2
+        # centred cell j, of frequency (j - half)/N, has the edges j and j + 1
+        cdf = np.empty(big_n + 1)  # at the edges (j - half - 1/2)/N, j = 0..N
+        for start in range(1, big_n + 1, _SYNTH_CHUNK):
+            stop = min(start + _SYNTH_CHUNK, big_n + 1)
+            cdf[start:stop] = self._cdf((np.arange(start, stop) - (half + 0.5)) / big_n)
+        # edge 0 lies below -1/2 for even N: the periodic CDF one turn down
+        cdf[0] = cdf[big_n] - self._cdf(np.array([0.5]))[0]
+        eig = np.empty(big_n)  # in FFT order: cell j goes to (j - half) mod N
+        np.subtract(cdf[half + 1:], cdf[half:big_n], out=eig[:big_n - half])
+        np.subtract(cdf[1:half + 1], cdf[:half], out=eig[big_n - half:])
+        del cdf
+        eig *= big_n
+        return np.maximum(eig, 0.0, out=eig)
 
 
 _law = dataclass(frozen=True, eq=False, repr=False)
@@ -341,6 +374,10 @@ class BandLimited(FadingModel):
     def _density(self, x):
         return np.where(np.abs(x) <= self.lambda_c, 1.0 / (2.0 * self.lambda_c), 0.0)
 
+    def _cdf(self, x):
+        lc = self.lambda_c
+        return (np.clip(x, -lc, lc) + lc) / (2.0 * lc)
+
     def mass(self):
         return 1.0
 
@@ -402,6 +439,9 @@ class TabulatedDensity(FadingModel):
 
     def _density(self, x):
         return np.interp(x, self.grid, self.values)
+
+    def _cdf(self, x):
+        return quadrature.pl_cdf(self.grid, self.values, x)
 
     def mass(self):
         return quadrature.pl_mass(self.grid, self.values)
@@ -467,8 +507,10 @@ class TabulatedAutocorr(FadingModel):
         return total
 
     def _circulant_eigenvalues(self, big_n):
-        """The FFT of the exact lags' circulant row; the truncated table may
-        imply a slightly indefinite spectrum, hence the clipping policy."""
+        """The FFT of the exact lags' circulant row, clipped at 0: a
+        truncated table may imply a slightly indefinite spectrum, and the
+        covariance error of ``checked_circulant`` decides whether the
+        clipped one is close enough."""
         import scipy.fft
         r = self.values
         m = min(r.size - 1, big_n // 2)
@@ -477,10 +519,6 @@ class TabulatedAutocorr(FadingModel):
         if m >= 1:
             row[big_n - m:] = np.conj(r[1:m + 1][::-1])
         eig = scipy.fft.fft(row, overwrite_x=True).real.copy()
-        lo = float(eig.min())
-        if lo < -EMBED_CLIP:
-            raise EmbeddingFailure(
-                f"circulant eigenvalue {lo:.3e} below the clipping floor -{EMBED_CLIP:g}")
         return np.maximum(eig, 0.0, out=eig)
 
 

@@ -1,18 +1,24 @@
 """Circulant synthesis in one complex buffer: the draws, every circulant route
 and the channel noise are bitwise equal to the plain formulas kept below,
-and a path holds at most 28 B per circulant point while it is built."""
+and a path holds at most 28 B per circulant point while it is built.  The
+eigenvalues are the cell integrals of the density, checked against adaptive
+quadrature, and the covariance error that picks the circulant length is
+checked against a direct sum and independent lags."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.integrate
 from hypothesis import given, strategies as st
 
 import fadelab as fl
 from fadelab import simulate, spectra
 from fadelab.spectra import _SYNTH_CHUNK, _cn
-from test_laws import PROPS
+from test_laws import PROPS, _mp_pl_fourier, every_law
 
 CHUNK = _SYNTH_CHUNK
 
@@ -31,16 +37,22 @@ def plain_circulant_path(eig, n, rng):
     return np.ascontiguousarray(path[:n])
 
 
+def plain_cell_eigenvalues(model, big_n):
+    """N times the density's mass on each cell [(k - 1/2)/N, (k + 1/2)/N),
+    from the periodic CDF at all N + 1 edges at once, shifted to FFT order."""
+    half = big_n // 2
+    cdf = model._cdf((np.arange(1, big_n + 1) - (half + 0.5)) / big_n)
+    cdf = np.concatenate(([cdf[-1] - model._cdf(np.array([0.5]))[0]], cdf))
+    return np.maximum(np.fft.ifftshift(np.diff(cdf)) * big_n, 0.0)
+
+
 def plain_density_path(model, n, rng):
-    big_n = spectra._embed_length(n)
-    freqs = np.fft.fftfreq(big_n, d=1.0)
-    eig = np.asarray(model.density(freqs), dtype=float)
-    eig = eig / float(eig.mean())
-    return plain_circulant_path(eig, n, rng)
+    big_n = spectra.checked_circulant(model, n)[0].size
+    return plain_circulant_path(plain_cell_eigenvalues(model, big_n), n, rng)
 
 
 def plain_table_path(model, n, rng):
-    big_n = spectra._embed_length(n)
+    big_n = spectra.checked_circulant(model, n)[0].size
     r = model.values
     m = min(r.size - 1, big_n // 2)
     row = np.zeros(big_n, dtype=complex)
@@ -116,8 +128,8 @@ def test_channel_noise_is_the_plain_formula():
                                    fl.tabulated_autocorr([1.0, 0.5, 0.2])],
                          ids=lambda m: m.label())
 def test_memory_per_circulant_point(model):
-    n = 1 << 16
-    big_n = spectra._embed_length(n)
+    n = 1 << 18
+    big_n = spectra.checked_circulant(model, n)[0].size
     assert big_n > 8 * CHUNK
     simulate.gen_fading(model, 64, 1)  # plans, imports and caches outside the count
     tracemalloc.start()
@@ -127,3 +139,102 @@ def test_memory_per_circulant_point(model):
     finally:
         tracemalloc.stop()
     assert peak <= 28 * big_n
+
+
+CELL_KINDS = (spectra.BandLimited, spectra.TabulatedDensity)
+
+#: the laws of ``every_law`` that take the circulant route, a line law's
+#: residual in its place
+circulant_laws = every_law.map(lambda m: m.residual if m.jumps else m).filter(
+    lambda m: isinstance(m, (*CELL_KINDS, spectra.TabulatedAutocorr)))
+
+
+def cell_mass(model, a, b):
+    """Adaptive quadrature of the density over [a, b] within [-1/2, 1/2],
+    split at the density's breakpoints (every node of a table)."""
+    inner = model.grid if isinstance(model, spectra.TabulatedDensity) else model.breakpoints
+    pts = [p for p in inner if a < p < b]
+    return scipy.integrate.quad(lambda x: model.density(x), a, b, points=pts or None,
+                                limit=200 + len(pts), epsabs=1e-15, epsrel=1e-12)[0]
+
+
+def exact_lags(model, ms):
+    """R(m) by a route that shares no code with the law's: the sinc closed
+    form, the table itself, or the per-piece integral at 50 digits."""
+    if isinstance(model, spectra.BandLimited):
+        return np.sinc(2.0 * model.lambda_c * ms).astype(complex)
+    if isinstance(model, spectra.TabulatedAutocorr):
+        return np.array([model.values[m] if m < model.values.size else 0.0 for m in ms],
+                        dtype=complex)
+    g, v = model.grid, model.values
+    mass = math.fsum((g[i + 1] - g[i]) * (v[i] + v[i + 1]) / 2 for i in range(g.size - 1))
+    return np.array([mass if m == 0 else _mp_pl_fourier(g, v, int(m)) for m in ms])
+
+
+def circulant_cov(eig, ms):
+    """(1/N) sum_k lambda_k e^{i 2 pi k m / N}, summed directly for each m."""
+    big_n = eig.size
+    k = np.arange(big_n)
+    return np.array([np.sum(eig * np.exp(2j * np.pi * (k * m % big_n) / big_n))
+                     for m in ms]) / big_n
+
+
+def direct_error(model, eig, n):
+    ms = np.arange(min(n, spectra.TOEPLITZ_DIM_CAP))
+    return float(np.max(np.abs(circulant_cov(eig, ms) - exact_lags(model, ms))))
+
+
+@PROPS
+@given(circulant_laws, st.integers(1, 40))
+def test_circulant_eigenvalues_and_error(model, n):
+    """The eigenvalues are the cells' masses (the lag row's FFT for an
+    autocorrelation table); the reported error is the direct one; every
+    shorter candidate length misses the bound, and so does the longest one
+    that a refusal names."""
+    bound = 0.1 / np.sqrt(n)
+    try:
+        eig, error = spectra.checked_circulant(model, n)
+    except fl.EmbeddingFailure as exc:
+        with pytest.raises(fl.EmbeddingFailure):
+            simulate.gen_fading(model, n, 3)
+        longest = int(re.search(r"N = (\d+)", str(exc)).group(1))
+        assert direct_error(model, model._circulant_eigenvalues(longest), n) > bound
+        return
+    assert simulate.gen_fading(model, n, 3).size == n
+    assert error <= bound
+    assert error == pytest.approx(direct_error(model, eig, n), rel=1e-6, abs=1e-11)
+    for j in range(1, 32):
+        shorter = scipy.fft.next_fast_len(2 ** j * n)
+        if shorter >= eig.size:
+            break
+        assert direct_error(model, model._circulant_eigenvalues(shorter), n) > bound
+    big_n = eig.size
+    if isinstance(model, CELL_KINDS):
+        h = 1.0 / big_n
+        for k, freq in enumerate(np.fft.fftfreq(big_n)):
+            a, b = freq - h / 2, freq + h / 2
+            mass = (cell_mass(model, -0.5, b) + cell_mass(model, a + 1.0, 0.5) if a < -0.5
+                    else cell_mass(model, a, b))
+            assert eig[k] / big_n == pytest.approx(mass, rel=1e-9, abs=1e-14)
+    elif model.values.size - 1 < big_n // 2:
+        # the lag row's FFT is the truncated series at the cell centres
+        dens = fl.density(model, np.fft.fftfreq(big_n))
+        np.testing.assert_allclose(eig, np.maximum(dens, 0.0), rtol=0, atol=1e-12)
+
+
+def test_bandlimited_error_at_a_million_samples():
+    # point samples at N = 8n missed the lags by 6.5e-7; cells at 2n do better
+    eig, error = spectra.checked_circulant(fl.bandlimited(0.1), 10 ** 6)
+    assert eig.size == 2 * 10 ** 6
+    assert error <= 6.5e-7
+
+
+def test_jakes_table_keeps_its_lag_100(jakes_model):
+    # point samples of the edge spikes gave R~(100) = 0.186 at n = 1000
+    n = 1000
+    eig, error = spectra.checked_circulant(jakes_model, n)
+    assert error <= 1e-2
+    r100 = fl.autocorr(jakes_model, 100)
+    assert r100.real == pytest.approx(0.444, abs=1e-3)
+    cov100 = circulant_cov(eig, [100])[0]
+    assert abs(cov100 - r100) <= 0.1 / np.sqrt(n)

@@ -75,8 +75,8 @@ class TestFadingSynthesis:
             assert abs(np.mean(h * h)) < 5 * np.sqrt(2 * s_sq / n)
 
     def test_tabulated_autocorr_clipping(self):
-        # truncated table with a tiny negative spectral dip: inside the
-        # clipping band, so synthesis must proceed
+        # truncated table with a tiny negative spectral dip: clipping it
+        # moves the covariance far less than the bound, so synthesis proceeds
         m = fl.tabulated_autocorr([1.0, 0.5, -2.5e-9])
         h = fl.gen_fading(m, 1024, SEED)
         assert h.size == 1024
