@@ -59,9 +59,13 @@ SERIES_CEILING = 1e4
 #: consecutive negligible terms required to stop the generic lag series
 _STAGNATION_RUN = 20
 
-#: points per slice of ``_cn``'s scratch and of a law's circulant cell
-#: edges; no value changes a result
+#: points per slice of ``_cn``'s scratch, of a law's circulant cell edges
+#: and of ``_ar1_scan``'s GEMM; no value changes a result
 _SYNTH_CHUNK = 1 << 15
+
+#: block length of ``_ar1_scan``'s GEMM; its value moves a path only at
+#: rounding level
+_AR1_BLOCK = 32
 
 
 def _cn(rng: np.random.Generator, size) -> np.ndarray:
@@ -86,37 +90,82 @@ def _cn(rng: np.random.Generator, size) -> np.ndarray:
     return out
 
 
+def _ar1_scan(a: complex, start: complex, x: np.ndarray) -> None:
+    """x[k] <- x[k] + a x[k - 1] in place, with x[-1] = ``start``.
+
+    Blocked: each row of the (len(x) // L, L) view of x, L = ``_AR1_BLOCK``,
+    is multiplied by the L x L lower-triangular Toeplitz matrix of a^0..a^(L-1)
+    (one GEMM per ``_SYNTH_CHUNK`` points), which runs the recursion inside
+    each block from a zero carry.  The block ends then obey the same
+    recursion with coefficient a^L, solved by this function; block j adds
+    a^(i+1) times the end of block j - 1 (``start`` for j = 0) at its i-th
+    point.  The last len(x) mod L points are one short block.
+    """
+    size = _AR1_BLOCK
+    powers = np.concatenate(([1.0 + 0j], np.cumprod(np.full(size, a, dtype=complex))))
+    # the Toeplitz matrix transposed, for row vectors: upper[j, i] = a^(i - j)
+    lag = np.arange(size) - np.arange(size)[:, None]
+    upper = np.where(lag >= 0, powers[np.maximum(lag, 0)], 0.0)
+    n_blocks = x.size // size
+    blocks = x[:n_blocks * size].reshape(n_blocks, size)
+    rows = _SYNTH_CHUNK // size
+    for lo in range(0, n_blocks, rows):
+        blocks[lo:lo + rows] = blocks[lo:lo + rows] @ upper
+    carry = start
+    if n_blocks:
+        ends = blocks[:, -1].copy()
+        _ar1_scan(powers[size], start, ends)
+        carries = np.concatenate(([start], ends[:-1]))
+        for lo in range(0, n_blocks, rows):
+            blocks[lo:lo + rows] += np.multiply.outer(carries[lo:lo + rows], powers[1:])
+        carry = ends[-1]
+    tail = x[n_blocks * size:]
+    tail[:] = tail @ upper[:tail.size, :tail.size] + powers[1:tail.size + 1] * carry
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= target, as ``scipy.fft.next_fast_len``
+    gives for a complex transform: a length pocketfft transforms fast."""
+    best = 1 << (target - 1).bit_length()
+    odd = [1]  # the odd 11-smooth numbers below best
+    for p in (3, 5, 7, 11):
+        grown = odd
+        while grown := [q * p for q in grown if q * p < best]:
+            odd += grown
+    # each times the least power of two that reaches the target
+    return min(q << (-(-target // q) - 1).bit_length() for q in odd)
+
+
 def checked_circulant(model: "FadingModel", n: int) -> tuple[np.ndarray, float]:
     """Eigenvalues ``model._circulant_eigenvalues(N)`` at the shortest
     checked circulant length N for a path of n samples, and its covariance
     error.
 
-    N runs through next_fast_len(2^j n), j = 1, 2, ...  The path's
+    N runs through ``_next_fast_len(2^j n)``, j = 1, 2, ...  The path's
     covariance is exactly R~(m) = (1/N) sum_k lambda_k e^{i 2 pi k m / N},
     the conjugate of one real FFT of the eigenvalues over N; its error is
     max |R~(m) - R(m)| over m < min(n, ``TOEPLITZ_DIM_CAP``), against the
     law's own lags, fetched once.  The first N whose error is at most
     0.1 / sqrt(n) is kept: a tenth of the smallest standard error with which
     one path of n samples estimates a lag.  A law still above the bound at
-    the longest allowed length, max(next_fast_len(8 n), 2^20), raises
+    the longest allowed length, max(_next_fast_len(8 n), 2^20), raises
     :class:`EmbeddingFailure`.
     """
-    import scipy.fft
     lags = model.lags(0, min(n, TOEPLITZ_DIM_CAP))
     bound = 0.1 / np.sqrt(n)
-    longest = max(scipy.fft.next_fast_len(8 * n), 1 << 20)
+    longest = max(_next_fast_len(8 * n), 1 << 20)
     scale = 2
     while True:
-        big_n = scipy.fft.next_fast_len(scale * n)
+        big_n = _next_fast_len(scale * n)
         eig = model._circulant_eigenvalues(big_n)
         # the FFT's output is freed at once, before any draw
         error = float(np.max(np.abs(
-            scipy.fft.rfft(eig)[:lags.size].conj() / big_n - lags)))
+            np.fft.rfft(eig)[:lags.size].conj() / big_n - lags)))
         if error <= bound:
             return eig, error
         del eig
         scale *= 2
-        if scipy.fft.next_fast_len(scale * n) > longest:
+        if _next_fast_len(scale * n) > longest:
             raise EmbeddingFailure(
                 f"circulant covariance error {error:.3e} exceeds the bound "
                 f"0.1/sqrt(n) = {bound:.3e} at the longest length N = {big_n}")
@@ -242,16 +291,16 @@ class FadingModel:
         """Path of length n: the first n points of a circulant Gaussian path
         with the eigenvalues of ``checked_circulant``, which are consumed.
         One complex buffer runs from the draws to the inverse FFT, both
-        scaled and transformed in place: about 24 B per circulant point, plus
-        the FFT's plan and scratch."""
-        import scipy.fft
+        scaled and transformed in place: 24 B per circulant point while the
+        eigenvalues live, then 16 B plus the transform's own scratch (about
+        31 B per point at N = 2 * 10^6), which it frees on return."""
         eig, _ = checked_circulant(self, n)
         big_n = eig.size
         coef = _cn(rng, big_n)
         coef *= np.sqrt(eig, out=eig)
         del eig  # freed before the FFT allocates its scratch
-        path = scipy.fft.ifft(coef, overwrite_x=True)
-        return path[:n] * np.sqrt(big_n)
+        np.fft.ifft(coef, out=coef)
+        return coef[:n] * np.sqrt(big_n)
 
     def _circulant_eigenvalues(self, big_n: int) -> np.ndarray:
         """lambda_k = N times the density's mass on the cell
@@ -343,16 +392,16 @@ class AR1(FadingModel):
         return total
 
     def synthesize(self, n, rng):
-        """The exact recursion from a stationary start."""
-        import scipy.signal
+        """The exact recursion h[k] = a h[k - 1] + sqrt(1 - |a|^2) v[k] from a
+        stationary start h[0], drawn before the n - 1 innovations v; the
+        recursion runs in place in the path, by ``_ar1_scan``."""
         a = self.a
-        h0 = _cn(rng, 1)[0]
-        if n == 1:
-            return np.array([h0])
-        v = _cn(rng, n - 1)
-        drive = np.sqrt(1.0 - abs(a) ** 2) * v
-        rest, _ = scipy.signal.lfilter([1.0], [1.0, -a], drive, zi=np.array([a * h0]))
-        return np.concatenate([[h0], rest])
+        h = np.empty(n, dtype=complex)
+        h[0] = _cn(rng, 1)[0]
+        h[1:] = _cn(rng, n - 1)
+        h[1:] *= np.sqrt(1.0 - abs(a) ** 2)
+        _ar1_scan(a, h[0], h[1:])
+        return h
 
 
 @_law
@@ -511,14 +560,13 @@ class TabulatedAutocorr(FadingModel):
         truncated table may imply a slightly indefinite spectrum, and the
         covariance error of ``checked_circulant`` decides whether the
         clipped one is close enough."""
-        import scipy.fft
         r = self.values
         m = min(r.size - 1, big_n // 2)
         row = np.zeros(big_n, dtype=complex)
         row[:m + 1] = r[:m + 1]
         if m >= 1:
             row[big_n - m:] = np.conj(r[1:m + 1][::-1])
-        eig = scipy.fft.fft(row, overwrite_x=True).real.copy()
+        eig = np.fft.fft(row, out=row).real.copy()
         return np.maximum(eig, 0.0, out=eig)
 
 

@@ -1,10 +1,14 @@
 """Circulant synthesis in one complex buffer: the draws, every circulant route
-and the channel noise are bitwise equal to the plain formulas kept below,
-and a path holds at most 28 B per circulant point while it is built.  The
+and the channel noise are bitwise equal to the plain formulas kept below
+(scipy.fft standing in for the numpy.fft the code uses), the circulant
+lengths are scipy's, pinned traces keep their bytes, and a path holds at
+most 28 B per circulant point while it is built.  The
 eigenvalues are the cell integrals of the density, checked against adaptive
 quadrature, and the covariance error that picks the circulant length is
 checked against a direct sum and independent lags."""
 
+import hashlib
+import io
 import math
 import re
 import tracemalloc
@@ -18,6 +22,8 @@ from hypothesis import given, strategies as st
 import fadelab as fl
 from fadelab import simulate, spectra
 from fadelab.spectra import _SYNTH_CHUNK, _cn
+from conftest import jakes_like_table, write_density_table
+from fadelab.cli import run
 from test_laws import PROPS, _mp_pl_fourier, every_law
 
 CHUNK = _SYNTH_CHUNK
@@ -122,6 +128,47 @@ def test_channel_noise_is_the_plain_formula():
     z = np.sqrt(0.3) * plain_cn(simulate.rng_stream(4, "noise"), 5000)
     assert tr.z.tobytes() == z.tobytes()
     assert tr.y.tobytes() == (tr.h * x + z).tobytes()
+
+
+def test_next_fast_len_is_scipys():
+    targets = [*range(1, 20_001),
+               *np.random.default_rng(5).integers(1, 16_000_000, 10_000, endpoint=True).tolist()]
+    assert [spectra._next_fast_len(t) for t in targets] == [
+        scipy.fft.next_fast_len(t) for t in targets]
+
+
+#: sha256 of 10^5-row traces (seed 7), recorded before synthesis moved from
+#: scipy.fft to numpy.fft; ``simulate --out`` unless the law has no CLI form
+PINNED_TRACES = {
+    "line_0.3_bandlimited_0.1":
+        "32e9123b44455c9fa9198636fbe7a21177a5d5b2e027befb7a47b048e5ffd8cb",
+    "jakes_table": "9eee3efed7f54840f5f9f56a6807cb0575c6242d86c2d4934fca65517b862518",
+    "autocorr_1_0.5_0.2": "f18e6477a8017c30b1e1057b6afa351cd41753090fa937e277216720b2ea49c9",
+}
+
+
+@pytest.mark.parametrize("law", PINNED_TRACES)
+def test_pinned_trace_bytes(law, tmp_path):
+    n, seed = 100_000, 7
+    if law == "autocorr_1_0.5_0.2":
+        x = simulate.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=1),
+                                n, seed)
+        buf = io.StringIO()
+        simulate.trace_to_csv(simulate.apply_channel(
+            x, fl.tabulated_autocorr([1.0, 0.5, 0.2]), 1.0, seed), buf)
+        data = buf.getvalue().encode()
+    else:
+        jakes = write_density_table(tmp_path / "jakes.csv", *jakes_like_table())
+        args = {
+            "line_0.3_bandlimited_0.1": ["--model", "line", "--mass", "0.3", "--loc", "0",
+                                         "--residual", "bandlimited", "--lambda-c", "0.1"],
+            "jakes_table": ["--model", "table", "--table", str(jakes)],
+        }[law]
+        out = tmp_path / "trace.csv"
+        assert run(["simulate", *args, "--n", str(n), "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_TRACES[law]
 
 
 @pytest.mark.parametrize("model", [fl.bandlimited(0.1), uniform_table(),

@@ -1,5 +1,5 @@
 """Cold start: a command imports only the scipy modules it runs, and no
-process pool.
+process pool; ``simulate`` runs on numpy alone.
 
 Each check runs a fresh interpreter on this checkout's ``src``, since the
 test process itself has long since imported scipy.
@@ -11,10 +11,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from conftest import write_density_table
+from conftest import jakes_like_table, write_density_table
 from fadelab import ar1, density, spectra
 from fadelab.cli import run
 from test_laws import PROPS
@@ -62,6 +63,27 @@ def test_table_predict_loads_no_scipy(tmp_path):
     assert '"command": "predict"' in proc.stdout
     modules = imported(proc)
     assert "fadelab.prediction" in modules
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+SIMULATED = {
+    "ar1_0.5": ["--model", "ar1", "--a", "0.5"],
+    "bandlimited_0.25": ["--model", "bandlimited", "--lambda-c", "0.25"],
+    "jakes_table": ["--model", "table", "--table", "{jakes}"],
+    "line_0.3_ar1_0.5": ["--model", "line", "--mass", "0.3", "--residual", "ar1", "--a", "0.5"],
+}
+
+
+@pytest.mark.parametrize("law", SIMULATED)
+def test_simulate_loads_no_scipy(law, tmp_path):
+    # the AR(1) recursion is a numpy scan, circulant paths use numpy.fft
+    jakes = write_density_table(tmp_path / "jakes.csv", *jakes_like_table())
+    args = [a.format(jakes=jakes) for a in SIMULATED[law]]
+    proc = fresh("-X", "importtime", "-m", "fadelab.cli", "simulate", *args, "--n", "1000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("# model=")
+    modules = imported(proc)
+    assert "fadelab.simulate" in modules
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 

@@ -2,11 +2,24 @@ import io
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, strategies as st
 
 import fadelab as fl
+from fadelab import simulate, spectra
 from fadelab.errors import DomainError, EmbeddingFailure, TooShort
+from test_laws import PROPS
 
 SEED = 20260810
+
+BLOCK = spectra._AR1_BLOCK
+
+#: real, negative and complex AR(1) coefficients up to |a| = 0.9999
+ar1_coefficients = st.one_of(
+    st.sampled_from([0.0, 0.9999, -0.9999, 0.9999j, -0.7071 + 0.7071j]),
+    st.floats(-0.9999, 0.9999),
+    st.builds(lambda r, turn: complex(r * np.exp(2j * np.pi * turn)),
+              st.floats(0.0, 0.9999), st.floats(0.0, 1.0)))
 
 
 class TestFadingSynthesis:
@@ -85,6 +98,26 @@ class TestFadingSynthesis:
         m = fl.tabulated_autocorr([1.0, 0.6, -0.3])
         with pytest.raises(EmbeddingFailure):
             fl.gen_fading(m, 256, SEED)
+
+
+@PROPS
+@given(ar1_coefficients, st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10 ** 5]),
+       st.integers(0, 2 ** 32))
+def test_ar1_path_is_the_sequential_recursion(a, n, seed):
+    """The blocked scan is the recursion h[k] = a h[k - 1] + sqrt(1 - |a|^2) v[k]
+    to 1e-13 relative; h[0] and the draws are those of the plain order:
+    h[0] first, then the n - 1 innovations."""
+    rng, plain = simulate.rng_stream(seed, "fading"), simulate.rng_stream(seed, "fading")
+    h = fl.ar1(a).synthesize(n, rng)
+    a = complex(a)
+    h0 = spectra._cn(plain, 1)[0]
+    drive = np.sqrt(1.0 - abs(a) ** 2) * spectra._cn(plain, n - 1)
+    assert rng.standard_normal(4).tobytes() == plain.standard_normal(4).tobytes()
+    assert h.shape == (n,)
+    assert h[:1].tobytes() == np.array([h0]).tobytes()
+    if n > 1:
+        want, _ = scipy.signal.lfilter([1.0], [1.0, -a], drive, zi=np.array([a * h0]))
+        assert np.max(np.abs(h[1:] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestInputs:
