@@ -105,31 +105,36 @@ def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
     return model.series(tol)
 
 
-def kappa_of_phi(phi: float) -> float:
-    """Limit of C/SNR^2 as a function of the memory parameter."""
+def _check_phi(phi: float) -> float:
     phi = float(phi)
-    if phi < 0.0:
-        raise DomainError("phi must be >= 0")
-    if phi < 0.5:
-        return (2.0 * phi + 1.0) ** 2 / 8.0
+    if not phi >= 0.0:
+        raise DomainError(f"phi must be >= 0, got {phi}")
     return phi
-
-
-def alpha_star_of_phi(phi: float) -> float:
-    """Asymptotically optimal duty cycle."""
-    phi = float(phi)
-    if phi < 0.0:
-        raise DomainError("phi must be >= 0")
-    return phi + 0.5 if phi < 0.5 else 1.0
 
 
 def upper_bound_g(phi: float, alpha: float) -> float:
     """Upper-bound coefficient of SNR^2: (alpha - alpha^2)/2 + phi*alpha."""
     alpha = _check_alpha(alpha)
-    phi = float(phi)
-    if phi < 0.0:
-        raise DomainError("phi must be >= 0")
+    phi = _check_phi(phi)
     return (alpha - alpha * alpha) / 2.0 + phi * alpha
+
+
+def alpha_star_of_phi(phi: float) -> float:
+    """Asymptotically optimal duty cycle: phi + 1/2, clamped to 1."""
+    return min(_check_phi(phi) + 0.5, 1.0)
+
+
+def asymptotic_block_max(phi: float) -> tuple[float, float]:
+    """(value, argmax) over the duty cycle of the large-b block coefficient
+    ``upper_bound_g``, concave in alpha: the capacity curvature kappa, and
+    the stationary point clamped into [0, 1]."""
+    alpha = alpha_star_of_phi(phi)
+    return upper_bound_g(phi, alpha), alpha
+
+
+def kappa_of_phi(phi: float) -> float:
+    """Limit of C/SNR^2 as a function of the memory parameter."""
+    return asymptotic_block_max(phi)[0]
 
 
 def capacity_asymptote(model: spectra.FadingModel) -> CapacityAsymptote:
@@ -150,9 +155,9 @@ def capacity_asymptote(model: spectra.FadingModel) -> CapacityAsymptote:
         raise QuadratureFailure(
             f"phi routes disagree: density {phi:.9g} vs series {phi_s:.9g}")
     regime = REGIME_SLOWLY_FORGETTING if phi >= 0.5 else REGIME_QUICKLY_FORGETTING
+    kappa, alpha_star = asymptotic_block_max(phi)
     return CapacityAsymptote(
-        regime=regime, phi=phi, kappa=kappa_of_phi(phi),
-        alpha_star=alpha_star_of_phi(phi), linear_slope=None)
+        regime=regime, phi=phi, kappa=kappa, alpha_star=alpha_star, linear_slope=None)
 
 
 def s_of_b_table(model: spectra.FadingModel, b_max: int) -> np.ndarray:
@@ -196,19 +201,6 @@ def scheme_coefficients(model: spectra.FadingModel, b: int, alpha: float) -> Sch
     return SchemeCoefficients(b=b, alpha=alpha, s_of_b=s, block_coeff=block, iid_coeff=iid)
 
 
-def asymptotic_block_max(phi: float) -> tuple[float, float]:
-    """(value, argmax) of the large-b block coefficient over the duty cycle.
-
-    The objective is (alpha - alpha^2)/2 + phi*alpha, concave with its
-    stationary point at phi + 1/2, so the argmax is that point clamped into
-    [0, 1]: the value equals the capacity curvature and the argmax the
-    optimal duty cycle.
-    """
-    phi = float(phi)
-    a = min(max(phi + 0.5, 0.0), 1.0)
-    return (a - a * a) / 2.0 + phi * a, a
-
-
 def asymptotic_iid_max(phi: float) -> tuple[float, float]:
     """(value, argmax) of the large-b IID coefficient over the duty cycle.
 
@@ -216,6 +208,6 @@ def asymptotic_iid_max(phi: float) -> tuple[float, float]:
     concave with its stationary point at 1/(2(1 - 2 phi)) >= 1/2, clamped to
     1; for phi >= 1/2 it is largest at alpha = 1.
     """
-    phi = float(phi)
+    phi = _check_phi(phi)
     a = min(1.0 / (2.0 * (1.0 - 2.0 * phi)), 1.0) if phi < 0.5 else 1.0
     return (a - a * a) / 2.0 + phi * a * a, a

@@ -1,13 +1,13 @@
 """Quadrature helpers on the spectral interval [-1/2, 1/2].
 
-Closed-form densities go through adaptive quadrature with declared
-breakpoints; tabulated densities are piecewise linear, so their mass,
-CDF, squared integral, log integrals and Fourier coefficients all have
-exact per-interval expressions which are used instead of sampling.  On a
-uniform grid the Fourier coefficients come instead from one FFT of the
-node values: the interpolant is a sum of hat functions, each lag one DFT
-entry times the hat's transform, plus a half-hat term when the two end
-values differ.
+Only the log integrals of closed-form densities go through adaptive
+quadrature with declared breakpoints; tabulated densities are piecewise
+linear, so their mass, CDF, squared integral, log integrals and Fourier
+coefficients all have exact per-interval expressions which are used
+instead of sampling.  On a uniform grid the Fourier coefficients come
+instead from one FFT of the node values: the interpolant is a sum of hat
+functions, each lag one DFT entry times the hat's transform, plus a
+half-hat term when the two end values differ.
 """
 
 from __future__ import annotations

@@ -179,7 +179,8 @@ class FadingModel:
     """Immutable description of a fading law; one frozen subclass per kind.
 
     A kind defines ``label()``, ``lags(start, stop)`` (R(start), ...,
-    R(stop - 1) as a complex array) and ``_density(x)`` (f on a 1-d array),
+    R(stop - 1) as a complex array), ``_density(x)`` (f on a 1-d array), the
+    exact ``mass()`` of f and, but for a line law, its ``square_integral()``,
     and overrides the generic routes below where it has an exact formula.
     A kind synthesized by the circulant route also defines ``_cdf(x)``, the
     integral of f from -1/2 to each x in [-1/2, 1/2], or its own
@@ -209,15 +210,6 @@ class FadingModel:
         arr = np.asarray(lam, dtype=float)
         out = self._density(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
-
-    def mass(self) -> float:
-        """Integral of the density component, by adaptive quadrature."""
-        return quadrature.quad_interval(lambda x: self.density(x))
-
-    def square_integral(self) -> float:
-        """Integral of the squared density component, by adaptive quadrature."""
-        return quadrature.quad_interval(lambda x: self.density(x) ** 2,
-                                        breakpoints=self.breakpoints)
 
     def log_integral(self, delta2: float) -> float:
         """integral of log f when delta2 = 0 (-inf when f vanishes on a set of
@@ -377,6 +369,14 @@ class AR1(FadingModel):
     def _density(self, x):
         a = self.a
         return (1.0 - abs(a) ** 2) / np.abs(1.0 - a * np.exp(-2j * np.pi * x)) ** 2
+
+    def mass(self):
+        return 1.0
+
+    def square_integral(self):
+        # Parseval: sum over all m of |a|^(2|m|)
+        r2 = abs(self.a) ** 2
+        return (1.0 + r2) / (1.0 - r2)
 
     def series(self, tol):
         r2 = abs(self.a) ** 2
@@ -710,6 +710,8 @@ def tabulated_autocorr(values: Sequence[complex]) -> FadingModel:
     vals = np.asarray(values, dtype=complex)
     if vals.ndim != 1 or vals.size < 1:
         raise ParamOutOfRange("autocorrelation table must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(vals)):
+        raise ParamOutOfRange("autocorrelation values must be finite")
     if abs(vals[0] - 1.0) > 1e-10:
         raise ParamOutOfRange(f"R(0) must be 1, got {vals[0]}")
     if np.any(np.abs(vals) > 1.0 + 1e-12):
@@ -735,7 +737,7 @@ def line_plus_residual(jumps: Sequence[tuple[float, float]],
     for loc, mass in jumps:
         if not (-0.5 <= loc < 0.5):
             raise ParamOutOfRange(f"line location {loc} outside [-1/2, 1/2)")
-        if mass <= 0.0:
+        if not mass > 0.0:
             raise ParamOutOfRange("line masses must be strictly positive")
         total += mass
     if total > 1.0 + 1e-12:

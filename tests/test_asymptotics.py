@@ -238,6 +238,27 @@ class TestDutyCycleMaxima:
         iid, _ = fl.asymptotic_iid_max(1 / 3)
         assert blk - iid >= 0.0138
 
+    @pytest.mark.parametrize("maximum", [fl.asymptotic_block_max, fl.asymptotic_iid_max,
+                                         fl.kappa_of_phi, fl.alpha_star_of_phi])
+    @pytest.mark.parametrize("phi", [-1.0, -1e-300, float("nan")])
+    def test_negative_or_nan_phi_refused(self, maximum, phi):
+        with pytest.raises(DomainError):
+            maximum(phi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1e6))
+    @example(np.nextafter(0.5, 0.0))
+    @example(0.5)
+    def test_kappa_and_alpha_star_closed_forms(self, phi):
+        # (2 phi + 1)^2 / 8 at phi + 1/2 below one half, phi at 1 from there on
+        kappa, alpha = fl.kappa_of_phi(phi), fl.alpha_star_of_phi(phi)
+        if phi < 0.5:
+            assert kappa == pytest.approx((2 * phi + 1) ** 2 / 8, rel=4 * np.finfo(float).eps)
+            assert alpha == phi + 0.5
+        else:
+            assert kappa == phi and alpha == 1.0
+        assert fl.asymptotic_block_max(phi) == (kappa, alpha)
+
     def test_slowly_forgetting_no_gap(self):
         blk, a1 = fl.asymptotic_block_max(0.9)
         iid, a2 = fl.asymptotic_iid_max(0.9)

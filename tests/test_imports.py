@@ -1,5 +1,6 @@
 """Cold start: a command imports only the scipy modules it runs, and no
-process pool; ``simulate`` runs on numpy alone.
+process pool; ``simulate`` runs on numpy alone, and so do ``capacity``,
+``sweep`` and ``validate`` on AR(1) laws.
 
 Each check runs a fresh interpreter on this checkout's ``src``, since the
 test process itself has long since imported scipy.
@@ -84,6 +85,26 @@ def test_simulate_loads_no_scipy(law, tmp_path):
     assert proc.stdout.startswith("# model=")
     modules = imported(proc)
     assert "fadelab.simulate" in modules
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+ANALYTIC = {
+    "capacity": ["capacity"],
+    "sweep": ["sweep", "--b-list", "1,2,4", "--alpha-list", "0.5,0.8333", "--snr-list", "0.1"],
+    "validate": ["validate"],
+}
+
+
+@pytest.mark.parametrize("law", ["ar1_0.5", "line_0.3_ar1_0.5"])
+@pytest.mark.parametrize("command", ANALYTIC)
+def test_ar1_analytic_commands_load_no_scipy(command, law):
+    # the AR(1) mass and squared integral are closed forms; a sweep refuses a line law
+    proc = fresh("-X", "importtime", "-m", "fadelab.cli", *ANALYTIC[command], *SIMULATED[law])
+    assert proc.returncode == (2 if (command, law) == ("sweep", "line_0.3_ar1_0.5") else 0), \
+        proc.stderr
+    assert proc.stdout
+    modules = imported(proc)
+    assert "fadelab.asymptotics" in modules
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 

@@ -1,6 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, strategies as st
 
 import fadelab as fl
 from fadelab.errors import (
@@ -10,6 +13,7 @@ from fadelab.errors import (
     ParamOutOfRange,
 )
 from conftest import write_density_table
+from test_laws import PROPS
 
 
 def quad_autocorr(model, m):
@@ -58,6 +62,8 @@ class TestConstructors:
             fl.line_plus_residual([(0.0, 1.2)])
         with pytest.raises(ParamOutOfRange):
             fl.line_plus_residual([(0.0, -0.1)], fl.memoryless())
+        with pytest.raises(ParamOutOfRange):
+            fl.line_plus_residual([(0.0, float("nan"))], fl.memoryless())
         with pytest.raises(ParamOutOfRange):
             fl.tabulated_density([-0.5, 0.0, 0.5], [1.0, -0.5, 1.0])
 
@@ -245,7 +251,52 @@ class TestTabulatedAutocorr:
         with pytest.raises(ParamOutOfRange):
             fl.tabulated_autocorr([0.9, 0.5])
 
+    @pytest.mark.parametrize("values", [
+        [float("nan"), 0.5], [1.0, float("nan")], [1.0, float("inf")],
+        [1.0, complex(0.5, float("nan"))]])
+    def test_values_must_be_finite(self, values):
+        with pytest.raises(ParamOutOfRange):
+            fl.tabulated_autocorr(values)
+
     def test_density_is_truncated_series(self):
         m = fl.tabulated_autocorr([1.0, 0.25])
         assert fl.density(m, 0.0) == pytest.approx(1.5)
         assert m.square_integral() == pytest.approx(1.0 + 2 * 0.25 ** 2)
+
+
+#: |a| <= 0.999, real of either sign or complex
+AR1_COEFFS = st.one_of(
+    st.floats(-0.999, 0.999).map(complex),
+    st.builds(cmath.rect, st.floats(0.0, 0.999), st.floats(-np.pi, np.pi)))
+
+
+class TestAR1ClosedForms:
+    """The exact mass and squared integral against quadrature of the density
+    formula, which the library does not integrate."""
+
+    @PROPS
+    @given(AR1_COEFFS)
+    @example(0.5)
+    @example(-0.999)
+    @example(0.999j)
+    def test_mass_and_square_integral_match_quadrature(self, a):
+        m = fl.ar1(a)
+        peak = cmath.phase(m.a) / (2 * np.pi)  # where |1 - a e^{-i 2 pi lam}| is least
+        opts = dict(points=[peak] if -0.5 < peak < 0.5 else None, limit=500,
+                    epsabs=1e-13, epsrel=1e-12)
+        mass, _ = scipy.integrate.quad(lambda x: fl.density(m, x), -0.5, 0.5, **opts)
+        sq, _ = scipy.integrate.quad(lambda x: fl.density(m, x) ** 2, -0.5, 0.5, **opts)
+        assert m.mass() == 1.0
+        assert mass == pytest.approx(1.0, rel=1e-11)
+        assert m.square_integral() == pytest.approx(sq, rel=1e-11)
+
+    @PROPS
+    @given(AR1_COEFFS)
+    @example(0.0)
+    @example(1e-9)
+    def test_phi_integral_is_the_geometric_sum(self, a):
+        m = fl.ar1(a)
+        r2 = abs(m.a) ** 2
+        # within 2 ulps of the half squared integral it is taken from
+        tol = 2 * np.finfo(float).eps * 0.5 * m.square_integral()
+        assert abs(fl.phi_integral(m) - r2 / (1.0 - r2)) <= tol
