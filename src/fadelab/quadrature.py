@@ -1,13 +1,12 @@
 """Quadrature helpers on the spectral interval [-1/2, 1/2].
 
-Only the log integrals of closed-form densities go through adaptive
-quadrature with declared breakpoints; tabulated densities are piecewise
-linear, so their mass, CDF, squared integral, log integrals and Fourier
-coefficients all have exact per-interval expressions which are used
-instead of sampling.  On a uniform grid the Fourier coefficients come
+Tabulated densities are piecewise linear, so their mass, CDF, squared
+integral, log integrals and Fourier coefficients all have exact
+per-interval expressions.  On a uniform grid the Fourier coefficients come
 instead from one FFT of the node values: the interpolant is a sum of hat
 functions, each lag one DFT entry times the hat's transform, plus a
-half-hat term when the two end values differ.
+half-hat term when the two end values differ.  Of the laws' log integrals
+only an autocorrelation table's takes adaptive quadrature (``quad_interval``).
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from .errors import QuadratureFailure
 
 HALF = 0.5
 
-#: absolute tolerance of adaptive quadrature
-DEFAULT_TOL = 1e-10
-
 
 def quad_interval(fn, breakpoints=()) -> float:
     """Integrate ``fn`` over [-1/2, 1/2] with optional interior breakpoints."""
@@ -32,7 +28,7 @@ def quad_interval(fn, breakpoints=()) -> float:
         fn, -HALF, HALF,
         points=pts or None,
         limit=max(200, 50 + 20 * len(pts)),
-        epsabs=DEFAULT_TOL, epsrel=1e-11,
+        epsabs=1e-10, epsrel=1e-11,
         full_output=1,
     )
     value, abserr = out[0], out[1]

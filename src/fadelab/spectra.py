@@ -123,6 +123,15 @@ def _ar1_scan(a: complex, start: complex, x: np.ndarray) -> None:
     tail[:] = tail @ upper[:tail.size, :tail.size] + powers[1:tail.size + 1] * carry
 
 
+def _trigamma(x: float) -> float:
+    """psi'(x), x >= 1: psi'(x) = psi'(x + 1) + 1/x^2 up to x >= 16, then B_2, ..., B_12."""
+    k = max(0, int(np.ceil(16.0 - x)))
+    head, x = float(np.sum(1.0 / (x + np.arange(k)) ** 2)), x + k
+    t = 1.0 / (x * x)
+    return head + (1.0 + 0.5 / x + t * (1 / 6 + t * (-1 / 30 + t * (1 / 42 + t * (
+        -1 / 30 + t * (5 / 66 - 691 / 2730 * t)))))) / x
+
+
 def _next_fast_len(target: int) -> int:
     """Smallest 2^a 3^b 5^c 7^d 11^e >= target, as ``scipy.fft.next_fast_len``
     gives for a complex transform: a length pocketfft transforms fast."""
@@ -180,11 +189,12 @@ class FadingModel:
 
     A kind defines ``label()``, ``lags(start, stop)`` (R(start), ...,
     R(stop - 1) as a complex array), ``_density(x)`` (f on a 1-d array), the
-    exact ``mass()`` of f and, but for a line law, its ``square_integral()``,
-    and overrides the generic routes below where it has an exact formula.
-    A kind synthesized by the circulant route also defines ``_cdf(x)``, the
-    integral of f from -1/2 to each x in [-1/2, 1/2], or its own
-    ``_circulant_eigenvalues``.
+    exact ``mass()`` of f, its ``square_integral()`` (not a line law) and its
+    ``log_integral(delta2)`` (not ``Memoryless`` or a line law): of log f at
+    delta2 = 0, else of log1p(f / delta2).  It overrides the generic routes
+    below where it has an exact formula.  A kind synthesized by the circulant
+    route also defines ``_cdf(x)``, the integral of f from -1/2 to each x in
+    [-1/2, 1/2], or its own ``_circulant_eigenvalues``.
     ``jumps`` lists the spectral lines (location, mass); the distribution is
     absolutely continuous iff there are none.  ``density_square_integrable``
     is the one verdict on square integrability of the density: "yes", "no"
@@ -197,7 +207,7 @@ class FadingModel:
     jumps: tuple[tuple[float, float], ...] = ()
     residual: "FadingModel | None" = None
     density_square_integrable = VERDICT_YES
-    #: known discontinuities of the density, for adaptive quadrature
+    #: known discontinuities of the density, where the midpoint estimates split
     breakpoints: tuple[float, ...] = ()
     #: R(m) = 0 for every m != 0: no past predicts the present
     white: ClassVar[bool] = False
@@ -210,23 +220,6 @@ class FadingModel:
         arr = np.asarray(lam, dtype=float)
         out = self._density(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
-
-    def log_integral(self, delta2: float) -> float:
-        """integral of log f when delta2 = 0 (-inf when f vanishes on a set of
-        positive measure), else integral of log1p(f / delta2); by adaptive
-        quadrature between the breakpoints."""
-        if delta2 == 0.0:
-            # measure of {f <= 1e-12}, sampled between the breakpoints
-            xs = np.unique(np.concatenate([
-                np.linspace(-0.5, 0.5, 8193), [-0.5, *self.breakpoints, 0.5]]))
-            zero = self.density(0.5 * (xs[:-1] + xs[1:])) <= 1e-12
-            if np.sum(np.diff(xs)[zero]) > 1e-9:
-                return -np.inf
-            return quadrature.quad_interval(
-                lambda x: np.log(np.maximum(self.density(x), 1e-300)),
-                breakpoints=self.breakpoints)
-        return quadrature.quad_interval(
-            lambda x: np.log1p(self.density(x) / delta2), breakpoints=self.breakpoints)
 
     def square_integral_estimate(self, n_intervals: int) -> float:
         """Midpoint-rule estimate of the squared-density integral, with
@@ -378,6 +371,16 @@ class AR1(FadingModel):
         r2 = abs(self.a) ** 2
         return (1.0 + r2) / (1.0 - r2)
 
+    def log_integral(self, delta2):
+        """Jensen's formula: u = 1 - |a|^2, d = sqrt(u (u delta2^2 + 2 delta2 (1+|a|^2) + u))."""
+        r, u = abs(self.a), (1.0 - abs(self.a)) * (1.0 + abs(self.a))
+        if delta2 == 0.0:
+            return float(np.log(u))
+        d = np.sqrt(u) * np.hypot(np.sqrt(u) * (1.0 + delta2), 2.0 * r * np.sqrt(delta2))
+        if delta2 < 1.0:
+            return float(np.log((delta2 * (1.0 + r * r) + u + d) / (2.0 * delta2)))
+        return float(np.log1p(2.0 * u / (d + u * (delta2 - 1.0))))
+
     def series(self, tol):
         r2 = abs(self.a) ** 2
         if r2 == 0.0:
@@ -433,6 +436,12 @@ class BandLimited(FadingModel):
     def square_integral(self):
         return 1.0 / (2.0 * self.lambda_c)
 
+    def log_integral(self, delta2):
+        w = 2.0 * self.lambda_c  # -inf at delta2 = 0 unless the band is the whole circle
+        if delta2 == 0.0:
+            return 0.0 if w == 1.0 else -np.inf
+        return float(w * np.log1p(1.0 / (w * delta2)))
+
     def series(self, tol):
         """Sinc^2 terms for nu <= M plus the exact non-oscillating tail.
 
@@ -443,12 +452,11 @@ class BandLimited(FadingModel):
         bound <= tol (the 1/M branch keeps M finite as lambda_c -> 1/2, where
         sin c -> 0).  The terms are summed in 10^6-term chunks.
         """
-        import scipy.special
         c = 2.0 * np.pi * self.lambda_c
         w = 0.5 / (c * c)
         n_head = min(np.sqrt(w / (tol * abs(np.sin(c)))), w / tol)
         n_head = max(int(np.ceil(n_head)), 1)
-        total = w * float(scipy.special.polygamma(1, n_head + 1))
+        total = w * _trigamma(n_head + 1.0)
         for start in range(1, n_head + 1, 1_000_000):
             nu = np.arange(start, min(start + 1_000_000, n_head + 1))
             total += float(np.sum(np.sinc(2.0 * self.lambda_c * nu) ** 2))
@@ -549,6 +557,11 @@ class TabulatedAutocorr(FadingModel):
         r = self.values
         return float(np.abs(r[0]) ** 2 + 2.0 * np.sum(np.abs(r[1:]) ** 2))
 
+    def log_integral(self, delta2):
+        """By adaptive quadrature: a truncated Fourier series has no closed form."""
+        return quadrature.quad_interval(lambda x: np.log(np.maximum(self.density(x), 1e-300))
+                                        if delta2 == 0.0 else np.log1p(self.density(x) / delta2))
+
     def series(self, tol):
         total = float(np.sum(np.abs(self.values[1:]) ** 2))
         if total > SERIES_CEILING:
@@ -583,10 +596,6 @@ class LinePlusResidual(FadingModel):
         if self.residual is None:
             return VERDICT_UNDETERMINED
         return self.residual.density_square_integrable
-
-    @property
-    def breakpoints(self):
-        return () if self.residual is None else self.residual.breakpoints
 
     def label(self) -> str:
         parts = ",".join(f"{mass:g}@{loc:g}" for loc, mass in self.jumps)

@@ -2,9 +2,10 @@
 brute-force oracles: Durbin's recursion against a dense Cholesky solve
 (a breakdown with noise above the rounding floor refused),
 the band-limited lag series with its closed-form tail against
-1/(4 lambda_c) - 1/2, uniform-grid table lags at one point each and a
-nudged grid on the per-piece route against mpmath, the table series
-refused by its Parseval total,
+1/(4 lambda_c) - 1/2 and that tail's trigamma series against scipy's,
+uniform-grid table lags at one point each and a nudged grid on the
+per-piece route against mpmath, the table series refused by its Parseval
+total,
 the line-law series refused before any lag, the decade extension of the
 phi-limit grid, the chunked trace writer against a per-row writer, split
 into 1 to 4 row ranges or not, the streamed JSON trace against the whole
@@ -18,6 +19,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import example, given, strategies as st
 
 import fadelab as fl
@@ -190,12 +192,22 @@ def test_bandlimited_series_within_tol(lambda_c, tol):
     assert abs(got - (1.0 / (4.0 * lambda_c) - 0.5)) <= tol
 
 
-@pytest.mark.parametrize("a", [0.97, 0.99])
+@pytest.mark.parametrize("a", [0.97, 0.99, 0.995, 0.999])
 def test_phi_all_agrees_on_slowly_forgetting_ar1(a, capsys):
+    # the limit route on AR(1)'s closed-form log integral has no quadrature floor
     assert run(["phi", "--model", "ar1", "--a", str(a), "--method", "all"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["within_tolerance"] is True
-    assert abs(doc["phi_limit"] - a * a / (1 - a * a)) <= prediction.PHI_LIMIT_AGREEMENT
+    phi = a * a / (1 - a * a)
+    assert abs(doc["phi_limit"] - phi) <= 1e-6 * phi
+
+
+def test_trigamma_matches_scipy():
+    # the band-limited tail psi'(M + 1), for every M from 0 to 10^9
+    ns = np.concatenate([np.arange(1.0, 64.0), np.unique(np.geomspace(64, 1e9, 400).round())])
+    want = scipy.special.polygamma(1, ns)
+    got = np.array([spectra._trigamma(n) for n in ns])
+    assert np.max(np.abs(got - want) / want) <= 1e-15
 
 
 def test_rho_grid_starts_with_three_decades():
@@ -203,7 +215,8 @@ def test_rho_grid_starts_with_three_decades():
 
 
 def test_default_grid_stops_at_the_floor():
-    est = fl.phi_via_limit(fl.ar1(0.995))
+    # a spectral peak of width 1e-4 needs rho below the grid's floor
+    est = fl.phi_via_limit(fl.ar1(0.9999))
     assert est.rho_grid == prediction.RHO_GRID
     assert est.indicator > prediction.PHI_LIMIT_AGREEMENT
 

@@ -1,11 +1,14 @@
-"""Cold start: a command imports only the scipy modules it runs, and no
-process pool; ``simulate`` runs on numpy alone, and so do ``capacity``,
-``sweep`` and ``validate`` on AR(1) laws.
+"""Cold start: a command imports no scipy module and no process pool.
+``simulate`` runs on numpy alone, and so do ``capacity``, ``sweep``,
+``validate``, ``phi`` and ``predict`` on AR(1) and band-limited laws; with
+scipy blocked, every command on every law the command line builds exits
+and prints as it does with scipy.
 
 Each check runs a fresh interpreter on this checkout's ``src``, since the
 test process itself has long since imported scipy.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -92,20 +95,59 @@ ANALYTIC = {
     "capacity": ["capacity"],
     "sweep": ["sweep", "--b-list", "1,2,4", "--alpha-list", "0.5,0.8333", "--snr-list", "0.1"],
     "validate": ["validate"],
+    "phi_all": ["phi", "--method", "all"],
+    "predict": ["predict", "--delta2", "0.1"],
 }
 
 
-@pytest.mark.parametrize("law", ["ar1_0.5", "line_0.3_ar1_0.5"])
+@pytest.mark.parametrize("law", ["ar1_0.5", "line_0.3_ar1_0.5", "bandlimited_0.25"])
 @pytest.mark.parametrize("command", ANALYTIC)
 def test_ar1_analytic_commands_load_no_scipy(command, law):
-    # the AR(1) mass and squared integral are closed forms; a sweep refuses a line law
+    # the mass, squared and log integrals and the lag-series tail are closed
+    # forms; a sweep, phi and predict refuse a line law
     proc = fresh("-X", "importtime", "-m", "fadelab.cli", *ANALYTIC[command], *SIMULATED[law])
-    assert proc.returncode == (2 if (command, law) == ("sweep", "line_0.3_ar1_0.5") else 0), \
-        proc.stderr
+    refused = law.startswith("line") and command in ("sweep", "phi_all", "predict")
+    assert proc.returncode == (2 if refused else 0), proc.stderr
     assert proc.stdout
     modules = imported(proc)
     assert "fadelab.asymptotics" in modules
     assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+BLOCKED_RUN = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any scipy import raises ImportError
+from fadelab.cli import run
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+EVERY_COMMAND = [
+    ["validate"], ["capacity"], ["phi", "--method", "all"], ["predict", "--delta2", "0.1"],
+    ["predict", "--delta2", "0.1", "--past", "16"], ["scheme", "--b", "4"],
+    ["simulate", "--n", "64", "--b", "2"],
+    ["mi", "--b", "2", "--sigma2", "10", "--samples", "10000"],
+    ["sweep", "--b-list", "1,2", "--alpha-list", "0.5,1", "--snr-list", "0.25", "--mc",
+     "--samples", "10000"],
+]
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path, capsys):
+    xs = np.linspace(-0.5, 0.5, 201)
+    table = write_density_table(tmp_path / "ar1.csv", xs, density(ar1(0.6), xs))
+    laws = [["--model", "memoryless"], SIMULATED["ar1_0.5"], SIMULATED["bandlimited_0.25"],
+            ["--model", "table", "--table", str(table)], SIMULATED["line_0.3_ar1_0.5"]]
+    argvs = [[*cmd, *law, "--seed", "5"] for cmd in EVERY_COMMAND for law in laws]
+    proc = fresh("-c", BLOCKED_RUN, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, out) in zip(argvs, json.loads(proc.stdout), strict=True):
+        assert code in (0, 2), argv  # a report, or a refusal of the law
+        assert (code, out) == (run(argv), capsys.readouterr().out), argv
 
 
 def test_mi_run_loads_no_heavy_scipy_module():

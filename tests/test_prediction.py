@@ -4,10 +4,12 @@ import json
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import fadelab as fl
 from fadelab.cli import run
 from fadelab.errors import ConditionTwelveFails, DomainError, NoDensity
+from test_laws import PROPS
 
 
 def ar1_noisy_error_oracle(a, delta2):
@@ -46,6 +48,15 @@ def mp_bandlimited(model):
     return lambda x: 1 / (2 * lc) if abs(x) <= lc else mp.mpf(0), [-0.5, -lc, lc, 0.5]
 
 
+def mp_autocorr(model):
+    """The truncated Fourier series R(0) + 2 Re sum_m R(m) e^{-i 2 pi m lam}."""
+    r = [mp.mpc(complex(v)) for v in model.values]
+
+    def f(x):
+        return mp.re(r[0] + 2 * sum(r[m] * mp.expjpi(-2 * m * x) for m in range(1, len(r))))
+    return f, [-0.5, 0.0, 0.5]
+
+
 def mp_table(model):
     """The piecewise-linear interpolant through the table's nodes."""
     grid = [mp.mpf(float(v)) for v in model.grid]
@@ -65,10 +76,62 @@ def ar1_table():
 @pytest.mark.parametrize("delta2", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("model,mp_density", [
     (fl.ar1(0.5), mp_ar1), (fl.bandlimited(0.25), mp_bandlimited), (ar1_table(), mp_table),
-], ids=["ar1_0.5", "bandlimited_0.25", "table_ar1_0.6_n201"])
+    (fl.ar1(-0.7), mp_ar1), (fl.bandlimited(0.5), mp_bandlimited),
+    (fl.tabulated_autocorr([1.0, 0.3, 0.1j]), mp_autocorr),
+], ids=["ar1_0.5", "bandlimited_0.25", "table_ar1_0.6_n201", "ar1_-0.7", "bandlimited_0.5",
+        "autocorr_ma2"])
 def test_log_integral_against_mpmath(model, mp_density, delta2):
     res = fl.noiseless_pred_error(model) if delta2 == 0.0 else fl.noisy_pred_error(model, delta2)
     assert res.error == pytest.approx(mp_pred_error(*mp_density(model), delta2), abs=1e-10)
+
+
+noise_levels = st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e))
+
+
+@PROPS
+@given(st.floats(0.0, 0.999), st.sampled_from([0.0, 0.5, 1.0, 2.3]), noise_levels)
+@example(0.999, 0.0, 0.9988)  # just below delta2 = 1, the worst case found
+@example(0.999, 1.0, 1.0)
+def test_ar1_log_integral_against_mpmath(r, turn, delta2):
+    """Real, negative and complex a against the spectral factorization
+    f + delta2 = c |1 - d e^{-i 2 pi lam}|^2 / |1 - |a| e^{-i 2 pi lam}|^2,
+    |d| < 1, whose log integral is log c, at 40 digits."""
+    with mp.workdps(40):
+        r_, d2 = mp.mpf(r), mp.mpf(delta2)
+        if delta2 == 0.0:
+            want = mp.log(1 - r_ * r_)
+        else:
+            big_b = d2 * (1 + r_ * r_) + 1 - r_ * r_
+            c = (big_b + mp.sqrt(big_b ** 2 - 4 * d2 ** 2 * r_ * r_)) / 2
+            want = mp.log(c / d2)
+        want = float(want)
+    got = fl.ar1(r * np.exp(1j * np.pi * turn)).log_integral(delta2)
+    # relative, but absolute at delta2 = 0, where exp(got) = 1 - |a|^2 is the answer
+    assert abs(got - want) <= 1e-13 * (max(abs(want), 1.0) if delta2 == 0.0 else abs(want))
+
+
+@PROPS
+@given(st.one_of(st.just(0.5), st.floats(0.001, 0.5)), noise_levels)
+def test_bandlimited_log_integral_against_mpmath(lambda_c, delta2):
+    model = fl.bandlimited(lambda_c)
+    got = model.log_integral(delta2)
+    if delta2 == 0.0:
+        # the density vanishes off the band, unless the band is the whole circle
+        assert got == (0.0 if lambda_c == 0.5 else -np.inf)
+        return
+    f, nodes = mp_bandlimited(model)
+    with mp.workdps(40):
+        want = float(mp.quad(lambda x: mp.log1p(f(x) / mp.mpf(delta2)), nodes))
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_autocorr_table_vanishing_at_one_point_is_not_deterministic():
+    # 1 + cos(2 pi lam) vanishes at lam = 1/2 alone: integral of log f = -log 2; an
+    # exact value, since mp_pred_error's Gauss-Legendre misses this log singularity by 4e-6
+    assert fl.tabulated_autocorr([1.0, 0.5]).log_integral(0.0) == pytest.approx(
+        -np.log(2.0), abs=1e-10)
+    assert fl.noiseless_pred_error(fl.tabulated_autocorr([1.0, 0.5])).error == pytest.approx(
+        0.5, abs=1e-10)
 
 
 class TestNoiseless:
