@@ -32,8 +32,9 @@ def main():
     print("maximized over the duty cycle, lands exactly on kappa:")
     for phi in (0.0, 1 / 3, 0.5, 16 / 9):
         val, arg = fl.asymptotic_block_max(phi)
+        kappa = (2 * phi + 1) ** 2 / 8 if phi < 0.5 else phi
         print(f"  phi = {phi:8.5f}: max {val:.6f} at alpha = {arg:.4f} "
-              f"(kappa = {fl.kappa_of_phi(phi):.6f})")
+              f"(kappa = {kappa:.6f})")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ short whenever 0 < phi < 1/2.
 Run:  python3 demos/04_block_scheme_gap.py
 """
 
-import numpy as np
-
 import fadelab as fl
 
 
@@ -23,9 +21,9 @@ def main():
     print(f"{'b':>6s} {'S(b)/b':>10s} {'block coeff':>12s} {'iid coeff':>12s} {'upper bound':>12s}")
     ub = fl.upper_bound_g(phi, alpha)
     for b in (1, 2, 4, 8, 16, 64, 256, 1024):
-        s = fl.s_of_b(model, b)
-        print(f"{b:6d} {s / b:10.6f} {fl.block_coefficient(model, b, alpha):12.8f} "
-              f"{fl.iid_coefficient(model, b, alpha):12.8f} {ub:12.8f}")
+        c = fl.scheme_coefficients(model, b, alpha)
+        print(f"{b:6d} {c.s_of_b / b:10.6f} {c.block_coeff:12.8f} "
+              f"{c.iid_coeff:12.8f} {ub:12.8f}")
 
     print()
     print("Best-over-duty-cycle at large blocks:")
@@ -34,14 +32,6 @@ def main():
     print(f"  block scheme: {blk:.6f} at alpha = {blk_a:.4f}  (= 25/72)")
     print(f"  iid inputs  : {iid:.6f} at alpha = {iid_a:.4f}  (= 1/3)")
     print(f"  gap         : {blk - iid:.6f}  (= 1/72, the cost of independence)")
-
-    print()
-    print("Exact moment-expansion coefficient agrees with the formula:")
-    for b in (1, 2, 4):
-        law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=alpha, block_length=b))
-        exact = fl.second_order_coeff_exact(law, model)
-        print(f"  b = {b}: per-block {exact:.8f} vs b * coeff "
-              f"{b * fl.block_coefficient(model, b, alpha):.8f}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ SEED = 20260810
 def main():
     model = fl.ar1(0.5)
     scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=4)
-    exact = 4 * fl.block_coefficient(model, 4, 5 / 6)
+    exact = 4 * fl.scheme_coefficients(model, 4, 5 / 6).block_coeff
     print("Model ar1(0.5), block length 4, duty cycle 5/6, peak amplitude 1")
     print(f"Exact per-block coefficient of SNR^2: {exact:.6f}")
     print()

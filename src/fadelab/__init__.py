@@ -4,9 +4,9 @@ non-coherent stationary Gaussian fading channels.
 Capabilities: fading-law catalog and validation (spectra), one-step
 prediction from noisy pasts and the memory parameter (prediction), the
 small-SNR capacity asymptote and block-scheme coefficients (asymptotics),
-seeded path and channel synthesis (simulate), and exact plus Monte Carlo
-per-block mutual information (mi).  The ``fadelab`` command line fronts all
-of it with deterministic CSV/JSON reports.
+seeded path and channel synthesis (simulate), and Monte Carlo per-block
+mutual information over the exact output mixture (mi).  The ``fadelab``
+command line fronts all of it with deterministic CSV/JSON reports.
 """
 
 from .errors import (
@@ -61,10 +61,7 @@ from .asymptotics import (
     alpha_star_of_phi,
     asymptotic_block_max,
     asymptotic_iid_max,
-    block_coefficient,
     capacity_asymptote,
-    iid_coefficient,
-    kappa_of_phi,
     phi_integral,
     phi_series,
     s_of_b,
@@ -72,11 +69,9 @@ from .asymptotics import (
     upper_bound_g,
 )
 from .simulate import (
-    AutocorrEstimate,
     BlockScheme,
     ChannelTrace,
     apply_channel,
-    empirical_autocorr,
     gen_fading,
     gen_inputs,
     rng_stream,
@@ -88,10 +83,8 @@ from .mi import (
     MIEstimate,
     cond_covariance,
     fit_coefficient,
-    log_output_density,
     mi_monte_carlo,
     scheme_to_law,
-    second_order_coeff_exact,
 )
 
 __version__ = "0.1.0"

@@ -132,11 +132,6 @@ def asymptotic_block_max(phi: float) -> tuple[float, float]:
     return upper_bound_g(phi, alpha), alpha
 
 
-def kappa_of_phi(phi: float) -> float:
-    """Limit of C/SNR^2 as a function of the memory parameter."""
-    return asymptotic_block_max(phi)[0]
-
-
 def capacity_asymptote(model: spectra.FadingModel) -> CapacityAsymptote:
     """Classify the regime and evaluate the small-SNR capacity summary.
 
@@ -177,17 +172,6 @@ def s_of_b_table(model: spectra.FadingModel, b_max: int) -> np.ndarray:
 def s_of_b(model: spectra.FadingModel, b: int) -> float:
     """Block memory sum S(b) = sum over i != j within a block of |R(i-j)|^2."""
     return float(s_of_b_table(model, int(b))[-1])
-
-
-def block_coefficient(model: spectra.FadingModel, b: int, alpha: float) -> float:
-    """Per-symbol second-order coefficient of the on-off block scheme."""
-    return scheme_coefficients(model, b, alpha).block_coeff
-
-
-def iid_coefficient(model: spectra.FadingModel, b: int, alpha: float) -> float:
-    """Per-symbol second-order coefficient of IID on-off inputs at the same
-    duty cycle (independent amplitudes give the alpha^2 cross moment)."""
-    return scheme_coefficients(model, b, alpha).iid_coeff
 
 
 def scheme_coefficients(model: spectra.FadingModel, b: int, alpha: float) -> SchemeCoefficients:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -171,9 +171,12 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple[str, bool]]:
-    """Config-file key -> (flag, takes a value) for every long option of
-    every command; the key is the flag without its dashes, '-' read as '_'."""
+@cache
+def _parser_and_keys() -> tuple[_Parser, dict[str, tuple[str, bool]]]:
+    """The parser, built once per process (a parse fills a namespace of its
+    own), and its config-file keys: key -> (flag, takes a value) for every
+    long option of every command, the flag without its dashes, '-' read as '_'."""
+    parser = build_parser()
     keys = {}
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for sub in commands.choices.values():
@@ -181,7 +184,7 @@ def _config_keys(parser: argparse.ArgumentParser) -> dict[str, tuple[str, bool]]
             for flag in action.option_strings:
                 if flag.startswith("--") and flag != "--help":
                     keys[flag[2:].replace("-", "_")] = (flag, action.nargs != 0)
-    return keys
+    return parser, keys
 
 
 def parse_config(argv: list[str]) -> RunConfig:
@@ -207,8 +210,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r}")
 
-    parser = build_parser()
-    keys = _config_keys(parser)
+    parser, keys = _parser_and_keys()
     merged = []
     for key, val in file_kv.items():
         if key not in keys:

@@ -1,17 +1,18 @@
-"""Per-block mutual information at small SNR: exact second-order
-coefficients and seeded Monte Carlo estimation.
+"""Per-block mutual information at small SNR: finite-support input laws
+and seeded Monte Carlo estimation.
 
 For a finite-support input law on b symbols, the coefficient of SNR^2 in
 the per-block mutual information is
 
-    (1/(2 A^4)) * sum_{ij} |R(i-j)|^2 (E[|X_i|^2 |X_j|^2] - |E[X_i X_j^*]|^2)
+    (1/(2 A^4)) * sum_{ij} |R(i-j)|^2 (E[|X_i|^2 |X_j|^2] - |E[X_i X_j^*]|^2),
 
-which for the on-off block scheme collapses to (b(alpha - alpha^2) +
-alpha S(b)) / 2.  The Monte Carlo estimator draws (x, y) from the true
-joint law and averages log p(y|x) - log p(y), with p(y) the exact finite
-Gaussian mixture; support points whose conditional covariances coincide
-(global phase rotations) are merged first, and classes sharing a modulus
-pattern share one Cholesky factor (see ``_Mixture``).
+evaluated for any law by ``tests/reference.py``; for the on-off block
+scheme it is (b(alpha - alpha^2) + alpha S(b)) / 2, b times
+``scheme_coefficients(...).block_coeff``.  The Monte Carlo estimator draws
+(x, y) from the true joint law and averages log p(y|x) - log p(y), with p(y)
+the exact finite Gaussian mixture; support points whose conditional
+covariances coincide (global phase rotations) are merged first, and classes
+sharing a modulus pattern share one Cholesky factor (see ``_Mixture``).
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class DiscreteInputLaw:
     @property
     def block_length(self) -> int:
         return self.support.shape[1]
-
-    @property
-    def peak_amplitude(self) -> float:
-        return float(np.max(np.abs(self.support))) if self.support.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -129,34 +126,6 @@ def cond_covariance(x: np.ndarray, model: spectra.FadingModel, sigma2: float) ->
     b = x.size
     t = spectra.toeplitz_cov(model, b)
     return t * np.outer(x, np.conj(x)) + sigma2 * np.eye(b)
-
-
-def law_moments(law: DiscreteInputLaw) -> tuple[np.ndarray, np.ndarray]:
-    """Second-moment matrix E[X X^H] and fourth-moment table E[|X_i|^2 |X_j|^2]."""
-    p = law.probabilities
-    x = law.support
-    ax2 = np.abs(x) ** 2
-    m = np.einsum("k,ki,kj->ij", p, x, np.conj(x))
-    q = np.einsum("k,ki,kj->ij", p, ax2, ax2)
-    return m, q
-
-
-def second_order_coeff_exact(law: DiscreteInputLaw, model: spectra.FadingModel) -> float:
-    """Exact per-block coefficient of SNR^2 for a finite-support law.
-
-    A variance-like difference of |R|^2-weighted moments; non-negative for
-    every law by Cauchy-Schwarz per entry.  For the on-off block scheme it
-    equals b times the per-symbol block coefficient.
-    """
-    a4 = law.peak_amplitude ** 4
-    if a4 == 0.0:
-        return 0.0
-    b = law.block_length
-    abs_t2 = np.abs(spectra.toeplitz_cov(model, b)) ** 2
-    m, q = law_moments(law)
-    first = float(np.sum(abs_t2 * q))
-    second = float(np.sum(abs_t2 * np.abs(m) ** 2))
-    return (first - second) / (2.0 * a4)
 
 
 class _Mixture:
@@ -262,16 +231,6 @@ def _first_appearance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             first.append(i)
         of_row[i] = labels[key]
     return of_row, np.asarray(first, dtype=int)
-
-
-def log_output_density(y: np.ndarray, law: DiscreteInputLaw,
-                       model: spectra.FadingModel, sigma2: float) -> float:
-    """log of the exact output mixture density at one output block y."""
-    mix = _Mixture(law, model, sigma2)
-    y = np.asarray(y, dtype=complex).reshape(1, -1)
-    if y.shape[1] != law.block_length:
-        raise DomainError("output block length does not match the law")
-    return float(mix.mixture_logpdf(y)[0])
 
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):

@@ -109,13 +109,15 @@ def _durbin_error(c: np.ndarray) -> tuple[float | None, int]:
     breaks down (that order's error is not positive and finite, or its
     reflection coefficient has modulus >= 1)."""
     err = float(c[0].real)
-    a = np.zeros(0, dtype=complex)
+    coeffs = np.zeros(c.size - 1, dtype=complex)
     for k in range(1, c.size):
+        a = coeffs[:k - 1]  # the order k - 1 predictor, updated in place
         kappa = (c[k] - np.dot(a, c[k - 1:0:-1])) / err
         err *= 1.0 - abs(kappa) ** 2
         if not (0.0 < err < np.inf) or abs(kappa) >= 1.0:
             return None, k
-        a = np.append(a - kappa * np.conj(a[::-1]), kappa)
+        a -= kappa * np.conj(a[::-1])
+        coeffs[k - 1] = kappa
     return float(err), c.size - 1
 
 

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import spectra
-from .errors import DomainError, TooShort
+from .errors import DomainError
 from .spectra import _cn
 
 STREAM_LABELS = {
@@ -34,10 +34,6 @@ STREAM_LABELS = {
     "sign": 4,
     "mi": 5,
 }
-
-#: contiguous segments of the delete-one-block jackknife
-JACKKNIFE_BLOCKS = 50
-
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
     """Philox generator for the named stream of a master seed; the spawn
@@ -130,48 +126,6 @@ def apply_channel(x: np.ndarray, model: spectra.FadingModel, sigma2: float,
     return ChannelTrace(x=x, h=h, z=z, y=y, sigma2=sigma2, seed=int(seed),
                         peak_amplitude=peak, snr=peak * peak / sigma2,
                         model=model.label())
-
-
-@dataclass(frozen=True, eq=False)
-class AutocorrEstimate:
-    """Biased lag estimates (1/n) sum h_{k+m} conj(h_k) with jackknife errors."""
-
-    lags: np.ndarray
-    values: np.ndarray
-    std_errors: np.ndarray
-    n: int
-
-
-def empirical_autocorr(h: np.ndarray, m_max: int) -> AutocorrEstimate:
-    """Estimate R(m) for m = 0..m_max from one path.
-
-    Standard errors come from a delete-one-block jackknife over
-    ``JACKKNIFE_BLOCKS`` contiguous segments of the lag products, which
-    stays honest under the serial dependence of the path.
-    """
-    h = np.asarray(h)
-    n = h.size
-    m_max = int(m_max)
-    if m_max < 0:
-        raise DomainError("m_max must be >= 0")
-    if n < 10 * max(m_max, 1):
-        raise TooShort(f"need at least {10 * max(m_max, 1)} samples, got {n}")
-
-    lags = np.arange(m_max + 1)
-    values = np.empty(m_max + 1, dtype=complex)
-    errors = np.empty(m_max + 1)
-    for m in lags:
-        prod = h[m:] * np.conj(h[:n - m]) if m else (h * np.conj(h)).astype(complex)
-        values[m] = prod.sum() / n
-        blocks = np.array_split(prod, JACKKNIFE_BLOCKS)
-        sums = np.array([b.sum() for b in blocks])
-        sizes = np.array([b.size for b in blocks])
-        total, count = prod.sum(), prod.size
-        loo = (total - sums) / (count - sizes)
-        mean_loo = loo.mean()
-        var = (JACKKNIFE_BLOCKS - 1) / JACKKNIFE_BLOCKS * np.sum(np.abs(loo - mean_loo) ** 2)
-        errors[m] = np.sqrt(var) * (count / n)
-    return AutocorrEstimate(lags=lags, values=values, std_errors=errors, n=n)
 
 
 #: one trace row; a chunk of rows is formatted by one ``%``

@@ -32,6 +32,7 @@ from . import quadrature
 from .errors import (
     DimensionTooLarge,
     Diverges,
+    DomainError,
     EmbeddingFailure,
     NoDensity,
     NotNormalized,
@@ -52,6 +53,10 @@ CONDITION12_BASE_INTERVALS = 64
 CONDITION12_ROUNDS = 3
 CONDITION12_DIVERGENCE_FACTOR = 4.0
 CONDITION12_STABILIZE_RTOL = 1e-3
+
+#: the least density value taken as rounding of 0, by ``validate`` and by
+#: an autocorrelation table's log integral
+_DENSITY_FLOOR = -1e-9
 
 #: lag-series partial sums past this value are declared divergent
 SERIES_CEILING = 1e4
@@ -558,9 +563,15 @@ class TabulatedAutocorr(FadingModel):
         return float(np.abs(r[0]) ** 2 + 2.0 * np.sum(np.abs(r[1:]) ** 2))
 
     def log_integral(self, delta2):
-        """By adaptive quadrature: a truncated Fourier series has no closed form."""
-        return quadrature.quad_interval(lambda x: np.log(np.maximum(self.density(x), 1e-300))
-                                        if delta2 == 0.0 else np.log1p(self.density(x) / delta2))
+        """By adaptive quadrature: a truncated Fourier series has no closed
+        form.  A density value under ``_DENSITY_FLOOR`` anywhere the
+        quadrature looks raises :class:`DomainError`; the rest count as >= 0."""
+        def integrand(x):
+            f = self.density(x)
+            if f < _DENSITY_FLOOR:
+                raise DomainError(f"density {f:.3g} at lambda {x:.6g}: the lags are not a covariance")
+            return np.log(max(f, 1e-300)) if delta2 == 0.0 else np.log1p(max(f, 0.0) / delta2)
+        return quadrature.quad_interval(integrand)
 
     def series(self, tol):
         total = float(np.sum(np.abs(self.values[1:]) ** 2))
@@ -997,7 +1008,7 @@ def validate(model: FadingModel) -> ValidationReport:
     estimates: tuple[float, ...] = ()
     if not model.jumps or model.residual is not None:
         xs = np.linspace(-0.5, 0.5, 4097)
-        nonneg_ok = bool(np.min(density(model, xs)) >= -1e-9)
+        nonneg_ok = bool(np.min(density(model, xs)) >= _DENSITY_FLOOR)
         verdict, estimates = condition12_probe(model)
 
     ok = r0_ok and mass_ok and psd_ok and (nonneg_ok is not False)

@@ -15,6 +15,7 @@ import fadelab as fl
 from fadelab.cli import run as cli_run
 from fadelab.errors import ConditionTwelveFails, Diverges
 from conftest import jakes_like_table, write_density_table
+from reference import empirical_autocorr, second_order_coeff_exact
 
 MC_SEED = 20260810
 
@@ -61,10 +62,10 @@ def test_02_noisy_prediction_closed_form_vs_oracle():
 def test_03_capacity_asymptote_values():
     cases = {0.0: (0.125, 0.5), 1 / 3: (25 / 72, 5 / 6), 16 / 9: (16 / 9, 1.0)}
     for phi, (kappa, alpha) in cases.items():
-        assert fl.kappa_of_phi(phi) == pytest.approx(kappa, abs=1e-12)
+        assert fl.asymptotic_block_max(phi)[0] == pytest.approx(kappa, abs=1e-12)
         assert fl.alpha_star_of_phi(phi) == pytest.approx(alpha, abs=1e-12)
     # branch continuity at the regime boundary, exactly
-    assert (2 * 0.5 + 1) ** 2 / 8 == 0.5 == fl.kappa_of_phi(0.5)
+    assert (2 * 0.5 + 1) ** 2 / 8 == 0.5 == fl.asymptotic_block_max(0.5)[0]
     # grid maximizer of the upper-bound coefficient vs the closed form
     grid = np.linspace(0.0, 1.0, 10001)
     for phi in (0.0, 1 / 3, 0.5, 16 / 9):
@@ -88,7 +89,7 @@ def test_04_block_memory_sums(models):
         phi = fl.phi_integral(m)
         for b in (1, 2, 4, 8, 16, 32, 64, 128, 200):
             for alpha in alphas:
-                assert (fl.block_coefficient(m, b, alpha)
+                assert (fl.scheme_coefficients(m, b, alpha).block_coeff
                         <= fl.upper_bound_g(phi, alpha) + 1e-12)
     _report("block memory sum recursion, Cesaro ratio, bound ordering")
 
@@ -118,12 +119,12 @@ def test_06_exact_coefficient_crosscheck(models):
                     # silent law: the coefficient is identically zero
                     law = fl.DiscreteInputLaw(
                         np.zeros((1, b), dtype=complex), np.array([1.0]))
-                    assert fl.second_order_coeff_exact(law, m) == 0.0
+                    assert second_order_coeff_exact(law, m) == 0.0
                     continue
                 sch = fl.BlockScheme(amplitude=1.0, duty_cycle=alpha, block_length=b)
                 law = fl.scheme_to_law(sch)
-                assert fl.second_order_coeff_exact(law, m) == pytest.approx(
-                    b * fl.block_coefficient(m, b, alpha), abs=1e-10)
+                assert second_order_coeff_exact(law, m) == pytest.approx(
+                    b * fl.scheme_coefficients(m, b, alpha).block_coeff, abs=1e-10)
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     _report(f"moment-expansion coefficient equals block formula ({elapsed:.2f}s)")
@@ -142,7 +143,7 @@ def mc_points():
 def test_07_monte_carlo_validation(mc_points):
     t0 = time.monotonic()
     m = fl.ar1(0.5)
-    exact = 4 * fl.block_coefficient(m, 4, 5 / 6)
+    exact = 4 * fl.scheme_coefficients(m, 4, 5 / 6).block_coeff
     assert exact == pytest.approx(4 * 0.25499, abs=4e-5)
     fit = fl.fit_coefficient(mc_points)
     rel = abs(fit.coefficient - exact) / exact
@@ -186,11 +187,11 @@ def test_07_runtime_budget(mc_points):
 
 def test_08_simulation_fidelity():
     h = fl.gen_fading(fl.ar1(0.5), 10 ** 6, MC_SEED)
-    est = fl.empirical_autocorr(h, 1)
+    est = empirical_autocorr(h, 1)
     assert abs(est.values[1] - 0.5) < 3e-3
 
     h2 = fl.gen_fading(fl.bandlimited(0.25), 10 ** 6, MC_SEED)
-    est2 = fl.empirical_autocorr(h2, 1)
+    est2 = empirical_autocorr(h2, 1)
     assert abs(est2.values[1] - 2 / np.pi) < 5e-3
 
     for path in (h, h2):

@@ -95,7 +95,7 @@ class TestCapacityAsymptote:
         assert ca.linear_slope == pytest.approx(1.0)
 
     def test_branch_continuity_at_half(self):
-        assert fl.kappa_of_phi(0.5) == 0.5
+        assert fl.asymptotic_block_max(0.5)[0] == 0.5
         assert (2 * 0.5 + 1) ** 2 / 8 == 0.5
         assert fl.alpha_star_of_phi(0.5) == 1.0
 
@@ -155,25 +155,26 @@ class TestBlockSums:
 class TestCoefficients:
     def test_single_symbol_reduces_to_memoryless(self, models):
         for m in models.values():
-            assert fl.block_coefficient(m, 1, 0.5) == pytest.approx(0.125, abs=1e-15)
+            assert fl.scheme_coefficients(m, 1, 0.5).block_coeff == pytest.approx(0.125, abs=1e-15)
 
     def test_block_example(self):
         m = fl.ar1(0.5)
-        assert fl.block_coefficient(m, 2, 5 / 6) == pytest.approx(
+        assert fl.scheme_coefficients(m, 2, 5 / 6).block_coeff == pytest.approx(
             0.5 * (5 / 36 + (5 / 6) * 0.25), abs=1e-12)
 
     def test_large_b_approaches_kappa(self):
         m = fl.ar1(0.5)
-        assert fl.block_coefficient(m, 2000, 5 / 6) == pytest.approx(25 / 72, abs=3e-4)
+        assert fl.scheme_coefficients(m, 2000, 5 / 6).block_coeff == pytest.approx(25 / 72, abs=3e-4)
 
     def test_iid_alpha_one_approaches_phi(self):
         m = fl.ar1(0.5)
-        assert fl.iid_coefficient(m, 2000, 1.0) == pytest.approx(1 / 3, abs=3e-4)
+        assert fl.scheme_coefficients(m, 2000, 1.0).iid_coeff == pytest.approx(1 / 3, abs=3e-4)
 
     def test_memoryless_iid_equals_block(self):
         m = fl.memoryless()
         for b in (1, 3, 9):
-            assert fl.iid_coefficient(m, b, 0.5) == fl.block_coefficient(m, b, 0.5) == 0.125
+            c = fl.scheme_coefficients(m, b, 0.5)
+            assert c.iid_coeff == c.block_coeff == 0.125
 
     def test_lower_never_exceeds_upper(self, models):
         alphas = np.linspace(0.0, 1.0, 41)
@@ -181,7 +182,7 @@ class TestCoefficients:
             phi = fl.phi_integral(m)
             for b in (1, 2, 4, 8, 16, 64, 200):
                 for alpha in alphas:
-                    assert (fl.block_coefficient(m, b, alpha)
+                    assert (fl.scheme_coefficients(m, b, alpha).block_coeff
                             <= fl.upper_bound_g(phi, alpha) + 1e-12)
 
     def test_block_dominates_iid(self, models):
@@ -189,8 +190,8 @@ class TestCoefficients:
         for m in models.values():
             s4 = fl.s_of_b(m, 4)
             for alpha in alphas:
-                blk = fl.block_coefficient(m, 4, alpha)
-                iid = fl.iid_coefficient(m, 4, alpha)
+                c = fl.scheme_coefficients(m, 4, alpha)
+                blk, iid = c.block_coeff, c.iid_coeff
                 assert blk >= iid - 1e-15
                 if alpha in (0.0, 1.0) or s4 == 0.0:
                     assert blk == pytest.approx(iid, abs=1e-15)
@@ -239,7 +240,7 @@ class TestDutyCycleMaxima:
         assert blk - iid >= 0.0138
 
     @pytest.mark.parametrize("maximum", [fl.asymptotic_block_max, fl.asymptotic_iid_max,
-                                         fl.kappa_of_phi, fl.alpha_star_of_phi])
+                                         fl.alpha_star_of_phi])
     @pytest.mark.parametrize("phi", [-1.0, -1e-300, float("nan")])
     def test_negative_or_nan_phi_refused(self, maximum, phi):
         with pytest.raises(DomainError):
@@ -251,7 +252,7 @@ class TestDutyCycleMaxima:
     @example(0.5)
     def test_kappa_and_alpha_star_closed_forms(self, phi):
         # (2 phi + 1)^2 / 8 at phi + 1/2 below one half, phi at 1 from there on
-        kappa, alpha = fl.kappa_of_phi(phi), fl.alpha_star_of_phi(phi)
+        kappa, alpha = fl.asymptotic_block_max(phi)[0], fl.alpha_star_of_phi(phi)
         if phi < 0.5:
             assert kappa == pytest.approx((2 * phi + 1) ** 2 / 8, rel=4 * np.finfo(float).eps)
             assert alpha == phi + 0.5

@@ -70,3 +70,21 @@ def test_boolean_key_values(tmp_path):
 def test_unknown_keys_rejected(tmp_path, key):
     with pytest.raises(UsageError):
         parse_config(["--config", _write(tmp_path, [("command", "capacity"), (key, "1")])])
+
+
+SWEEP = ["sweep", "--model", "ar1", "--a", "0.5", "--b-list", "1", "--alpha-list", "0.5",
+         "--snr-list", "0.1"]
+PHI = ["phi", "--model", "ar1", "--a", "0.5"]
+
+
+@pytest.mark.parametrize("first,second,defaults", [
+    ([*SWEEP, "--mc", "--samples", "20000"], SWEEP, {"mc": False, "samples": 100_000}),
+    ([*PHI, "--method", "series", "--tol", "1e-6"], PHI, {"method": "all", "tol": 1e-7}),
+], ids=["sweep_mc", "phi_method"])
+def test_no_value_leaks_between_parses(first, second, defaults):
+    """One parser serves every parse of a process: a flag given to one parse
+    is back at its default in the next parse of the same command."""
+    assert {k: getattr(parse_config(first).args, k) for k in defaults} != defaults
+    after = parse_config(second)
+    assert {k: getattr(after.args, k) for k in defaults} == defaults
+    assert vars(after.args) == vars(build_parser().parse_args(second))

@@ -1,5 +1,6 @@
 import bisect
 import json
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -132,6 +133,20 @@ def test_autocorr_table_vanishing_at_one_point_is_not_deterministic():
         -np.log(2.0), abs=1e-10)
     assert fl.noiseless_pred_error(fl.tabulated_autocorr([1.0, 0.5])).error == pytest.approx(
         0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("values,delta2", [([1.0, 0.9], 0.1), ([1.0, 0.9], 0.0),
+                                           ([1.0, 0.5001], 0.0), ([1.0, 0.5001], 1e-3)])
+def test_indefinite_autocorr_table_is_refused(values, delta2):
+    # 1 + 2 r cos(2 pi lam) dips to 1 - 2 r < 0 near lam = 1/2: -0.8 for r = 0.9, a
+    # dip 0.0064 wide for r = 0.5001; neither is a covariance, so no error comes back
+    model = fl.tabulated_autocorr(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="not a covariance"):
+            model.log_integral(delta2)
+        with pytest.raises(DomainError, match="not a covariance"):
+            fl.noisy_pred_error(model, delta2) if delta2 else fl.noiseless_pred_error(model)
 
 
 class TestNoiseless:
