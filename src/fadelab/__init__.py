@@ -23,7 +23,6 @@ from .errors import (
     NotNormalized,
     ParamOutOfRange,
     QuadratureFailure,
-    TooShort,
     UsageError,
 )
 from .spectra import (

@@ -47,10 +47,6 @@ class EmbeddingFailure(FadingLabError):
     spectrum is clipped far below zero)."""
 
 
-class TooShort(FadingLabError):
-    """Sample path too short for the requested number of lags."""
-
-
 class BlockTooLarge(FadingLabError):
     """Block length exceeds the enumeration cap for exact mixture densities."""
 

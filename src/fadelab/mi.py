@@ -13,11 +13,12 @@ scheme it is (b(alpha - alpha^2) + alpha S(b)) / 2, b times
 the exact finite Gaussian mixture; support points whose conditional
 covariances coincide (global phase rotations) are merged first, and classes
 sharing a modulus pattern share one Cholesky factor (see ``_Mixture``).
+Each batch of outputs (``_batches``) costs real products for its features,
+one GEMM for the log densities of every class and a log-sum-exp in place.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ import numpy as np
 from . import spectra
 from .errors import BlockTooLarge, DomainError, IllConditioned
 from .simulate import BlockScheme, rng_stream
-from .spectra import _cn
 
 #: mixture enumeration cap on the block length
 BLOCK_CAP = 12
@@ -103,14 +103,14 @@ def scheme_to_law(scheme: BlockScheme) -> DiscreteInputLaw:
     amp = scheme.amplitude
     rows, probs = [], []
     if alpha < 1.0:
-        rows.append(np.zeros(b, dtype=complex))
-        probs.append(1.0 - alpha)
+        rows.append(np.zeros((1, b), dtype=complex))
+        probs.append([1.0 - alpha])
     if alpha > 0.0:
-        p_each = alpha / 2 ** b
-        for signs in itertools.product((1.0, -1.0), repeat=b):
-            rows.append(amp * np.asarray(signs, dtype=complex))
-            probs.append(p_each)
-    return DiscreteInputLaw(support=np.array(rows), probabilities=np.array(probs))
+        # sign row k has -1 where bit b-1-j of k is set: itertools.product order
+        bits = (np.arange(2 ** b)[:, None] >> np.arange(b - 1, -1, -1)) & 1
+        rows.append(amp * (1.0 - 2.0 * bits).astype(complex))
+        probs.append(np.full(2 ** b, alpha / 2 ** b))
+    return DiscreteInputLaw(support=np.concatenate(rows), probabilities=np.concatenate(probs))
 
 
 def cond_covariance(x: np.ndarray, model: spectra.FadingModel, sigma2: float) -> np.ndarray:
@@ -143,7 +143,9 @@ class _Mixture:
                                 + 2 Re sum_{i<j} P_ij phi_i conj(phi_j) conj(y_i) y_j
 
     is linear in the features (|y_i|^2, Re and Im of conj(y_i) y_j), so the
-    log densities of every class at a batch of outputs are one GEMM.
+    log densities of every class at a batch of outputs are one GEMM.  Only
+    features that some class weighs are formed, from Re y and Im y: b(b+1)/2
+    of the b^2 for +-1 signs and real lags, whose Im coefficients are all 0.
     """
 
     def __init__(self, law: DiscreteInputLaw, model: spectra.FadingModel, sigma2: float):
@@ -172,12 +174,22 @@ class _Mixture:
         self.group_of_class = group_of_class
         self.weights = np.bincount(class_of_row, weights=law.probabilities)
         self.log_weights = np.log(self.weights)
-        # coefficients of the features (|y_i|^2, Re, Im of conj(y_i) y_j for i < j)
-        self._pairs = np.triu_indices(b, 1)
-        iu, ju = self._pairs
-        q = prec[:, iu, ju] * self.phases[:, iu] * np.conj(self.phases[:, ju])
-        self._coef = np.concatenate(
-            [np.real(np.diagonal(prec, axis1=1, axis2=2)), 2.0 * q.real, -2.0 * q.imag], axis=1)
+        # coefficients of the features Re and Im of conj(y_i) y_j for i <= j
+        # (|y_i|^2 at i = j, which has no Im), negated; a column that is 0 in
+        # every class is dropped with its feature
+        i, j = np.triu_indices(b)
+        q = prec[:, i, j] * self.phases[:, i] * np.conj(self.phases[:, j])
+        q[:, i == j] = np.real(np.diagonal(prec, axis1=1, axis2=2)) / 2.0
+        coef = -2.0 * np.concatenate([q.real, -q.imag], axis=1)
+        keep = np.any(coef != 0.0, axis=0)
+        self._coef = coef[:, keep]
+        # kept feature k is u[j1] u[i1] + u[j2] u[i2] over the rows u = (Re y, Im y, -Im y);
+        # a run of features with one (i1, i2) is one broadcast product
+        j1, i1, j2, i2 = (np.concatenate(r)[keep] for r in (
+            (j, b + j), (i, i), (b + j, j), (b + i, 2 * b + i)))
+        cuts = [0, *(np.flatnonzero(np.diff(i2)) + 1), i2.size]
+        self._runs = [(lo, hi, j1[lo:hi], i1[lo], j2[lo:hi], i2[lo])
+                      for lo, hi in zip(cuts, cuts[1:])]
         self._offset = (b * _LOG_PI + logdets[group_of_class])[:, None]
         #: rows per evaluation batch: at most _CHUNK (rows x classes) entries
         self.batch_rows = max(1, _CHUNK // self.n_classes)
@@ -186,32 +198,36 @@ class _Mixture:
     def n_classes(self) -> int:
         return self.weights.size
 
-    def factor(self, ci: int) -> np.ndarray:
-        """Cholesky factor D_phi L D_phi^H of class ci's covariance; equal
-        bitwise to the factor of its own covariance for sign patterns."""
-        phi = self.phases[ci]
-        return self.chols[self.group_of_class[ci]] * np.outer(phi, np.conj(phi))
+    def factors(self) -> np.ndarray:
+        """(n_classes, b, b) Cholesky factors D_phi L D_phi^H of the class
+        covariances; for sign patterns, bitwise those of the covariances."""
+        phi = self.phases
+        return self.chols[self.group_of_class] * (phi[:, :, None] * np.conj(phi)[:, None, :])
 
     def class_logpdfs(self, y: np.ndarray) -> np.ndarray:
         """(n_classes, m) conditional log densities for a batch of m outputs."""
         yt = np.atleast_2d(y).T
-        iu, ju = self._pairs
-        z = np.conj(yt[iu]) * yt[ju]
-        lp = self._coef @ np.concatenate([yt.real ** 2 + yt.imag ** 2, z.real, z.imag])
-        lp += self._offset
-        return np.negative(lp, out=lp)
+        u = np.array([yt.real, yt.imag, -yt.imag], order="C").reshape(3 * self.b, -1)
+        f = np.empty((self._coef.shape[1], u.shape[1]))
+        for lo, hi, j1, i1, j2, i2 in self._runs:
+            np.multiply(u[j1], u[i1], out=f[lo:hi])
+            f[lo:hi] += u[j2] * u[i2]
+        lp = self._coef @ f
+        lp -= self._offset
+        return lp
 
     def log_mixture(self, lp: np.ndarray) -> np.ndarray:
-        """Mixture log density from a batch of class log densities.
+        """Mixture log density from a batch of class log densities, computed
+        in lp's buffer, which it overwrites.
 
         Written out rather than scipy.special.logsumexp, which costs 6-10x
         as much on these batches (scipy 1.17) and made mi_monte_carlo 1.5-3x
         slower at b = 1 to 12.
         """
-        a = lp + self.log_weights[:, None]
-        top = a.max(axis=0)
-        a -= top
-        return top + np.log(np.sum(np.exp(a, out=a), axis=0))
+        lp += self.log_weights[:, None]
+        top = lp.max(axis=0)
+        lp -= top
+        return top + np.log(np.sum(np.exp(lp, out=lp), axis=0))
 
     def mixture_logpdf(self, y: np.ndarray) -> np.ndarray:
         """Mixture log density at each row of y, as one batch."""
@@ -221,16 +237,9 @@ class _Mixture:
 def _first_appearance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label equal rows alike, in order of first appearance: the label of
     every row and the index of each label's first row."""
-    labels: dict[bytes, int] = {}
-    first: list[int] = []
-    of_row = np.empty(rows.shape[0], dtype=int)
-    for i, row in enumerate(rows):
-        key = row.tobytes()
-        if key not in labels:
-            labels[key] = len(first)
-            first.append(i)
-        of_row[i] = labels[key]
-    return of_row, np.asarray(first, dtype=int)
+    _, first, of_row = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[of_row.reshape(-1)], first[order]
 
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
@@ -244,35 +253,42 @@ def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
     return n, mean, m2
 
 
-def _class_draws(rng: np.random.Generator, mix: _Mixture, n: int):
-    """n outputs of the mixture as (class indices, outputs) chunks: multinomial
-    class counts, then each class's outputs in chunks of at most _CHUNK rows."""
-    counts = rng.multinomial(n, mix.weights / mix.weights.sum())
-    for ci, left in enumerate(counts.tolist()):
-        factor_t = mix.factor(ci).T
-        while left > 0:
-            m = min(left, _CHUNK)
-            yield np.full(m, ci), _cn(rng, (m, mix.b)) @ factor_t
-            left -= m
+def _batches(rng: np.random.Generator, mix: _Mixture, n: int):
+    """n outputs of the mixture as (class indices, outputs) batches of
+    ``mix.batch_rows`` rows (the last one may be shorter), across class
+    boundaries.
 
-
-def _rebatch(chunks, rows: int):
-    """Regroup (class indices, outputs) chunks into batches of ``rows`` rows
-    (the last one may be shorter), across class boundaries."""
-    held_c, held_y, n_held = [], [], 0
-    for c, y in chunks:
-        held_c.append(c)
-        held_y.append(y)
-        n_held += c.size
-        if n_held < rows:
-            continue
-        c, y = np.concatenate(held_c), np.concatenate(held_y)
-        full = n_held - n_held % rows
+    Multinomial class counts, then each class's outputs in pieces of at most
+    _CHUNK rows: a piece of m rows is ``_cn(rng, (m, b)) @ factor.T``.  The
+    pieces that start in one batch form a span: one ``standard_normal``
+    call draws each piece's real parts, then its imaginary parts, in
+    ``_cn``'s order, and each piece is one GEMM into the span's outputs.
+    """
+    b, rows = mix.b, mix.batch_rows
+    counts = rng.multinomial(n, mix.weights / mix.weights.sum()).tolist()
+    pieces = np.array([(ci, min(c - s, _CHUNK)) for ci, c in enumerate(counts)
+                       for s in range(0, c, _CHUNK)])
+    starts = np.cumsum(pieces[:, 1]) - pieces[:, 1]
+    factors_t = np.swapaxes(mix.factors(), 1, 2)
+    held_c, held_y = np.empty(0, dtype=int), np.empty((0, b), dtype=complex)
+    for span in np.split(pieces, np.flatnonzero(np.diff(starts // rows)) + 1):
+        z = rng.standard_normal(2 * b * span[:, 1].sum())
+        z *= np.sqrt(0.5)
+        c = np.concatenate([held_c, np.repeat(*span.T)])
+        y = np.empty((c.size, b), dtype=complex)
+        y[:held_c.size] = held_y
+        g = np.empty((span[:, 1].max(), b), dtype=complex)
+        at = held_c.size
+        for k, m in span.tolist():
+            g[:m].real, g[:m].imag = z[:2 * b * m].reshape(2, m, b)
+            np.matmul(g[:m], factors_t[k], out=y[at:at + m])
+            z, at = z[2 * b * m:], at + m
+        full = c.size - c.size % rows
         for s in range(0, full, rows):
             yield c[s:s + rows], y[s:s + rows]
-        held_c, held_y, n_held = [c[full:]], [y[full:]], n_held - full
-    if n_held:
-        yield np.concatenate(held_c), np.concatenate(held_y)
+        held_c, held_y = c[full:], y[full:]
+    if held_c.size:
+        yield held_c, held_y
 
 
 def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: float,
@@ -290,10 +306,10 @@ def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: floa
     mix = _Mixture(law, model, sigma2)
 
     tot_n, tot_mean, tot_m2 = 0, 0.0, 0.0
-    draws = _class_draws(rng_stream(seed, "mi"), mix, n_samples)
-    for ci, y in _rebatch(draws, mix.batch_rows):
+    for ci, y in _batches(rng_stream(seed, "mi"), mix, n_samples):
         lp = mix.class_logpdfs(y)
-        ratio = lp[ci, np.arange(ci.size)] - mix.log_mixture(lp)
+        own = lp[ci, np.arange(ci.size)]
+        ratio = own - mix.log_mixture(lp)
         c_mean = float(ratio.mean())
         c_m2 = float(np.sum((ratio - c_mean) ** 2))
         tot_n, tot_mean, tot_m2 = _merge_moments(

@@ -564,8 +564,16 @@ class TabulatedAutocorr(FadingModel):
 
     def log_integral(self, delta2):
         """By adaptive quadrature: a truncated Fourier series has no closed
-        form.  A density value under ``_DENSITY_FLOOR`` anywhere the
-        quadrature looks raises :class:`DomainError`; the rest count as >= 0."""
+        form.  A density value under ``_DENSITY_FLOOR`` raises
+        :class:`DomainError`, whatever delta2, on the uniform grid of N points
+        (N the least power of two >= 64 (M + 1), the density there one
+        Hermitian FFT of the lags) or anywhere the quadrature looks; the rest
+        count as >= 0."""
+        grid = np.fft.hfft(self.values, 1 << (64 * self.values.size - 1).bit_length())
+        if grid.min() < _DENSITY_FLOOR:
+            raise DomainError(f"density {grid.min():.3g} at lambda {grid.argmin() / grid.size:.6g}:"
+                              " the lags are not a covariance")
+
         def integrand(x):
             f = self.density(x)
             if f < _DENSITY_FLOOR:

@@ -9,7 +9,11 @@ otherwise:
 - ``second_order_coeff_exact`` is the moment expansion of the per-block
   SNR^2 coefficient for any finite-support input law, of which
   ``asymptotics.scheme_coefficients(...).block_coeff`` is the on-off
-  collapse (b(alpha - alpha^2) + alpha S(b)) / (2 b).
+  collapse (b(alpha - alpha^2) + alpha S(b)) / (2 b);
+- ``class_draws`` is the Monte Carlo estimator's draw route one class at a
+  time: a factor and a ``_cn`` draw per piece, then the pieces regrouped
+  into batches;
+- ``first_appearance`` labels the mixture's equal rows one row at a time.
 """
 
 from __future__ import annotations
@@ -18,12 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fadelab import spectra
-from fadelab.errors import DomainError, TooShort
+from fadelab import mi, spectra
+from fadelab.errors import DomainError, FadingLabError
 from fadelab.mi import DiscreteInputLaw
+from fadelab.spectra import _cn
 
 #: contiguous segments of the delete-one-block jackknife
 JACKKNIFE_BLOCKS = 50
+
+
+class TooShort(FadingLabError):
+    """Sample path too short for the requested number of lags."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,3 +111,40 @@ def second_order_coeff_exact(law: DiscreteInputLaw, model: spectra.FadingModel) 
     first = float(np.sum(abs_t2 * q))
     second = float(np.sum(abs_t2 * np.abs(m) ** 2))
     return (first - second) / (2.0 * a4)
+
+
+def class_draws(rng: np.random.Generator, mix: mi._Mixture, n: int):
+    """n outputs of the mixture as (class indices, outputs) batches of
+    ``mix.batch_rows`` rows (the last one may be shorter): multinomial class
+    counts, then for each class its factor D_phi L D_phi^H and its outputs
+    ``_cn(rng, (m, b)) @ factor.T`` in pieces of at most ``mi._CHUNK`` rows,
+    concatenated and cut across class boundaries."""
+    counts = rng.multinomial(n, mix.weights / mix.weights.sum())
+    held_c, held_y = [np.empty(0, dtype=int)], [np.empty((0, mix.b), dtype=complex)]
+    for ci, left in enumerate(counts.tolist()):
+        phi = mix.phases[ci]
+        factor_t = (mix.chols[mix.group_of_class[ci]] * np.outer(phi, np.conj(phi))).T
+        while left > 0:
+            m = min(left, mi._CHUNK)
+            held_c.append(np.full(m, ci))
+            held_y.append(_cn(rng, (m, mix.b)) @ factor_t)
+            left -= m
+    c, y = np.concatenate(held_c), np.concatenate(held_y)
+    rows = mix.batch_rows
+    return [(c[s:s + rows], y[s:s + rows]) for s in range(0, c.size, rows)]
+
+
+def first_appearance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The label of every row, equal rows alike in order of first
+    appearance, and the index of each label's first row, by a dict of row
+    bytes."""
+    labels: dict[bytes, int] = {}
+    first: list[int] = []
+    of_row = np.empty(rows.shape[0], dtype=int)
+    for i, row in enumerate(rows):
+        key = row.tobytes()
+        if key not in labels:
+            labels[key] = len(first)
+            first.append(i)
+        of_row[i] = labels[key]
+    return of_row, np.asarray(first, dtype=int)

@@ -197,8 +197,13 @@ class TestMonteCarlo:
         assert a.estimate == b.estimate and a.std_error == b.std_error
         # the same draws evaluated in batches of 997 rows, across class
         # boundaries: only the rounding of the moment merge may change
-        rebatch = mi._rebatch
-        monkeypatch.setattr(mi, "_rebatch", lambda chunks, rows: rebatch(chunks, 997))
+        init = mi._Mixture.__init__
+
+        def init_997(mix, *args):
+            init(mix, *args)
+            mix.batch_rows = 997
+
+        monkeypatch.setattr(mi._Mixture, "__init__", init_997)
         c = fl.mi_monte_carlo(sch, fl.ar1(0.5), 4.0, 20_000, SEED)
         assert c.estimate == pytest.approx(a.estimate, rel=1e-12)
         assert c.std_error == pytest.approx(a.std_error, rel=1e-12)

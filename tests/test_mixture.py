@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 import fadelab as fl
+from fadelab import mi
 from fadelab.mi import _Mixture
+from reference import class_draws, first_appearance
 
 SEED = 314159
 
@@ -98,9 +100,85 @@ class TestFactors:
         for model in (fl.memoryless(), fl.ar1(0.5), fl.ar1(0.3 + 0.4j), fl.bandlimited(0.25)):
             law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.3, duty_cycle=0.5, block_length=b))
             mix = _Mixture(law, model, 0.7)
+            factors = mix.factors()
             for row, ci in zip(law.support, mix.class_of_row):
                 want = np.linalg.cholesky(fl.cond_covariance(row, model, 0.7))
-                assert np.array_equal(mix.factor(ci), want)
+                assert np.array_equal(factors[ci], want)
+
+
+def full_feature_logpdfs(mix, y):
+    """Class log densities from all b + 2 C(b, 2) features (|y_i|^2, then Re
+    and Im of conj(y_i) y_j for i < j), none dropped, each class's precision
+    taken from its group's Cholesky factor."""
+    inv = np.linalg.inv(mix.chols)
+    prec = (np.conj(np.swapaxes(inv, 1, 2)) @ inv)[mix.group_of_class]
+    iu, ju = np.triu_indices(mix.b, 1)
+    q = prec[:, iu, ju] * mix.phases[:, iu] * np.conj(mix.phases[:, ju])
+    coef = np.concatenate(
+        [np.real(np.diagonal(prec, axis1=1, axis2=2)), 2.0 * q.real, -2.0 * q.imag], axis=1)
+    z = np.conj(y[:, iu]) * y[:, ju]
+    feats = np.concatenate([np.abs(y) ** 2, z.real, z.imag], axis=1)
+    logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(mix.chols, axis1=1, axis2=2))), axis=1)
+    return -(coef @ feats.T) - (mix.b * np.log(np.pi) + logdets[mix.group_of_class])[:, None]
+
+
+def unit_phase_law(b, k, seed):
+    """k rows of moduli in {0, 1, 2} and uniform complex phases."""
+    rng = np.random.default_rng(seed)
+    sup = rng.integers(0, 3, (k, b)) * np.exp(2j * np.pi * rng.random((k, b)))
+    return fl.DiscreteInputLaw(sup, np.full(k, 1.0 / k))
+
+
+@pytest.mark.parametrize("law,model,n_features", [
+    # +-1 signs and real lags: every Im column is 0 for all classes
+    (fl.scheme_to_law(fl.BlockScheme(amplitude=1.3, duty_cycle=0.5, block_length=5)),
+     fl.ar1(0.5), 15),
+    (fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=8)),
+     fl.bandlimited(0.25), 36),
+    (fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=10)),
+     fl.ar1(0.8), 55),
+    # a complex lag or complex phases keep every column
+    (fl.scheme_to_law(fl.BlockScheme(amplitude=1.3, duty_cycle=0.5, block_length=5)),
+     fl.ar1(0.3 + 0.4j), 25),
+    (unit_phase_law(4, 9, 2), fl.ar1(0.5), 16),
+])
+def test_class_logpdfs_match_every_feature(law, model, n_features):
+    mix = _Mixture(law, model, 0.7)
+    assert mix._coef.shape[1] == n_features
+    rng = np.random.default_rng(8)
+    b = law.block_length
+    y = 2.0 * (rng.standard_normal((50, b)) + 1j * rng.standard_normal((50, b)))
+    np.testing.assert_allclose(mix.class_logpdfs(y), full_feature_logpdfs(mix, y),
+                               rtol=1e-12, atol=0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(b=st.integers(1, 6), alpha=st.floats(1e-3, 1.0), n=st.integers(1, 400),
+       chunk=st.integers(1, 64), spec=models, seed=st.integers(0, 2 ** 32 - 1))
+def test_batches_match_the_per_class_route(b, alpha, n, chunk, spec, seed):
+    # a small _CHUNK splits the classes into pieces and the batches into few rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mi, "_CHUNK", chunk)
+        law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.3, duty_cycle=alpha, block_length=b))
+        mix = _Mixture(law, build(spec), 0.7)
+        got = list(mi._batches(np.random.default_rng(seed), mix, n))
+        want = class_draws(np.random.default_rng(seed), mix, n)
+    assert len(got) == len(want)
+    for (got_c, got_y), (want_c, want_y) in zip(got, want):
+        assert np.array_equal(got_c, want_c)
+        assert got_y.tobytes() == want_y.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 40), b=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_appearance_matches_the_row_loop(k, b, seed):
+    # rows drawn from four, some of them equal, as the mixture canonicalizes them
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 3, (4, b)) * np.exp(0.5j * np.pi * rng.integers(0, 4, (4, b)))
+    rows = np.round(base[rng.integers(0, 4, k)], 12) + (0.0 + 0.0j)
+    for r in (rows, np.abs(rows)):
+        got, want = mi._first_appearance(r), first_appearance(r)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("scheme,spec,sigma2,samples,want", GOLDEN)

@@ -149,6 +149,15 @@ def test_indefinite_autocorr_table_is_refused(values, delta2):
             fl.noisy_pred_error(model, delta2) if delta2 else fl.noiseless_pred_error(model)
 
 
+@pytest.mark.parametrize("r", [0.5000001, 0.50000001])
+@pytest.mark.parametrize("delta2", [0.0, 1e-6, 0.1, 10.0])
+def test_shallow_negative_autocorr_table_is_refused_at_every_delta2(r, delta2):
+    # 1 + 2 r cos(2 pi lam) dips to -2e-7 or -2e-8 at lam = 1/2, a point of the
+    # uniform grid; the smooth log1p at large delta2 lets the quadrature miss it
+    with pytest.raises(DomainError, match="not a covariance"):
+        fl.tabulated_autocorr([1.0, r]).log_integral(delta2)
+
+
 class TestNoiseless:
     def test_memoryless(self):
         assert fl.noiseless_pred_error(fl.memoryless()).error == 1.0

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 import fadelab as fl
 from fadelab import simulate, spectra
-from fadelab.errors import DomainError, EmbeddingFailure, TooShort
-from reference import empirical_autocorr
+from fadelab.errors import DomainError, EmbeddingFailure
+from reference import TooShort, empirical_autocorr
 from test_laws import PROPS
 
 SEED = 20260810
