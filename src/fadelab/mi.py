@@ -9,10 +9,11 @@ the per-block mutual information is
 evaluated for any law by ``tests/reference.py``; for the on-off block
 scheme it is (b(alpha - alpha^2) + alpha S(b)) / 2, b times
 ``scheme_coefficients(...).block_coeff``.  The Monte Carlo estimator draws
-(x, y) from the true joint law and averages log p(y|x) - log p(y), with p(y)
-the exact finite Gaussian mixture; support points whose conditional
-covariances coincide (global phase rotations) are merged first, and classes
-sharing a modulus pattern share one Cholesky factor (see ``_Mixture``).
+(x, y) from the scheme's joint law and averages log p(y|x) - log p(y), with
+p(y) the exact finite Gaussian mixture.  Its classes come from the sign
+structure, the zero block and the sign patterns up to a global flip, with
+one Cholesky factor for the off block and one, chol(A^2 T_b + sigma2 I),
+for every on class up to its signs (see ``_Mixture``).
 Each batch of outputs (``_batches``) costs real products for its features,
 one GEMM for the log densities of every class and a log-sum-exp in place.
 """
@@ -88,6 +89,13 @@ class FitResult:
     n_points: int
 
 
+def _sign_patterns(b: int) -> np.ndarray:
+    """The 2^b sign patterns in itertools.product order: row k has -1 where
+    bit b-1-j of k is set, so the first 2^(b-1) rows have s_0 = +1."""
+    bits = (np.arange(2 ** b)[:, None] >> np.arange(b - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
+
+
 def scheme_to_law(scheme: BlockScheme) -> DiscreteInputLaw:
     """Enumerate the block scheme as a finite-support law.
 
@@ -105,10 +113,8 @@ def scheme_to_law(scheme: BlockScheme) -> DiscreteInputLaw:
     if alpha < 1.0:
         rows.append(np.zeros((1, b), dtype=complex))
         probs.append([1.0 - alpha])
-    if alpha > 0.0:
-        # sign row k has -1 where bit b-1-j of k is set: itertools.product order
-        bits = (np.arange(2 ** b)[:, None] >> np.arange(b - 1, -1, -1)) & 1
-        rows.append(amp * (1.0 - 2.0 * bits).astype(complex))
+    if alpha / 2 ** b > 0.0:
+        rows.append(amp * _sign_patterns(b).astype(complex))
         probs.append(np.full(2 ** b, alpha / 2 ** b))
     return DiscreteInputLaw(support=np.concatenate(rows), probabilities=np.concatenate(probs))
 
@@ -129,56 +135,57 @@ def cond_covariance(x: np.ndarray, model: spectra.FadingModel, sigma2: float) ->
 
 
 class _Mixture:
-    """The output mixture of a law under one channel, factored once per
-    modulus pattern.
+    """The output mixture of the on-off block scheme under one channel, its
+    classes and factors taken from the scheme's sign structure.
 
-    Support rows whose conditional covariances coincide (a global phase
-    apart) are merged into classes.  Classes that share the modulus pattern
-    a = |x| form a group: with x = D_phi a, D_phi = diag(phases), the class
-    covariance is D_phi C D_phi^H with C = cond_covariance(a), so one
-    Cholesky factor L and one precision P = C^{-1} serve the whole group.
-    The class quadratic form
+    An on block is x = A D_s 1 with D_s = diag(s), s in {+-1}^b, so its
+    conditional covariance is D_s C D_s with C = cond_covariance(A 1); s and
+    -s give the same covariance.  The classes are the zero block (weight
+    1 - alpha, covariance sigma2 I) when alpha < 1, then the 2^(b-1) sign
+    patterns with s_0 = +1 (weight alpha / 2^(b-1) each), in the row order
+    of ``scheme_to_law``; classes of weight 0 are dropped.  One Cholesky
+    factor L and one precision P = C^{-1} serve all on classes.  The class
+    quadratic form
 
-        y^H D_phi P D_phi^H y = sum_i P_ii |y_i|^2
-                                + 2 Re sum_{i<j} P_ij phi_i conj(phi_j) conj(y_i) y_j
+        y^H D_s P D_s y = sum_i P_ii |y_i|^2 + 2 Re sum_{i<j} P_ij s_i s_j conj(y_i) y_j
 
     is linear in the features (|y_i|^2, Re and Im of conj(y_i) y_j), so the
     log densities of every class at a batch of outputs are one GEMM.  Only
     features that some class weighs are formed, from Re y and Im y: b(b+1)/2
-    of the b^2 for +-1 signs and real lags, whose Im coefficients are all 0.
+    of the b^2 for real lags, whose Im coefficients are all 0.
     """
 
-    def __init__(self, law: DiscreteInputLaw, model: spectra.FadingModel, sigma2: float):
-        b = law.block_length
+    def __init__(self, scheme: BlockScheme, model: spectra.FadingModel, sigma2: float):
+        b = scheme.block_length
         if b > BLOCK_CAP:
             raise BlockTooLarge(f"block length {b} exceeds the enumeration cap {BLOCK_CAP}")
-        sup = law.support
-        mags = np.abs(sup)
-        unit = np.divide(sup, mags, out=np.ones(sup.shape, dtype=complex), where=mags > 0.0)
-        # the covariance depends on x only through x_i conj(x_j): rotate each
-        # row so that its first nonzero entry is real positive, then round
-        lead = unit[np.arange(sup.shape[0]), np.argmax(mags > 0.0, axis=1)]
-        canon = np.round(sup * np.conj(lead)[:, None], 12) + (0.0 + 0.0j)  # flush -0.0
-        class_of_row, first = _first_appearance(canon)
-        group_of_class, group_first = _first_appearance(np.round(mags[first], 12))
-
-        covs = [cond_covariance(mags[first[g]], model, sigma2) for g in group_first]
-        self.chols = np.linalg.cholesky(np.array(covs))
+        alpha = scheme.duty_cycle
+        blocks, signs, weights = [], [], []
+        if alpha < 1.0:
+            blocks.append(np.zeros(b))
+            signs.append(np.ones((1, b)))
+            weights.append([1.0 - alpha])
+        if alpha / 2 ** b > 0.0:
+            blocks.append(np.full(b, scheme.amplitude))
+            signs.append(_sign_patterns(b)[:2 ** (b - 1)])
+            weights.append(np.full(2 ** (b - 1), alpha / 2 ** (b - 1)))
+        self.signs = np.concatenate(signs)
+        self.weights = np.concatenate(weights)
+        # the zero block, if kept, is class 0; every other class is on
+        self.group_of_class = np.minimum(np.arange(self.weights.size), len(blocks) - 1)
+        self.chols = np.linalg.cholesky(np.array([cond_covariance(x, model, sigma2)
+                                                  for x in blocks]))
         inv = np.linalg.inv(self.chols)
-        prec = (np.conj(np.swapaxes(inv, 1, 2)) @ inv)[group_of_class]
+        prec = (np.conj(np.swapaxes(inv, 1, 2)) @ inv)[self.group_of_class]
         logdets = 2.0 * np.sum(np.log(np.real(np.diagonal(self.chols, axis1=1, axis2=2))), axis=1)
 
         self.b = b
-        self.phases = unit[first]
-        self.class_of_row = class_of_row
-        self.group_of_class = group_of_class
-        self.weights = np.bincount(class_of_row, weights=law.probabilities)
         self.log_weights = np.log(self.weights)
         # coefficients of the features Re and Im of conj(y_i) y_j for i <= j
         # (|y_i|^2 at i = j, which has no Im), negated; a column that is 0 in
         # every class is dropped with its feature
         i, j = np.triu_indices(b)
-        q = prec[:, i, j] * self.phases[:, i] * np.conj(self.phases[:, j])
+        q = prec[:, i, j] * (self.signs[:, i] * self.signs[:, j])
         q[:, i == j] = np.real(np.diagonal(prec, axis1=1, axis2=2)) / 2.0
         coef = -2.0 * np.concatenate([q.real, -q.imag], axis=1)
         keep = np.any(coef != 0.0, axis=0)
@@ -190,7 +197,7 @@ class _Mixture:
         cuts = [0, *(np.flatnonzero(np.diff(i2)) + 1), i2.size]
         self._runs = [(lo, hi, j1[lo:hi], i1[lo], j2[lo:hi], i2[lo])
                       for lo, hi in zip(cuts, cuts[1:])]
-        self._offset = (b * _LOG_PI + logdets[group_of_class])[:, None]
+        self._offset = (b * _LOG_PI + logdets[self.group_of_class])[:, None]
         #: rows per evaluation batch: at most _CHUNK (rows x classes) entries
         self.batch_rows = max(1, _CHUNK // self.n_classes)
 
@@ -199,10 +206,10 @@ class _Mixture:
         return self.weights.size
 
     def factors(self) -> np.ndarray:
-        """(n_classes, b, b) Cholesky factors D_phi L D_phi^H of the class
-        covariances; for sign patterns, bitwise those of the covariances."""
-        phi = self.phases
-        return self.chols[self.group_of_class] * (phi[:, :, None] * np.conj(phi)[:, None, :])
+        """(n_classes, b, b) Cholesky factors D_s L D_s of the class
+        covariances, bitwise those of the covariances."""
+        s = self.signs
+        return self.chols[self.group_of_class] * (s[:, :, None] * s[:, None, :])
 
     def class_logpdfs(self, y: np.ndarray) -> np.ndarray:
         """(n_classes, m) conditional log densities for a batch of m outputs."""
@@ -232,14 +239,6 @@ class _Mixture:
     def mixture_logpdf(self, y: np.ndarray) -> np.ndarray:
         """Mixture log density at each row of y, as one batch."""
         return self.log_mixture(self.class_logpdfs(y))
-
-
-def _first_appearance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Label equal rows alike, in order of first appearance: the label of
-    every row and the index of each label's first row."""
-    _, first, of_row = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return np.argsort(order)[of_row.reshape(-1)], first[order]
 
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
@@ -302,8 +301,7 @@ def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: floa
     n_samples = int(n_samples)
     if n_samples < 10_000:
         raise DomainError("need at least 1e4 samples for a meaningful standard error")
-    law = scheme_to_law(scheme)
-    mix = _Mixture(law, model, sigma2)
+    mix = _Mixture(scheme, model, sigma2)
 
     tot_n, tot_mean, tot_m2 = 0, 0.0, 0.0
     for ci, y in _batches(rng_stream(seed, "mi"), mix, n_samples):
@@ -354,12 +352,11 @@ def fit_coefficient(points) -> FitResult:
     snr, est, err = _as_points(points)
     if not np.all(snr > 0.0):
         raise DomainError("SNR values must be > 0")
-    uniq = np.unique(snr)
-    if uniq.size < 3:
+    if len(set(snr.tolist())) < 3:
         raise DomainError("need at least 3 distinct SNR values")
     if np.any(snr > 0.5):
         raise DomainError("fit is only meaningful for SNR <= 0.5")
-    if uniq.max() / uniq.min() < 2.0:
+    if snr.max() / snr.min() < 2.0:
         raise IllConditioned("SNR values must span at least a factor of 2")
 
     design = np.column_stack([snr ** 2, snr ** 3])

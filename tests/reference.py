@@ -12,8 +12,7 @@ otherwise:
   collapse (b(alpha - alpha^2) + alpha S(b)) / (2 b);
 - ``class_draws`` is the Monte Carlo estimator's draw route one class at a
   time: a factor and a ``_cn`` draw per piece, then the pieces regrouped
-  into batches;
-- ``first_appearance`` labels the mixture's equal rows one row at a time.
+  into batches.
 """
 
 from __future__ import annotations
@@ -116,14 +115,14 @@ def second_order_coeff_exact(law: DiscreteInputLaw, model: spectra.FadingModel) 
 def class_draws(rng: np.random.Generator, mix: mi._Mixture, n: int):
     """n outputs of the mixture as (class indices, outputs) batches of
     ``mix.batch_rows`` rows (the last one may be shorter): multinomial class
-    counts, then for each class its factor D_phi L D_phi^H and its outputs
+    counts, then for each class its factor D_s L D_s and its outputs
     ``_cn(rng, (m, b)) @ factor.T`` in pieces of at most ``mi._CHUNK`` rows,
     concatenated and cut across class boundaries."""
     counts = rng.multinomial(n, mix.weights / mix.weights.sum())
     held_c, held_y = [np.empty(0, dtype=int)], [np.empty((0, mix.b), dtype=complex)]
     for ci, left in enumerate(counts.tolist()):
-        phi = mix.phases[ci]
-        factor_t = (mix.chols[mix.group_of_class[ci]] * np.outer(phi, np.conj(phi))).T
+        sign = mix.signs[ci]
+        factor_t = (mix.chols[mix.group_of_class[ci]] * np.outer(sign, sign)).T
         while left > 0:
             m = min(left, mi._CHUNK)
             held_c.append(np.full(m, ci))
@@ -133,18 +132,3 @@ def class_draws(rng: np.random.Generator, mix: mi._Mixture, n: int):
     rows = mix.batch_rows
     return [(c[s:s + rows], y[s:s + rows]) for s in range(0, c.size, rows)]
 
-
-def first_appearance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The label of every row, equal rows alike in order of first
-    appearance, and the index of each label's first row, by a dict of row
-    bytes."""
-    labels: dict[bytes, int] = {}
-    first: list[int] = []
-    of_row = np.empty(rows.shape[0], dtype=int)
-    for i, row in enumerate(rows):
-        key = row.tobytes()
-        if key not in labels:
-            labels[key] = len(first)
-            first.append(i)
-        of_row[i] = labels[key]
-    return of_row, np.asarray(first, dtype=int)

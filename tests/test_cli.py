@@ -171,6 +171,29 @@ class TestCommands:
         assert doc["condition12_verdict"] == "yes"
         assert doc["ok"] is True
 
+    def test_mi_with_underflowing_sign_atoms(self, capsys):
+        # alpha / 2^12 is 0: the scheme is the zero block alone, whose MI is 0
+        code, out = run_cli(capsys, ["mi", "--model", "ar1", "--a", "0.5", "--b", "12",
+                                     "--alpha", "1e-320", "--sigma2", "10",
+                                     "--samples", "10000"])
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[3:5] == ["0", "0"]
+
+    @pytest.mark.parametrize("argv,scales", [
+        (["mi", "--b", "4", "--alpha", "0.5", "--samples", "20000", "--seed", "1"],
+         [["--A", "1", "--sigma2", "1"], ["--A", "1e-13", "--sigma2", "1e-26"]]),
+        (["sweep", "--mc", "--b-list", "2", "--alpha-list", "0.5", "--snr-list", "0.25",
+          "--samples", "20000"], [["--A", "1"], ["--A", "1e-13"]]),
+    ], ids=["mi", "sweep"])
+    def test_mc_rows_are_scale_free(self, capsys, argv, scales):
+        # an amplitude far under 1 keeps every covariance class apart
+        rows = []
+        for flags in scales:
+            code, out = run_cli(capsys, [*argv, "--model", "ar1", "--a", "0.5", *flags])
+            assert code == 0
+            rows.append(out.splitlines()[-1])
+        assert rows[0] == rows[1]
+
     def test_mi_csv(self, capsys):
         code, out = run_cli(capsys, ["mi", "--model", "memoryless", "--b", "1",
                                      "--alpha", "0.5", "--sigma2", "4.0",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import dblquad
+from scipy.special import logsumexp
 
 import fadelab as fl
 from fadelab import mi
@@ -57,6 +59,11 @@ class TestLaw:
         m, q = law_moments(fl.scheme_to_law(sch))
         assert np.allclose(m, (5 / 6) * 4.0 * np.eye(3), atol=1e-12)
         assert np.allclose(q, (5 / 6) * 16.0 * np.ones((3, 3)), atol=1e-12)
+
+    def test_underflowing_sign_atoms_are_dropped(self):
+        law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=1e-320, block_length=12))
+        assert law.support.shape == (1, 12) and not law.support.any()
+        assert law.probabilities.tolist() == [1.0]
 
     def test_block_cap(self):
         with pytest.raises(BlockTooLarge):
@@ -136,38 +143,44 @@ class TestExactCoefficient:
 
 class TestOutputDensity:
     def test_constant_modulus_single_class(self):
-        law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=1))
-        val = _Mixture(law, fl.memoryless(), 1.0).mixture_logpdf(np.array([0j]))[0]
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=1)
+        val = _Mixture(scheme, fl.memoryless(), 1.0).mixture_logpdf(np.array([0j]))[0]
         assert val == pytest.approx(-np.log(2 * np.pi), abs=1e-12)
 
     def test_silent_law_gaussian(self):
-        law = fl.DiscreteInputLaw(np.zeros((1, 2), dtype=complex), np.array([1.0]))
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.0, block_length=2)
         y = np.array([1.0 + 0.5j, -0.25j])
         want = -2 * np.log(np.pi * 2.0) - float(np.sum(np.abs(y) ** 2)) / 2.0
-        got = _Mixture(law, fl.memoryless(), 2.0).mixture_logpdf(y)[0]
+        got = _Mixture(scheme, fl.memoryless(), 2.0).mixture_logpdf(y)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_sign_collapse_count(self):
-        law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=3))
-        assert _Mixture(law, fl.ar1(0.5), 1.0).n_classes == 4
-        law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=3))
-        assert _Mixture(law, fl.ar1(0.5), 1.0).n_classes == 5
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=3)
+        assert _Mixture(scheme, fl.ar1(0.5), 1.0).n_classes == 4
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=3)
+        assert _Mixture(scheme, fl.ar1(0.5), 1.0).n_classes == 5
 
     def test_global_sign_symmetry(self):
+        # the mixture keeps one of s and -s; a dense sum over the negated
+        # support rows, one Gaussian each, gives the same density
         m = fl.ar1(0.5)
-        law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=2))
-        flipped = fl.DiscreteInputLaw(-law.support, law.probabilities)
-        mix, mix_flipped = _Mixture(law, m, 1.0), _Mixture(flipped, m, 1.0)
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=2)
+        law = fl.scheme_to_law(scheme)
+        mix = _Mixture(scheme, m, 1.0)
         rng = np.random.default_rng(3)
         for _ in range(5):
             y = rng.normal(size=2) + 1j * rng.normal(size=2)
-            assert mix.mixture_logpdf(y)[0] == pytest.approx(
-                mix_flipped.mixture_logpdf(y)[0], abs=1e-13)
+            terms = []
+            for x, p in zip(-law.support, law.probabilities):
+                cov = fl.cond_covariance(x, m, 1.0)
+                quad = np.real(np.conj(y) @ np.linalg.solve(cov, y))
+                terms.append(np.log(p) - np.log(np.linalg.det(np.pi * cov).real) - quad)
+            assert mix.mixture_logpdf(y)[0] == pytest.approx(logsumexp(terms), abs=1e-13)
 
     def test_mixture_normalizes(self):
         # brute-force 2-D quadrature of the mixture density for b = 1
-        law = fl.scheme_to_law(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=1))
-        mix = _Mixture(law, fl.memoryless(), 1.0)
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=1)
+        mix = _Mixture(scheme, fl.memoryless(), 1.0)
         mass, _ = dblquad(
             lambda u, v: np.exp(mix.mixture_logpdf(np.array([u + 1j * v]))[0]),
             -np.inf, np.inf, -np.inf, np.inf, epsabs=1e-10)
@@ -218,6 +231,25 @@ class TestMonteCarlo:
         sch = fl.BlockScheme(amplitude=1.0, duty_cycle=0.25, block_length=2)
         est = fl.mi_monte_carlo(sch, fl.ar1(0.3), 10.0, 50_000, SEED)
         assert est.estimate >= -3 * est.std_error
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(c=st.floats(-60.0, 60.0).map(lambda e: 10.0 ** e), b=st.integers(1, 6),
+           alpha=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
+    @example(c=1e-13, b=4, alpha=0.5, seed=1)
+    def test_scale_free(self, c, b, alpha, seed):
+        # only A^2 / sigma2 matters: scaling A by c and sigma2 by c^2 keeps
+        # every class apart and moves the estimate by rounding alone.  That
+        # rounding is of log densities up to 2b |log c| ~ 1.7e3 in size, and
+        # moved 150 draws by up to 1.1e-13 nats; at alpha = 1e-9 the
+        # estimate is ~1e-11, so a relative bound alone cannot hold there
+        model = fl.ar1(0.5)
+        est = fl.mi_monte_carlo(fl.BlockScheme(amplitude=1.0, duty_cycle=alpha, block_length=b),
+                                model, 1.0, 10_000, seed)
+        scaled = fl.mi_monte_carlo(
+            fl.BlockScheme(amplitude=c, duty_cycle=alpha, block_length=b),
+            model, c * c, 10_000, seed)
+        assert scaled.estimate == pytest.approx(est.estimate, rel=1e-9, abs=1e-12)
+        assert scaled.std_error == pytest.approx(est.std_error, rel=1e-9, abs=1e-12)
 
     def test_sample_floor(self):
         with pytest.raises(DomainError):
