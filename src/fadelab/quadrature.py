@@ -5,8 +5,12 @@ integral, log integrals and Fourier coefficients all have exact
 per-interval expressions.  On a uniform grid the Fourier coefficients come
 instead from one FFT of the node values: the interpolant is a sum of hat
 functions, each lag one DFT entry times the hat's transform, plus a
-half-hat term when the two end values differ.  Of the laws' log integrals
-only an autocorrelation table's takes adaptive quadrature (``quad_interval``).
+half-hat term when the two end values differ.  On any other grid each
+piece contributes a real expression about its midpoint, rotated by its
+phase; a run of lags takes those phases from one exact exp per piece every
+64 lags and a per-call table of in-block rotations.  Of the laws' log
+integrals only an autocorrelation table's takes adaptive quadrature
+(``quad_interval``).
 """
 
 from __future__ import annotations
@@ -104,27 +108,103 @@ def pl_log_integral(grid: np.ndarray, vals: np.ndarray) -> float:
     return float(np.sum(_log_linear_piece(u0, u1, np.diff(grid))))
 
 
-#: Taylor coefficients of g1(z) = (e^z - 1)/z and g2(z) = (e^z (z - 1) + 1)/z^2,
-#: highest order first; 18 terms reach double precision for |z| < 1
-_G_TAYLOR = np.array([[1.0 / math.factorial(k + 1), 1.0 / (math.factorial(k) * (k + 2))]
-                      for k in range(17, -1, -1)])
+#: Taylor coefficients of g2(z) = (e^z (z - 1) + 1)/z^2, highest order first;
+#: 18 terms reach double precision for |z| < 1
+_G2_TAYLOR = np.array([1.0 / (math.factorial(k) * (k + 2)) for k in range(17, -1, -1)])
+
+#: lags per block of a contiguous run: each block takes one exact exp row per
+#: piece, times the call's table of in-block rotations
+_BLOCK = 64
+
+#: below |a| = 1/2, where the closed form of T cancels, S(a) and T(a)/a come
+#: from their series in a^2, coefficients highest order first, one row each;
+#: 7 terms reach double precision there
+_SERIES_BELOW = 0.5
+_ST_SERIES = np.array([[[(-1) ** k / math.factorial(2 * k + 1)],
+                        [(-1) ** k * (2 * k + 2) / math.factorial(2 * k + 3)]]
+                       for k in range(6, -1, -1)])
 
 
-def _g12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g1(z) = integral_0^1 e^{zt} dt and g2(z) = integral_0^1 t e^{zt} dt,
-    by their Taylor series where |z| < 1, whose closed forms cancel there."""
-    g1, g2 = np.empty_like(z), np.empty_like(z)
+def _g2(z: np.ndarray) -> np.ndarray:
+    """g2(z) = integral_0^1 t e^{zt} dt, by its Taylor series where |z| < 1,
+    whose closed form cancels there."""
+    g2 = np.empty_like(z)
     small = np.abs(z) < 1.0
     zs = z[small]
-    p1, p2 = np.zeros_like(zs), np.zeros_like(zs)
-    for c1, c2 in _G_TAYLOR:
-        p1, p2 = p1 * zs + c1, p2 * zs + c2
-    g1[small], g2[small] = p1, p2
+    p2 = np.zeros_like(zs)
+    for c2 in _G2_TAYLOR:
+        p2 = p2 * zs + c2
+    g2[small] = p2
     zb = z[~small]
-    ez = np.exp(zb)
-    g1[~small] = (ez - 1.0) / zb
-    g2[~small] = (ez * (zb - 1.0) + 1.0) / (zb * zb)
-    return g1, g2
+    g2[~small] = (np.exp(zb) * (zb - 1.0) + 1.0) / (zb * zb)
+    return g2
+
+
+def _turns(x: np.ndarray, lo=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """x + lo as (hi, lo) with hi a multiple of 2^-30, so that m hi is exact
+    for integers |m| < 2^23 when |x| <= 1/2."""
+    hi = np.round(x * 2.0 ** 30) * 2.0 ** -30
+    return hi, (x - hi) + lo
+
+
+def _cis(m, x: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """e^{i 2 pi m x} for lags m (rows) and split points x = (hi, lo) from
+    ``_turns`` (columns), with m hi reduced modulo 1 exactly first."""
+    hi, lo = x
+    t = np.multiply.outer(m, hi)
+    t -= np.rint(t)
+    t += np.multiply.outer(m, lo)
+    return np.exp(2j * np.pi * t)
+
+
+def _piece_weights(a: np.ndarray, ea: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u S(a) + i v T(a), S(a) = sin(a)/a and T(a) = (sin a - a cos a)/a^2,
+    from ea = e^{ia} where |a| >= 1/2 and from the series below."""
+    q = np.empty_like(ea)
+    s, t = q.real, q.imag
+    small = np.abs(a) < _SERIES_BELOW
+    big = ~small
+    np.divide(ea.imag, a, out=s, where=big)
+    np.subtract(s, ea.real, out=t, where=big)
+    np.divide(t, a, out=t, where=big)
+    a_small = a[small]
+    a2 = a_small * a_small
+    p = _ST_SERIES[0] * np.ones_like(a2)
+    for c in _ST_SERIES[1:]:
+        p *= a2
+        p += c
+    s[small], t[small] = p[0], p[1] * a_small
+    s *= u
+    t *= v
+    return q
+
+
+def _piece_fourier(grid: np.ndarray, vals: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """``pl_fourier``'s per-piece route at the 1-d integer lags ``ms``."""
+    x0, x1 = grid[:-1], grid[1:]
+    s = x0 + x1
+    e = s - x0  # with the next line, the rounding error of s (Knuth's two-sum)
+    centre = _turns(0.5 * s, 0.5 * ((x0 - (s - e)) + (x1 - e)))
+    h = 0.5 * (x1 - x0)
+    half = _turns(h)
+    u, v = h * (vals[:-1] + vals[1:]), h * np.diff(vals)
+    lags = ms.astype(float)
+    out = np.empty(ms.shape, dtype=complex)
+    run = bool(np.all(np.diff(ms) == 1))
+    if run:
+        k = np.arange(min(_BLOCK, ms.size), dtype=float)
+        rot_c, rot_a = _cis(k, centre), _cis(k, half)
+    for i in range(0, ms.size, _BLOCK):
+        mb = lags[i:i + _BLOCK]
+        if run:
+            ec = _cis(mb[0], centre) * rot_c[:mb.size]
+            ea = _cis(mb[0], half) * rot_a[:mb.size]
+        else:
+            ec, ea = _cis(mb, centre), _cis(mb, half)
+        q = _piece_weights(np.multiply.outer(2.0 * np.pi * mb, h), ea, u, v)
+        out[i:i + mb.size] = np.einsum("ij,ij->i", ec, q)
+    out[ms == 0] = np.trapezoid(vals, grid)
+    return out
 
 
 def pl_fourier(grid: np.ndarray, vals: np.ndarray, m) -> np.ndarray:
@@ -137,13 +217,21 @@ def pl_fourier(grid: np.ndarray, vals: np.ndarray, m) -> np.ndarray:
     sinc^2(m h), whose sum is h sinc^2(m h) (-1)^m D[m mod N] with
     D = N ifft(f_0..f_{N-1}); periodicity in lam wraps f_0's left half-hat
     round to lam = 1/2, so the rising half-hat there adds (f_N - f_0) h
-    e^{i pi m - i omega h} g2(i omega h) (see ``_g12``).
+    e^{i pi m - i omega h} g2(i omega h) (see ``_g2``).
 
-    Any other grid, O(pieces x lags): the piece of width w from x0
-    contributes e^{i omega x0} w (f0 g1(z) + (f1 - f0) g2(z)) with
-    z = i omega w, which stays accurate on pieces too narrow for the
-    textbook form (f1 e1 - f0 e0)/(i omega) - slope (e1 - e0)/(i omega)^2.
-    Lags go 128 at a time to bound memory.
+    Any other grid, O(pieces x lags) in real arithmetic: the piece of width
+    w about its midpoint c contributes
+    e^{i omega c} w (fbar S(a) + (i/2) (f1 - f0) T(a)) with a = omega w / 2,
+    fbar = (f0 + f1)/2, S(a) = sin(a)/a and T(a) = (sin a - a cos a)/a^2,
+    which stays accurate on pieces too narrow for the textbook form
+    (f1 e1 - f0 e0)/(i omega) - slope (e1 - e0)/(i omega)^2 because S and T
+    come from their series where |a| < 1/2.  Phases are m c and m w / 2
+    turns reduced modulo 1 exactly, c carrying the rounding of (x0 + x1)/2,
+    so they stay accurate to rounding at any lag below 2^23.  A contiguous
+    run of lags goes 64 at a time, each block one exact exp per piece of its
+    first lag times the call's table of in-block rotations e^{i 2 pi k c}
+    and e^{i pi k w}, k < 64; any other lag array takes an exact exp per
+    (lag, piece).
     """
     ms = np.atleast_1d(np.asarray(m))
     n = grid.size - 1
@@ -151,22 +239,11 @@ def pl_fourier(grid: np.ndarray, vals: np.ndarray, m) -> np.ndarray:
         h = 1.0 / n
         k = ms % n
         dft = n * np.fft.ifft(vals[:n])
-        _, g2 = _g12(2j * np.pi * h * ms)
+        g2 = _g2(2j * np.pi * h * ms)
         out = h * (-1.0) ** ms * (np.sinc(ms * h) ** 2 * dft[k]
                                   + (vals[n] - vals[0]) * np.exp(-2j * np.pi * h * k) * g2)
     else:
-        x0, w = grid[:-1], np.diff(grid)
-        f0, df = vals[:-1], np.diff(vals)
-        out = np.empty(ms.shape, dtype=complex)
-        zero = ms == 0
-        out[zero] = np.trapezoid(vals, grid)
-        omega = 2.0 * np.pi * ms[~zero].astype(float)
-        rest = np.empty(omega.size, dtype=complex)
-        for i in range(0, omega.size, 128):
-            om = omega[i:i + 128, None]
-            g1, g2 = _g12(1j * om * w)
-            rest[i:i + 128] = (np.exp(1j * om * x0) * w * (f0 * g1 + df * g2)).sum(axis=1)
-        out[~zero] = rest
+        out = _piece_fourier(grid, vals, ms)
     if np.isscalar(m):
         return out[0]
     return out

@@ -109,10 +109,85 @@ def _mp_pl_fourier(grid, vals, m):
         return complex(total)
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 16, 63])
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 63, 1023, 1024, 4096])
 def test_pl_fourier_on_narrow_edge_pieces(m):
     model = fl.tabulated_density(*jakes_like_table())
     assert abs(fl.autocorr(model, m) - _mp_pl_fourier(model.grid, model.values, m)) <= 1e-12
+
+
+def _mp_lag(grid, vals, m):
+    """``_mp_pl_fourier``, with the 50-digit trapezoid at m = 0."""
+    if m != 0:
+        return _mp_pl_fourier(grid, vals, m)
+    with mp.workdps(50):
+        x, f = [mp.mpf(float(g)) for g in grid], [mp.mpf(float(v)) for v in vals]
+        return float(mp.fsum((x[i + 1] - x[i]) * (f[i] + f[i + 1]) / 2 for i in range(len(x) - 1)))
+
+
+def test_a_far_run_of_lags_is_each_lag_asked_alone():
+    # phases are reduced modulo one turn exactly, so the in-block rotations
+    # of a run 2^16 lags out still agree with exact exps to rounding; the
+    # midpoints carry their own rounding, so the lag is still within 1e-14
+    grid, vals = jakes_like_table()
+    ms = np.arange(2 ** 16 - 127, 2 ** 16 + 1)
+    got = quadrature.pl_fourier(grid, vals, ms)
+    alone = np.array([quadrature.pl_fourier(grid, vals, m) for m in ms])
+    assert np.max(np.abs(got - alone)) <= 1e-13
+    assert abs(got[-1] - _mp_pl_fourier(grid, vals, 2 ** 16)) <= 1e-14
+
+
+@st.composite
+def piece_tables(draw):
+    """Unit-mass tables for the per-piece route: band edges graded
+    geometrically down to ``depth``, uniform grids with jittered inner nodes,
+    and the 2-node grid."""
+    kind = draw(st.sampled_from(["graded", "jittered", "two nodes"]))
+    if kind == "graded":
+        return jakes_like_table(lambda_d=draw(st.floats(0.05, 0.49)),
+                                gamma=draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)),
+                                depth=10.0 ** draw(st.floats(-10.0, -2.0)),
+                                n_bulk=draw(st.integers(2, 64)), n_edge=draw(st.integers(2, 16)))
+    n = 1 if kind == "two nodes" else draw(st.integers(2, 64))
+    grid = np.linspace(-0.5, 0.5, n + 1)
+    jitter = 10.0 ** draw(st.floats(-13.0, np.log10(0.45)))  # of the spacing
+    grid[1:-1] += jitter / n * np.array(draw(st.lists(st.floats(-1.0, 1.0),
+                                                      min_size=n - 1, max_size=n - 1)))
+    vals = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=n + 1, max_size=n + 1))) + 0.1
+    return grid, vals / np.trapezoid(vals, grid)
+
+
+#: lags near 0, where S and T switch between series and closed form on
+#: coarse grids, and far from it, where phases are many turns
+some_lags = st.one_of(st.integers(-64, 64), st.integers(-2 ** 16, 2 ** 16))
+
+
+@PROPS
+@given(piece_tables(), some_lags, st.integers(1, 150), st.data())
+def test_per_piece_route_on_a_run_of_lags(table, start, length, data):
+    # the run's blocks rotate an exact exp row; each entry stays its lag asked alone
+    grid, vals = table
+    ms = np.arange(start, start + length)
+    got = quadrature._piece_fourier(grid, vals, ms)
+    for j in {0, length - 1, data.draw(st.integers(0, length - 1))}:
+        assert abs(got[j] - _mp_lag(grid, vals, int(ms[j]))) <= 1e-12
+    alone = np.array([quadrature._piece_fourier(grid, vals, ms[j:j + 1])[0] for j in range(length)])
+    assert np.max(np.abs(got - alone)) <= 1e-13
+    model = fl.tabulated_density(grid, vals)
+    n = min(int(np.max(np.abs(ms))), spectra.TOEPLITZ_DIM_CAP)
+    lags = fl.autocorr_lags(model, n)
+    for m in {0, n, data.draw(st.integers(0, n))}:
+        assert abs(fl.autocorr(model, m) - lags[m]) <= 1e-13
+
+
+@PROPS
+@given(piece_tables(), st.lists(st.one_of(st.just(0), some_lags), min_size=1, max_size=6))
+def test_per_piece_route_on_scattered_lags(table, lags):
+    grid, vals = table
+    got = quadrature._piece_fourier(grid, vals, np.array(lags))
+    for m, r in zip(lags, got):
+        assert abs(r - _mp_lag(grid, vals, m)) <= 1e-12
+    r = quadrature.pl_fourier(grid, vals, lags[0])
+    assert np.ndim(r) == 0 and abs(r - _mp_lag(grid, vals, lags[0])) <= 1e-12
 
 
 def uniform_table(n, equal_ends):
