@@ -381,11 +381,14 @@ def _cmd_scheme(cfg, model):
 
 
 def _cmd_simulate(cfg, model):
+    """The trace of ``apply_channel(gen_inputs(...), ...)``, with the fading
+    drawn first: while the path is synthesized, only the law's synthesis
+    buffers are held, and the inputs (16 B per sample) are drawn after."""
     args = cfg.args
     scheme = _scheme(args)
+    h = simulate.gen_fading(model, args.n, args.seed)
     x = simulate.gen_inputs(scheme, args.n, args.seed)
-    trace = simulate.apply_channel(x, model, args.sigma2, args.seed)
-    return None, trace
+    return None, simulate._channel_trace(x, h, model, args.sigma2, args.seed)
 
 
 def _cmd_mi(cfg, model):

@@ -111,13 +111,26 @@ def gen_inputs(scheme: BlockScheme, n: int, seed: int) -> np.ndarray:
 
 def apply_channel(x: np.ndarray, model: spectra.FadingModel, sigma2: float,
                   seed: int) -> ChannelTrace:
-    """Pass inputs through the channel with freshly drawn fading and noise."""
+    """Pass inputs through the channel with freshly drawn fading and noise.
+
+    The fading path is synthesized while x (16 B per sample) is held.  The
+    CLI's ``simulate`` draws the fading before the inputs instead, and
+    holds only the synthesis buffers while the path is built; its trace is
+    this one, since each stream has its own seed label.
+    """
     sigma2 = float(sigma2)
     if sigma2 <= 0.0:
         raise DomainError("noise variance must be > 0")
     x = np.asarray(x, dtype=complex)
+    return _channel_trace(x, gen_fading(model, x.size, seed), model, sigma2, seed)
+
+
+def _channel_trace(x: np.ndarray, h: np.ndarray, model: spectra.FadingModel,
+                   sigma2: float, seed: int) -> ChannelTrace:
+    """The trace y = h * x + z of complex inputs x through the fading path h
+    of the same length, with the noise z drawn from the seed's noise stream
+    at the variance sigma2, which the caller has checked is > 0."""
     n = x.size
-    h = gen_fading(model, n, seed)
     z = _cn(rng_stream(seed, "noise"), n)
     z *= np.sqrt(sigma2)
     y = h * x

@@ -387,12 +387,19 @@ class AR1(FadingModel):
         return float(np.log1p(2.0 * u / (d + u * (delta2 - 1.0))))
 
     def series(self, tol):
+        """The sum of r2^m for m = 1..N, r2 = |a|^2, N the fewest terms whose
+        tail is at most tol.  A closed-form partial sum above twice
+        ``SERIES_CEILING`` is refused before the N powers are allocated;
+        below that the powers are summed, so the closed form's rounding
+        moves no verdict."""
         r2 = abs(self.a) ** 2
         if r2 == 0.0:
             return 0.0
         # tail after N terms: r2^{N+1} / (1 - r2) <= tol
         n_terms = int(np.ceil(np.log(tol * (1.0 - r2)) / np.log(r2))) + 1
         n_terms = max(n_terms, 1)
+        if r2 * (1.0 - r2 ** n_terms) / (1.0 - r2) > 2.0 * SERIES_CEILING:
+            raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
         powers = r2 ** np.arange(1, n_terms + 1)
         total = float(np.sum(powers))
         if total > SERIES_CEILING:
@@ -654,14 +661,28 @@ class LinePlusResidual(FadingModel):
         raise Diverges("a spectral line keeps |R(nu)|^2 from decaying; the lag series diverges")
 
     def synthesize(self, n, rng):
-        """One Gaussian amplitude per line, plus the residual's path."""
-        ks = np.arange(n)
-        h = np.zeros(n, dtype=complex)
-        for loc, mass in self.jumps:
-            g = _cn(rng, 1)[0]
-            h += np.sqrt(mass) * g * np.exp(2j * np.pi * loc * ks)
+        """One Gaussian amplitude per line, plus the residual's path.
+
+        The amplitudes are drawn first, in line order, and the residual's
+        path is synthesized next, while nothing else of size n is held; only
+        then is the line sum built, one line term at a time in one buffer,
+        and the scaled residual is added last.  After the residual's
+        synthesis, the residual path, the line sum and one term are live:
+        48 B per sample.
+        """
+        gains = [np.sqrt(mass) * _cn(rng, 1)[0] for _, mass in self.jumps]
+        residual = None
         if self.residual is not None:
-            h += np.sqrt(residual_weight(self)) * self.residual.synthesize(n, rng)
+            residual = self.residual.synthesize(n, rng)
+            np.multiply(np.sqrt(residual_weight(self)), residual, out=residual)
+        h = np.zeros(n, dtype=complex)
+        for (loc, _), gain in zip(self.jumps, gains):
+            term = np.arange(n, dtype=complex)
+            np.multiply(2j * np.pi * loc, term, out=term)
+            np.multiply(gain, np.exp(term, out=term), out=term)
+            h += term
+        if residual is not None:
+            h += residual
         return h
 
 

@@ -188,6 +188,25 @@ def test_memory_per_circulant_point(model):
     assert peak <= 28 * big_n
 
 
+def test_simulate_command_memory_per_sample(tmp_path):
+    # the fading is synthesized before the inputs are drawn, and a line law's
+    # residual before its line sum is allocated, so the traced peak at
+    # n = 2^18 is the trace's own arrays, 72 B per sample; with the inputs
+    # and the line sum held through the synthesis it was 89.  The FFT's own
+    # scratch is not traced
+    n = 1 << 18
+    argv = ["simulate", "--model", "line", "--mass", "0.3", "--loc", "0",
+            "--residual", "bandlimited", "--lambda-c", "0.1", "--out", str(tmp_path / "t.csv")]
+    assert run([*argv, "--n", "64"]) == 0  # plans, imports and caches outside the count
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--n", str(n)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 76 * n
+
+
 CELL_KINDS = (spectra.BandLimited, spectra.TabulatedDensity)
 
 #: the laws of ``every_law`` that take the circulant route, a line law's

@@ -6,7 +6,8 @@ the band-limited lag series with its closed-form tail against
 uniform-grid table lags at one point each and a nudged grid on the
 per-piece route against mpmath, the table series refused by its Parseval
 total,
-the line-law series refused before any lag, the decade extension of the
+the line-law series refused before any lag, the AR(1) series refused
+past its ceiling before its powers are allocated, the decade extension of the
 phi-limit grid, the chunked trace writer against a per-row writer, split
 into 1 to 4 row ranges or not, the streamed JSON trace against the whole
 object's text, and the trace writer's workers reaped whoever fails first."""
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +184,44 @@ def test_line_law_series_fetches_no_lag(pl_fourier_lags):
     with pytest.raises(Diverges):
         fl.phi_series(fl.line_plus_residual([(0.1, 0.2)], ar1_table()))
     assert pl_fourier_lags == []
+
+
+def summed_ar1_series(a, tol):
+    """The AR(1) lag series as the sum of every power, the ceiling checked
+    on the sum alone."""
+    r2 = abs(a) ** 2
+    n_terms = max(int(np.ceil(np.log(tol * (1.0 - r2)) / np.log(r2))) + 1, 1)
+    total = float(np.sum(r2 ** np.arange(1, n_terms + 1)))
+    if total > spectra.SERIES_CEILING:
+        raise Diverges("partial sum exceeded")
+    return total
+
+
+@pytest.mark.parametrize("total", [5e3, 9_999.0, 1e4, 10_001.0, 19_999.0, 2e4, 20_001.0, 3e4])
+@pytest.mark.parametrize("tol", [1e-7, 1e-3])
+def test_ar1_series_verdict_is_the_summed_one(total, tol):
+    # r2 / (1 - r2) = total: the infinite sum sits at the given total
+    a = np.sqrt(total / (1.0 + total))
+    try:
+        expected = summed_ar1_series(a, tol)
+    except Diverges:
+        with pytest.raises(Diverges):
+            fl.ar1(a).series(tol)
+    else:
+        assert fl.ar1(a).series(tol) == expected
+
+
+def test_ar1_series_past_the_ceiling_allocates_no_powers():
+    # at a = 0.999999 the powers and their indices would take about 230 MB
+    model = fl.ar1(0.999999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Diverges):
+            fl.phi_series(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @PROPS

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import fadelab as fl
 from fadelab import simulate, spectra
+from fadelab.cli import run
 from fadelab.errors import DomainError, EmbeddingFailure
 from reference import TooShort, empirical_autocorr
 from test_laws import PROPS
@@ -21,6 +22,21 @@ ar1_coefficients = st.one_of(
     st.floats(-0.9999, 0.9999),
     st.builds(lambda r, turn: complex(r * np.exp(2j * np.pi * turn)),
               st.floats(0.0, 0.9999), st.floats(0.0, 1.0)))
+
+
+def line_sum_first(model, n, seed):
+    """A line law's path in the plain order that the synthesis matches bit
+    for bit: the line sum allocated first, each line added as its amplitude
+    is drawn, then the residual synthesized and its scaled path added."""
+    rng = simulate.rng_stream(seed, "fading")
+    ks = np.arange(n)
+    h = np.zeros(n, dtype=complex)
+    for loc, mass in model.jumps:
+        g = spectra._cn(rng, 1)[0]
+        h += np.sqrt(mass) * g * np.exp(2j * np.pi * loc * ks)
+    if model.residual is not None:
+        h += np.sqrt(spectra.residual_weight(model)) * model.residual.synthesize(n, rng)
+    return h
 
 
 class TestFadingSynthesis:
@@ -87,6 +103,18 @@ class TestFadingSynthesis:
             assert np.mean(np.abs(h) ** 2) == pytest.approx(
                 1.0, abs=5 * np.sqrt(s_sq / n))
             assert abs(np.mean(h * h)) < 5 * np.sqrt(2 * s_sq / n)
+
+    @pytest.mark.parametrize("jumps", [[(0.1, 1.0)], [(0.1, 0.4), (-0.3, 0.6)],
+                                       [(0.0, 0.2), (-0.3, 0.3), (0.45, 0.5)]],
+                             ids=["1_line", "2_lines", "3_lines"])
+    @pytest.mark.parametrize("residual", [None, fl.bandlimited(0.1), fl.ar1(0.7)],
+                             ids=["no_residual", "bandlimited", "ar1"])
+    def test_line_law_path_keeps_its_bits(self, jumps, residual):
+        if residual is not None:
+            jumps = [(loc, mass / 2) for loc, mass in jumps]
+        m = fl.line_plus_residual(jumps, residual)
+        new = fl.gen_fading(m, 10 ** 4, SEED)
+        assert new.tobytes() == line_sum_first(m, 10 ** 4, SEED).tobytes()
 
     def test_tabulated_autocorr_clipping(self):
         # truncated table with a tiny negative spectral dip: clipping it
@@ -192,6 +220,19 @@ class TestChannel:
         assert "seed=" in lines[0] and "sigma2=" in lines[0] and "A=" in lines[0]
         assert lines[1] == "k,re_x,im_x,re_h,im_h,re_y,im_y"
         assert len(lines) == 2 + 4
+
+    def test_cli_trace_is_apply_channels(self, tmp_path):
+        # the CLI draws the fading before the inputs; each stream has its own
+        # seed label, so its trace is that of the inputs drawn first
+        out = tmp_path / "t.csv"
+        assert run(["simulate", "--model", "line", "--mass", "0.3", "--loc", "0.1",
+                    "--residual", "ar1", "--a", "0.6", "--b", "3", "--alpha", "0.5",
+                    "--sigma2", "0.5", "--n", "5000", "--seed", "9", "--out", str(out)]) == 0
+        x = fl.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=3), 5000, 9)
+        m = fl.line_plus_residual([(0.1, 0.3)], fl.ar1(0.6))
+        buf = io.StringIO()
+        fl.trace_to_csv(fl.apply_channel(x, m, 0.5, 9), buf)
+        assert out.read_text() == buf.getvalue()
 
 
 class TestEmpiricalAutocorr:
