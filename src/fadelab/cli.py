@@ -501,9 +501,9 @@ def _trace_to_json(cfg: RunConfig, trace, fh) -> None:
     fh.write("}\n")
 
 
-def _json_slice(col, lo: int, hi: int) -> str:
+def _json_slice(col, lo: int, hi: int) -> bytes:
     """The JSON text of col[lo:hi], led by the separator unless lo is 0."""
-    return (", " if lo else "") + ", ".join(map(_json_dumps, col[lo:hi].tolist()))
+    return ((", " if lo else "") + ", ".join(map(_json_dumps, col[lo:hi].tolist()))).encode("ascii")
 
 
 def _write_report(cfg: RunConfig, emit) -> int:

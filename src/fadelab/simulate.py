@@ -141,10 +141,10 @@ def _channel_trace(x: np.ndarray, h: np.ndarray, model: spectra.FadingModel,
                         model=model.label())
 
 
-#: one trace row; a chunk of rows is formatted by one ``%``
-_CSV_ROW = "%d" + ",%.12g" * 6 + "\n"
-#: rows per written slice of a trace, CSV or JSON
-TRACE_CHUNK = 512
+#: rows per written slice of a trace, CSV or JSON; a CSV slice's 7 values
+#: per row are formatted by one pass of a few dozen numpy operations, which
+#: holds about 700 B per row
+TRACE_CHUNK = 1024
 #: fewest rows worth a forked worker; a trace under 2 * R_MIN rows is
 #: formatted by the calling process alone
 R_MIN = 1 << 16
@@ -155,7 +155,11 @@ def trace_to_csv(trace: ChannelTrace, fh) -> None:
 
     The header comment carries the model, noise variance, peak amplitude
     (the largest |x| actually sent, 0 when no block is on), SNR, seed and
-    length; columns are k,re_x,im_x,re_h,im_h,re_y,im_y.
+    length; columns are k,re_x,im_x,re_h,im_h,re_y,im_y.  A row is the
+    text of ``("%d" + ",%.12g" * 6 + "\n") % row``, byte for byte,
+    formatted by numpy a ``TRACE_CHUNK`` slice at a time (``_csv_slice``);
+    a value within 2^-12 of a rounding tie, and a value that is not finite,
+    is formatted by Python's own '%' (about 3 Gaussian values in 10^4).
 
     The n rows are formatted in w = min(usable CPUs, n // ``R_MIN``)
     contiguous ranges at once (w = 1 below 2 * ``R_MIN`` rows or where the
@@ -172,13 +176,248 @@ def trace_to_csv(trace: ChannelTrace, fh) -> None:
     _write_ranges(trace.x.size, partial(_csv_slice, trace), fh)
 
 
-def _csv_slice(trace: ChannelTrace, lo: int, hi: int) -> str:
-    """The CSV text of rows lo..hi-1, formatted by one ``%``."""
-    rows = np.empty((hi - lo, 7))
-    rows[:, 0] = np.arange(lo, hi)  # exact in a double; "%d" prints an integer
-    cols = (trace.x[lo:hi], trace.h[lo:hi], trace.y[lo:hi])
-    rows[:, 1:] = np.column_stack(cols).view(np.float64)  # re, im per column
-    return (_CSV_ROW * (hi - lo)) % tuple(rows.ravel().tolist())
+def _csv_slice(trace: ChannelTrace, lo: int, hi: int) -> bytearray:
+    """The CSV bytes of rows lo..hi-1 (indices below 10^12).
+
+    Each row is laid out in 7 fields of four uint64 words at fixed byte
+    columns (``_value_words``, run on the slice's 7 (hi - lo) values at
+    once): the index, whose "%.12g" is its "%d" below 10^12, without its
+    leading ",", then the 6 values, with a newline in the last word's last
+    byte.  Every byte the text does not have is NUL, and one ``translate``
+    of the words' own buffer deletes them all.
+    """
+    n = hi - lo
+    values = np.empty((n, 7))
+    values[:, 0] = np.arange(lo, hi)
+    values[:, 1:] = np.column_stack((trace.x[lo:hi], trace.h[lo:hi], trace.y[lo:hi])).view(np.float64)
+    text = bytearray(8 * 28 * n)
+    words = np.frombuffer(text, dtype=_U64).reshape(n, 28)
+    _value_words(values.reshape(-1), words.reshape(-1, 4))
+    words[:, 0] = 0  # the index's "," (its only byte in word 0)
+    words[:, -1] |= _U64(ord("\n") << 56)
+    return text.translate(None, b"\0")
+
+
+# ---------------------------------------------------------------------------
+# "%d" and "%.12g" in numpy
+#
+# A value's text sits in four words, in string order (little-endian):
+# word 0 ends with "," and the sign, and "0." plus up to three zeros for a
+# fixed-notation value below 1; words 1 and 2 hold the 12 significant
+# digits, with the dot after the integer digits (after the first digit in
+# exponential notation) and the fraction's trailing zeros removed; word 3
+# holds "e+XX" or "e-XXX" in exponential notation.  The digits come from a
+# table of the 10^4 four-digit groups; every table is built at import.
+# ---------------------------------------------------------------------------
+
+_U64 = np.uint64
+
+
+def _words(codes) -> np.ndarray:
+    """The uint64 words of byte codes given one byte per row, in string
+    order: row i is byte i of every word, i < 8."""
+    codes = np.asarray(codes, dtype=_U64)
+    shifts = _U64(8) * np.arange(len(codes), dtype=_U64)
+    return (codes << shifts[:, None]).sum(axis=0, dtype=_U64)
+
+
+def _split(x: np.ndarray):
+    """Veltkamp's split of doubles into halves whose products are exact."""
+    c = x * 134217729.0  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _digit_tables():
+    """The ASCII of every four-digit group g, and for r = g0 g1 g2, per
+    group i, the count of r's digits up to g's last nonzero one (0 for
+    g = 0)."""
+    g = np.arange(10_000)
+    d0, d1, d2, d3 = g // 1000, g // 100 % 10, g // 10 % 10, g % 10
+    text = (d0 | d1 << 8 | d2 << 16 | d3 << 24) + 0x30303030  # "0000"
+    last = np.where(d3, 4, np.where(d2, 3, np.where(d1, 2, d0 > 0)))
+    return text.astype(_U64), np.stack([last, last + 4, last + 8]) * (last > 0)
+
+
+_DIGITS, _KEPT = _digit_tables()
+
+#: frexp's exponent of the least subnormal
+_E_MIN = -1073
+#: the least decimal exponent that the exponent tables hold (5e-324 has -324)
+_X_MIN = -330
+#: a value whose scaled fraction is this close to 1/2 goes to Python's '%':
+#: four times the scaled product's largest rounding error, 2^-14
+_TIE_MARGIN = 2.0 ** -12
+
+
+def _scale_tables():
+    """Per j = 2 (E - ``_E_MIN``) + ge, for a = m 2^E (1/2 <= m < 1) with
+    e = floor(E log10 2) and ge whether a >= 10^e: C_j = 2^E 10^(11 - X)
+    with X = e - 1 + ge, as hi + i lo; per E, the threshold on m for ge,
+    fl(10^e / 2^E); and per j, X - ``_X_MIN``.
+
+    10^(11 - X) = 10^(23 k) 10^b, 0 <= b < 23.  The 28 anchors 10^(23 k)
+    are 2^t (hi + lo), hi and lo rounded from exact integer ratios, and
+    their product with the exact 10^b is exact to about 2^-104.
+    """
+    E = np.repeat(np.arange(_E_MIN, 1025), 2)
+    X = np.floor(E * np.log10(2.0)).astype(np.intp) - 1 + np.arange(E.size) % 2
+    k, b = np.divmod(11 - X, 23)
+    hi, lo, t = np.array([_anchor(23 * i) for i in range(k.min(), k.max() + 1)])[k - k.min()].T
+    tens = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10^0..10^22, exact
+    p, q = hi * tens[b], lo * tens[b]
+    (hh, hl), (th, tl) = _split(hi), _split(tens[b])
+    q += ((hh * th - p) + hh * tl + hl * th) + hl * tl
+    s = p + q
+    t = t.astype(np.intp) + E
+    scale = np.ldexp(s, t) + 1j * np.ldexp(q - (s - p), t)
+    return scale, 1e11 / scale.real[1::2], X - _X_MIN
+
+
+def _anchor(j: int) -> tuple[float, float, int]:
+    """10^j = 2^t (hi + lo), 1 <= hi < 2, as (hi, lo, t)."""
+    if j >= 0:
+        num, t = 10 ** j, (10 ** j).bit_length() - 1
+        den = 1 << t
+    else:
+        den = 10 ** -j
+        t = -den.bit_length()
+        num = 1 << -t
+    hi = num / den  # int / int is correctly rounded
+    rest = (num << 52) - int(hi * 2 ** 52) * den
+    return hi, rest / (den << 52), t
+
+
+_SCALE, _THRESHOLD, _EXPONENT_INDEX = _scale_tables()
+
+
+def _layout_tables():
+    """Per 2 (X - ``_X_MIN``) + (1 if negative) for the decimal exponent X:
+    16 times the digits before the dot (X + 1 in fixed notation from 1, 0
+    below 1, 1 in exponential notation), word 0, its text at its end, and
+    word 3."""
+    X = np.repeat(np.arange(_X_MIN, 330), 2)
+    minus = np.arange(X.size) % 2
+    fixed = (X >= -4) & (X < 12)
+    before = np.where(fixed, np.maximum(X + 1, 0), 1)
+    head = np.zeros((X.size, 7), dtype=np.intp)
+    head[:, 0] = ord(",")
+    head[:, 1] = minus * ord("-")
+    size = 1 + minus
+    for x, text in zip(range(-4, 0), (b"0.000", b"0.00", b"0.0", b"0.")):
+        at = np.flatnonzero(X == x)
+        head[at[:, None], size[at, None] + np.arange(len(text))] = list(text)
+        size[at] += len(text)
+    ax = np.abs(X)
+    three = ax >= 100
+    tail = np.zeros((X.size, 5), dtype=np.intp)
+    tail[:, 0] = ord("e")
+    tail[:, 1] = np.where(X < 0, ord("-"), ord("+"))
+    tail[:, 2] = np.where(three, ax // 100, ax // 10 % 10) + 48
+    tail[:, 3] = np.where(three, ax // 10 % 10, ax % 10) + 48
+    tail[:, 4] = np.where(three, ax % 10 + 48, 0)
+    tail[fixed] = 0
+    head = _words(head.T) << (_U64(8) * (8 - size).astype(_U64))
+    return 16 * before, head, _words(tail.T)
+
+
+_BEFORE16, _HEAD, _TAIL = _layout_tables()
+
+
+def _dot_table():
+    """Per 16 B + K (B digits before the dot, K digits up to the last
+    nonzero one; max(B, K) digits are kept), the low and high masks of the
+    digits kept in place and of those moved one byte up, and the dot,
+    placed one byte below its column, before the move, when K > B > 0."""
+    B, K = np.divmod(np.arange(16 * 13), 16)
+    keep = np.maximum(B, K)[:, None]
+    col = np.arange(16)
+    still = np.where(col < B[:, None], 0xFF, 0)
+    moved = np.where((col >= B[:, None]) & (col < keep), 0xFF, 0)
+    dot = np.where((col == B[:, None] - 1) & (keep > B[:, None]), ord("."), 0)
+    return np.stack([_words(m.T[half]) for m in (still, moved, dot)
+                     for half in (slice(0, 8), slice(8, 16))])
+
+
+_DOT = _dot_table()
+
+
+def _value_words(v: np.ndarray, out: np.ndarray) -> None:
+    """out[i, 0..3] <- the 32 bytes of "," + "%.12g" % v[i], NUL-padded.
+
+    With |v| = m 2^E (1/2 <= m < 1), X is the decimal exponent and
+    T = |v| 10^(11 - X) = m hi + m lo lies in [10^11, 10^12].  As T < 2^40,
+    the rounding of m hi is at most 2^-14, so T's fraction is known to
+    2^-13 and the 12 digits are r = round(T); r = 10^12 is 10^11 at X + 1.
+    A value whose fraction lies within ``_TIE_MARGIN`` of 1/2, and a value
+    that is not finite, is formatted by Python's own '%' instead.
+    """
+    with np.errstate(invalid="ignore"):  # inf and nan are formatted by Python
+        m, j = np.frexp(np.abs(v))
+        j = j.astype(np.intp)
+        j -= _E_MIN
+        ge = m >= _THRESHOLD.take(j, mode="clip")  # "clip": any exponent of inf or nan
+        j += j
+        j += ge
+        del ge
+        scale = _SCALE.take(j, mode="clip")
+        t = m * scale.real
+        r = np.floor(t)
+        t -= r
+        t += m * scale.imag  # T - r
+        del scale
+        r += t >= 0.5
+        t -= 0.5
+        fallback = np.abs(t, out=t) >= _TIE_MARGIN
+        np.logical_not(fallback, out=fallback)
+        del t
+    np.copyto(r, 1e11, where=fallback)
+    x = _EXPONENT_INDEX.take(j, mode="clip")  # the layout tables' row, below
+    del j
+    carry = r >= 1e12
+    x += carry
+    x += m == 0.0  # 0 is r = 0 at X = 0: one digit kept
+    del m
+    x += x
+    x += np.signbit(v)
+    np.subtract(r, 9e11, out=r, where=carry)
+    del carry
+
+    g2 = r.astype(np.intp)
+    del r
+    g1 = g2 // 10_000
+    g2 -= g1 * 10_000
+    g0 = g1 // 10_000
+    g1 -= g0 * 10_000
+    kept = np.maximum(_KEPT[0].take(g0), _KEPT[1].take(g1))
+    np.maximum(kept, _KEPT[2].take(g2), out=kept)
+    kept += _BEFORE16.take(x)
+    lo = _DIGITS.take(g1) << _U64(32)  # digits 0..7
+    lo |= _DIGITS.take(g0)
+    hi = _DIGITS.take(g2)              # digits 8..11
+    del g0, g1, g2
+    # bytes from the dot's column on move one up, across both words
+    moved_lo = lo & _DOT[2].take(kept)
+    moved_lo |= _DOT[4].take(kept)
+    moved_hi = hi & _DOT[3].take(kept)
+    moved_hi |= _DOT[5].take(kept)
+    moved_hi <<= _U64(8)
+    moved_hi |= moved_lo >> _U64(56)
+    moved_lo <<= _U64(8)
+    lo &= _DOT[0].take(kept)
+    np.bitwise_or(lo, moved_lo, out=out[:, 1])
+    hi &= _DOT[1].take(kept)
+    np.bitwise_or(hi, moved_hi, out=out[:, 2])
+    _HEAD.take(x, out=out[:, 0])
+    _TAIL.take(x, out=out[:, 3])
+    for i in np.flatnonzero(fallback).tolist():
+        out[i] = _python_words(float(v[i]))
+
+
+def _python_words(value: float) -> np.ndarray:
+    """The four words of "," + "%.12g" % value, by Python's own '%'."""
+    text = (",%.12g" % value).encode("ascii")
+    return np.frombuffer(text.ljust(32, b"\0"), dtype=_U64)
 
 
 def _n_workers(n: int) -> int:
@@ -190,18 +429,21 @@ def _n_workers(n: int) -> int:
 
 
 def _write_ranges(n: int, format_slice, fh) -> None:
-    """Write the ASCII text of rows 0..n-1 to ``fh``, where
-    ``format_slice(lo, hi)`` returns the text of rows lo..hi-1, for slices
+    """Write the ASCII text of rows 0..n-1 to the text handle ``fh``, where
+    ``format_slice(lo, hi)`` returns the bytes of rows lo..hi-1, for slices
     of at most ``TRACE_CHUNK`` rows.
 
     Range 0 of the ``_n_workers(n)`` contiguous ranges is formatted here,
     straight into ``fh``; each other range by a forked worker, which sees
     the caller's arrays copy-on-write and sends its text through its own
-    pipe once formatted.  A worker runs only Python formatting and numpy
-    copies, so a fork beside BLAS threads is safe.  The pipes are copied
-    into ``fh`` in range order.  No worker outlives the call: one that exits
-    nonzero raises ``OSError``, and if this process fails first (a closed
-    pipe, a failed write, an interrupt) the workers are killed, then reaped.
+    pipe once formatted.  A worker runs only numpy formatting, no BLAS
+    call, so a fork beside BLAS threads is safe.  The pipes are drained
+    into ``fh`` in range order through one preallocated buffer, so that
+    the drain allocates nothing per read: an object allocated while the
+    trace arrays are live can keep freed heap below it from being
+    returned.  No worker outlives the call: one that exits nonzero raises
+    ``OSError``, and if this process fails first (a closed pipe, a failed
+    write, an interrupt) the workers are killed, then reaped.
     """
     w = _n_workers(n)
     bounds = [n * i // w for i in range(w + 1)]
@@ -219,12 +461,15 @@ def _write_ranges(n: int, format_slice, fh) -> None:
             finally:
                 os.close(wfd)
             workers.append((pid, r))
+        write = _byte_writer(fh)
         for piece in _slices(format_slice, 0, bounds[1]):
-            fh.write(piece)
+            write(piece)
+        buf = bytearray(1 << 16)
+        view = memoryview(buf)
         while workers:
             pid, r = workers[0]
-            while chunk := os.read(r, 1 << 16):
-                fh.write(chunk.decode("ascii"))
+            while size := os.readv(r, [buf]):
+                write(view[:size])
             code = _reap(*workers.pop(0))
             if code:
                 raise OSError(f"trace worker {pid} exited with status {code}")
@@ -235,21 +480,38 @@ def _write_ranges(n: int, format_slice, fh) -> None:
             _reap(pid, r)
 
 
+def _byte_writer(fh):
+    """A function writing ASCII bytes to the text handle ``fh``: to its
+    binary buffer, once its text is flushed, when it has one and its
+    encoding keeps ASCII as is; else decoded, as for a ``StringIO``.  Bytes
+    sent to the buffer skip the handle's newline translation: a handle
+    opened with newline="\r\n" gets "\n" line ends."""
+    buffer, encoding = getattr(fh, "buffer", None), getattr(fh, "encoding", None)
+    if buffer is None or encoding is None or _ASCII.decode("ascii").encode(encoding) != _ASCII:
+        return lambda data: fh.write(str(data, "ascii"))
+    fh.flush()
+    return buffer.write
+
+
+_ASCII = bytes(range(128))
+
+
 def _slices(format_slice, start: int, stop: int):
-    """The text of rows start..stop-1, one ``TRACE_CHUNK`` slice at a time."""
+    """The bytes of rows start..stop-1, one ``TRACE_CHUNK`` slice at a time."""
     for lo in range(start, stop, TRACE_CHUNK):
         yield format_slice(lo, min(lo + TRACE_CHUNK, stop))
 
 
 def _worker(format_slice, start: int, stop: int, wfd: int, read_ends) -> None:
     """A forked worker's whole life: close the pipes' read ends it inherited,
-    format rows start..stop-1, send them through ``wfd`` and leave by
-    ``os._exit``, never back into the caller."""
+    format rows start..stop-1, hold their bytes until all are formatted (a
+    pipe read only once range 0 is written would block it), send them
+    through ``wfd`` and leave by ``os._exit``, never back into the caller."""
     code = 1
     try:
         for fd in read_ends:
             os.close(fd)
-        text = [piece.encode("ascii") for piece in _slices(format_slice, start, stop)]
+        text = list(_slices(format_slice, start, stop))
         with open(wfd, "wb") as out:
             out.writelines(text)
         code = 0

@@ -8,21 +8,27 @@ per-piece route against mpmath, the table series refused by its Parseval
 total,
 the line-law series refused before any lag, the AR(1) series refused
 past its ceiling before its powers are allocated, the decade extension of the
-phi-limit grid, the chunked trace writer against a per-row writer, split
-into 1 to 4 row ranges or not, the streamed JSON trace against the whole
-object's text, and the trace writer's workers reaped whoever fails first."""
+phi-limit grid, the numpy "%.12g" against Python's on raw bit patterns and
+edge values (rarely falling back to Python's, and without a numpy warning)
+and on row indices, the chunked trace writer against a
+per-row writer, split into 1 to 4 row ranges or not, on a StringIO, files
+and stdout, the streamed JSON trace against the whole object's text, and
+the trace writer's workers reaped whoever fails first."""
 
 import io
 import json
 import os
+import sys
 import time
 import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fadelab as fl
 from fadelab import cli, prediction, quadrature, simulate, spectra
@@ -295,6 +301,83 @@ def assert_matches_per_row_writer(trace):
     assert not bad, (len(bad), got_rows[bad[0]], want_rows[bad[0]])
 
 
+def g12_text(values):
+    """The numpy formatter's "," + "%.12g" % v for each value, joined."""
+    v = np.asarray(values, dtype=np.float64)
+    words = np.empty(v.shape + (4,), dtype=np.uint64)
+    simulate._value_words(v, words)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def assert_formats_like_python(values):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    got = g12_text(values).split(",")[1:]
+    want = ["%.12g" % v for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_value_formatter_on_raw_bit_patterns(bits):
+    # subnormals, signed zeros, infinities and NaN payloads included
+    assert_formats_like_python(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-310, 309)])
+    rng = np.random.default_rng(12)
+    digits = rng.integers(10 ** 11, 10 ** 12, 3000).tolist()
+    ties = [float(f"{d}5e{k}") for d, k in zip(digits, rng.integers(-335, 296, 3000).tolist())]
+    # 9.9999999999995e(k) rounds to 12 digits as 10^(k + 1), a tie away
+    up = np.array([float(f"9.9999999999995e{k}") for k in range(-320, 308)])
+    named = [999999.9999995, 9.99999999999995e-5, 99999999999.95, 999999999999.5,
+             1e-4, 1e12, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                             ties, up, np.nextafter(up, 0), np.nextafter(up, np.inf), named,
+                             rng.integers(0, 2 ** 64 - 1, 10 ** 5, dtype=np.uint64).view(np.float64)])
+    return np.concatenate([values, -values])
+
+
+def test_value_formatter_on_edge_values():
+    assert_formats_like_python(edge_values())
+
+
+def test_row_indices_format_as_integers():
+    # a row index is formatted as a value: below 10^12 its "%.12g" is its "%d"
+    k = np.concatenate([np.arange(0, 20), np.arange(9990, 10010), np.arange(99999990, 100000010),
+                        np.arange(10 ** 12 - 20, 10 ** 12)])
+    assert g12_text(k.astype(np.float64)) == "".join(f",{i}" for i in k.tolist())
+
+
+def scaled_trace(n, k):
+    """A simulated on-off ar1 trace with every value times 10^k."""
+    x = simulate.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=4), n, 3)
+    tr = simulate.apply_channel(x, fl.ar1(0.9), 0.5, 3)
+    s = 10.0 ** k
+    return simulate.ChannelTrace(x=tr.x * s, h=tr.h * s, z=tr.z * s, y=tr.y * s, sigma2=0.5,
+                                 seed=3, peak_amplitude=s, snr=2.0, model="m")
+
+
+@pytest.mark.parametrize("k", [-300, -20, -5, 0, 5, 11, 20, 300])
+def test_scaled_traces_rarely_fall_back(monkeypatch, k):
+    calls = []
+    python_words = simulate._python_words
+    monkeypatch.setattr(simulate, "_python_words", lambda v: calls.append(v) or python_words(v))
+    n = 4 * simulate.TRACE_CHUNK + 37
+    assert_matches_per_row_writer(scaled_trace(n, k))
+    assert len(calls) <= 1e-3 * 6 * n
+
+
+def test_nonfinite_and_extreme_values_raise_no_warning():
+    trace = random_trace(2 * simulate.TRACE_CHUNK + 37, 13)
+    extremes = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.7976931348623157e308)
+    trace.x.real[:9] = trace.h.imag[-9:] = trace.y.real[100:109] = extremes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_matches_per_row_writer(trace)
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the CPUs the trace writer sees and the fewest rows per range to 1,
@@ -314,14 +397,51 @@ def test_chunked_csv_matches_per_row_writer():
     assert_matches_per_row_writer(random_trace(2 * simulate.TRACE_CHUNK + 37, 5))
 
 
-@pytest.mark.parametrize("n", [1, simulate.TRACE_CHUNK - 1, simulate.TRACE_CHUNK + 1,
-                               3 * simulate.TRACE_CHUNK + 37])
+@pytest.mark.parametrize("n", sorted({1, 511, 513, 1573, simulate.TRACE_CHUNK - 1,
+                                      simulate.TRACE_CHUNK + 1, 3 * simulate.TRACE_CHUNK + 37}))
 @pytest.mark.parametrize("count", [1, 2, 3, 4])
 def test_split_csv_matches_per_row_writer(cpus, count, n):
-    # the range bounds n * i // count fall inside a TRACE_CHUNK slice
+    # the range bounds n * i // count fall inside a TRACE_CHUNK slice; the
+    # lengths 511, 513 and 1573 straddle the boundaries of a 512-row chunk,
+    # the others those of the current TRACE_CHUNK
     cpus(count)
     assert simulate._n_workers(n) == min(count, n)
     assert_matches_per_row_writer(random_trace(n, 7))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_trace_bytes_on_every_handle(cpus, count, tmp_path, capsys):
+    # a StringIO takes decoded text; a UTF-8 file and stdout take the bytes
+    # through their buffers, a UTF-16 file decoded text
+    cpus(count)
+    n = 3 * simulate.TRACE_CHUNK + 37
+    trace = random_trace(n, 14)
+    cfg = cli.parse_config(["simulate", "--model", "memoryless", "--n", str(n), "--format", "json"])
+    got = io.StringIO()
+    simulate.trace_to_csv(trace, got)
+    want_csv = io.StringIO()
+    want_csv.writelines(got.getvalue().splitlines(keepends=True)[:2])  # the header
+    per_row_csv(trace, want_csv)
+    payload = {"config": cfg.resolved(), "k": list(range(n)),
+               "re_x": trace.x.real, "im_x": trace.x.imag, "re_h": trace.h.real,
+               "im_h": trace.h.imag, "re_y": trace.y.real, "im_y": trace.y.imag}
+    for write, want in ((partial(simulate.trace_to_csv, trace), want_csv.getvalue()),
+                        (partial(cli._trace_to_json, cfg, trace), cli._json_dumps(payload) + "\n")):
+        buf = io.StringIO()
+        write(buf)
+        assert buf.getvalue() == want
+        for encoding in ("utf-8", "utf-16"):
+            path = tmp_path / encoding
+            with open(path, "w", encoding=encoding, newline="") as fh:
+                fh.write("#")
+                write(fh)
+                fh.write("#")
+            assert path.read_bytes() == ("#" + want + "#").encode(encoding)
+        capsys.readouterr()
+        write(sys.stdout)
+        sys.stdout.flush()
+        assert capsys.readouterr().out == want
     assert_no_child_left()
 
 
