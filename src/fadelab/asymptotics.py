@@ -97,11 +97,12 @@ def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
     with M set by a summation-by-parts bound on the oscillating tail);
     otherwise by a stagnation rule, which a tabulated density with a "yes"
     verdict cross-checks against its exact Parseval total.  Partial sums
-    that pass ``spectra.SERIES_CEILING`` raise :class:`Diverges`.
+    that pass ``spectra.SERIES_CEILING`` raise :class:`Diverges`, and a tol
+    below machine epsilon (no sum is that exact) :class:`DomainError`.
     """
     tol = float(tol)
-    if tol <= 0.0:
-        raise DomainError("tol must be > 0")
+    if not tol >= np.finfo(float).eps:
+        raise DomainError(f"tol must be >= machine epsilon {np.finfo(float).eps:.3g}")
     return model.series(tol)
 
 

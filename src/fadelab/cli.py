@@ -249,7 +249,7 @@ _RANGES = (
     ("amplitude", "> 0", lambda v: v > 0.0),
     ("sigma2", "> 0", lambda v: v > 0.0),
     ("delta2", ">= 0", lambda v: v >= 0.0),
-    ("tol", "> 0", lambda v: v > 0.0),
+    ("tol", f">= machine epsilon {np.finfo(float).eps:.3g}", lambda v: v >= np.finfo(float).eps),
     ("past", "'inf' or a positive integer", _past_ok),
     ("alpha_list", "non-empty, entries in [0, 1]", lambda v: v and all(0.0 <= a <= 1.0 for a in v)),
     ("snr_list", "non-empty, entries > 0", lambda v: v and all(s > 0.0 for s in v)),

@@ -10,12 +10,12 @@ carry the remaining mass.
 Each kind of law is one frozen subclass of :class:`FadingModel`
 (``Memoryless``, ``AR1``, ``BandLimited``, ``TabulatedDensity``,
 ``TabulatedAutocorr``, ``LinePlusResidual``, which composes its residual)
-carrying that kind's formulas: label, lags, density and breakpoints, mass,
-squared and log integrals, lag-series rule and path synthesis.  The module
-functions are the public API and delegate to the class.  Bounded densities
-are square integrable by construction; a tabulated density gets a heuristic
-verdict, once, at construction, from a probe of its squared integral on
-nested grids.
+carrying that kind's formulas: label, lags, density, mass, squared and log
+integrals, lag-series rule and path synthesis.  The module functions are the
+public API and delegate to the class.  Bounded densities are square
+integrable by construction, and ``validate`` reports their exact squared
+integral; a tabulated density gets a heuristic verdict, once, at
+construction, from blind estimates of its squared integral on nested grids.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ VERDICT_UNDETERMINED = "undetermined"
 #: cap on Toeplitz covariance dimension
 TOEPLITZ_DIM_CAP = 4096
 
-# square-integrability probe: estimates of the squared-density integral on
-# nested grids; "no" when the estimates keep growing past this total factor
+# square-integrability probe of a tabulated density: estimates of its squared
+# integral on nested grids; "no" when they keep growing past this total factor
 CONDITION12_BASE_INTERVALS = 64
 CONDITION12_ROUNDS = 3
 CONDITION12_DIVERGENCE_FACTOR = 4.0
@@ -61,7 +61,7 @@ _DENSITY_FLOOR = -1e-9
 #: lag-series partial sums past this value are declared divergent
 SERIES_CEILING = 1e4
 
-#: consecutive negligible terms required to stop the generic lag series
+#: consecutive negligible terms required to stop a tabulated density's lag series
 _STAGNATION_RUN = 20
 
 #: points per slice of ``_cn``'s scratch, of a law's circulant cell edges
@@ -194,26 +194,26 @@ class FadingModel:
 
     A kind defines ``label()``, ``lags(start, stop)`` (R(start), ...,
     R(stop - 1) as a complex array), ``_density(x)`` (f on a 1-d array), the
-    exact ``mass()`` of f, its ``square_integral()`` (not a line law) and its
+    exact ``mass()`` of f, its ``square_integral()`` (not a line law), its
     ``log_integral(delta2)`` (not ``Memoryless`` or a line law): of log f at
-    delta2 = 0, else of log1p(f / delta2).  It overrides the generic routes
-    below where it has an exact formula.  A kind synthesized by the circulant
-    route also defines ``_cdf(x)``, the integral of f from -1/2 to each x in
-    [-1/2, 1/2], or its own ``_circulant_eigenvalues``.
+    delta2 = 0, else of log1p(f / delta2), and ``series(tol)``, its rule for
+    the lag series sum_{nu >= 1} |R(nu)|^2.  It overrides the generic
+    synthesis below where it has an exact one.  A kind synthesized by the
+    circulant route also defines ``_cdf(x)``, the integral of f from -1/2 to
+    each x in [-1/2, 1/2], or its own ``_circulant_eigenvalues``.
     ``jumps`` lists the spectral lines (location, mass); the distribution is
     absolutely continuous iff there are none.  ``density_square_integrable``
     is the one verdict on square integrability of the density: "yes", "no"
     or "undetermined".  Each kind sets it once: "yes" for the bounded
     densities, the probe's verdict for a tabulated density (decided at
     construction), the residual's for a line law ("undetermined" for pure
-    lines).
+    lines), with the squared integrals that back it in
+    ``condition12_estimates``: the exact one for a bounded density.
     """
 
     jumps: tuple[tuple[float, float], ...] = ()
     residual: "FadingModel | None" = None
     density_square_integrable = VERDICT_YES
-    #: known discontinuities of the density, where the midpoint estimates split
-    breakpoints: tuple[float, ...] = ()
     #: R(m) = 0 for every m != 0: no past predicts the present
     white: ClassVar[bool] = False
 
@@ -226,56 +226,10 @@ class FadingModel:
         out = self._density(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else out
 
-    def square_integral_estimate(self, n_intervals: int) -> float:
-        """Midpoint-rule estimate of the squared-density integral, with
-        n_intervals per piece between the breakpoints: exact for
-        piecewise-constant densities and insensitive to the value convention
-        at the discontinuities."""
-        pieces = [-0.5, *self.breakpoints, 0.5]
-        total = 0.0
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            if b <= a:
-                continue
-            h = (b - a) / n_intervals
-            mids = a + h * (np.arange(n_intervals) + 0.5)
-            total += float(np.sum(density(self, mids) ** 2) * h)
-        return total
-
-    @cached_property
+    @property
     def condition12_estimates(self) -> tuple[float, ...]:
-        """Squared-density estimates on 64 intervals and 3 halvings, made
-        once per law."""
-        return tuple(self.square_integral_estimate(CONDITION12_BASE_INTERVALS * 2 ** r)
-                     for r in range(CONDITION12_ROUNDS + 1))
-
-    def series(self, tol: float) -> float:
-        """sum_{nu >= 1} |R(nu)|^2, stopped after a run of negligible terms.
-
-        The lags are fetched in chunks of 32, 64, ..., 512, then 512 at a
-        time: a series that stops early costs few lags, and one that runs
-        long overshoots its last term by fewer than 512 lags.  The terms
-        are added one at a time.  Partial sums past ``SERIES_CEILING`` raise
-        :class:`Diverges`, as does a series that has not stagnated within
-        2e6 lags.
-        """
-        total = 0.0
-        quiet = 0
-        start, chunk = 1, 32
-        max_lag = 2_000_000
-        while start <= max_lag:
-            stop = start + chunk
-            for t in np.abs(self.lags(start, stop)) ** 2:
-                total += float(t)
-                if total > SERIES_CEILING:
-                    raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
-                if t < tol * max(abs(total), 1.0):
-                    quiet += 1
-                    if quiet >= _STAGNATION_RUN:
-                        return total
-                else:
-                    quiet = 0
-            start, chunk = stop, min(2 * chunk, 512)
-        raise Diverges("series did not stagnate within the lag budget")
+        """The exact squared-density integral, alone."""
+        return (self.square_integral(),)
 
     def synthesize(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Path of length n: the first n points of a circulant Gaussian path
@@ -425,10 +379,6 @@ class BandLimited(FadingModel):
 
     lambda_c: float
 
-    @property
-    def breakpoints(self):
-        return (-self.lambda_c, self.lambda_c)
-
     def label(self) -> str:
         return f"bandlimited(lambda_c={self.lambda_c:g})"
 
@@ -483,7 +433,7 @@ class TabulatedDensity(FadingModel):
 
     Mass, squared and log integrals and the lags are exact per-interval
     formulas; the square-integrability verdict is the probe's, decided at
-    construction from the law's estimates.
+    construction from the law's blind estimates.
     """
 
     grid: np.ndarray
@@ -493,12 +443,15 @@ class TabulatedDensity(FadingModel):
     def __post_init__(self):
         object.__setattr__(self, "density_square_integrable", _table_verdict(self))
 
-    def square_integral_estimate(self, n_intervals):
-        """Blind uniform trapezoid on the interpolant, deliberately ignoring
-        the table's own nodes: the table approximates an unknown density and
-        the probe watches how the estimate behaves as the grid refines."""
-        xs = np.linspace(-0.5, 0.5, n_intervals + 1)
-        return float(np.trapezoid(density(self, xs) ** 2, xs))
+    @cached_property
+    def condition12_estimates(self):
+        """Blind uniform trapezoids of the squared interpolant on 64 intervals
+        and 3 halvings, made once, deliberately ignoring the table's own
+        nodes: the table approximates an unknown density and the probe
+        watches how the estimate behaves as the grid refines."""
+        grids = (np.linspace(-0.5, 0.5, CONDITION12_BASE_INTERVALS * 2 ** r + 1)
+                 for r in range(CONDITION12_ROUNDS + 1))
+        return tuple(float(np.trapezoid(density(self, xs) ** 2, xs)) for xs in grids)
 
     def label(self) -> str:
         return f"table(n={self.grid.size})"
@@ -523,14 +476,29 @@ class TabulatedDensity(FadingModel):
             self.grid, self.values if delta2 == 0.0 else 1.0 + self.values / delta2)
 
     def series(self, tol):
-        """The generic lag series, checked against its exact total
-        (integral f^2 - 1) / 2 (Parseval): refused before any lag is fetched
-        when that total passes ``SERIES_CEILING``, and :class:`QuadratureFailure`
-        when the verdict is "yes" and the two differ by more than 1e-4."""
+        """sum_{nu >= 1} |R(nu)|^2 term by term, stopped after
+        ``_STAGNATION_RUN`` negligible terms in a row, with lags fetched in
+        chunks of 32, 64, ..., 512, then 512 at a time.  Its exact total
+        (integral f^2 - 1) / 2 (Parseval) is refused before any lag is fetched
+        when it passes ``SERIES_CEILING``; by Bessel's inequality no partial
+        sum exceeds it.  No stagnation within 2e6 lags raises
+        :class:`Diverges`, and a sum more than 1e-4 off the total under a
+        "yes" verdict, :class:`QuadratureFailure`."""
         exact = 0.5 * (self.square_integral() - 1.0)
         if exact > SERIES_CEILING:
             raise Diverges(f"the lag series sums to more than {SERIES_CEILING:g}")
-        total = super().series(tol)
+        total, quiet = 0.0, 0
+        start, chunk = 1, 32
+        while quiet < _STAGNATION_RUN:
+            if start > 2_000_000:
+                raise Diverges("series did not stagnate within the lag budget")
+            stop = start + chunk
+            for t in np.abs(self.lags(start, stop)) ** 2:
+                total += float(t)
+                quiet = quiet + 1 if t < tol * max(total, 1.0) else 0
+                if quiet >= _STAGNATION_RUN:
+                    break
+            start, chunk = stop, min(2 * chunk, 512)
         if self.density_square_integrable == VERDICT_YES and abs(total - exact) > 1e-4:
             raise QuadratureFailure(
                 f"series ({total:.8g}) and density ({exact:.8g}) routes disagree")
@@ -648,12 +616,13 @@ class LinePlusResidual(FadingModel):
             return 0.0
         return residual_weight(self) * self.residual.mass()
 
-    def square_integral_estimate(self, n_intervals):
-        """w^2 times the residual's own estimate (w the residual weight), so
-        the estimates are those that decided the residual's verdict."""
+    @property
+    def condition12_estimates(self):
+        """w^2 times the residual's own estimates (w the residual weight), so
+        the estimates are those that back the residual's verdict."""
         if self.residual is None:
             raise NoDensity("purely atomic spectral distribution has no density")
-        return residual_weight(self) ** 2 * self.residual.square_integral_estimate(n_intervals)
+        return tuple(residual_weight(self) ** 2 * e for e in self.residual.condition12_estimates)
 
     def series(self, tol):
         """Refused before any lag is fetched: a line of mass m keeps the mean
@@ -974,12 +943,14 @@ def _table_verdict(table: TabulatedDensity) -> str:
 
 
 def condition12_probe(model: FadingModel) -> tuple[str, tuple[float, ...]]:
-    """The law's square-integrability verdict, with estimates of its
-    squared-density integral on nested grids (64 intervals, 3 halvings).
+    """The law's square-integrability verdict, with the squared-density
+    integrals that back it.
 
-    The verdict is ``model.density_square_integrable``; a tabulated density
-    decided it at construction from these same estimates, which every law
-    makes once and keeps.
+    The verdict is ``model.density_square_integrable``.  A bounded density
+    reports its exact squared integral alone.  A tabulated density decided
+    its verdict at construction from four blind estimates on nested grids
+    (64 intervals, 3 halvings), made once and kept; a line law reports its
+    residual's, times the squared residual weight.
     """
     return model.density_square_integrable, model.condition12_estimates
 
@@ -991,7 +962,8 @@ def condition12_probe(model: FadingModel) -> tuple[str, tuple[float, ...]]:
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of :func:`validate`.  ``hermitian_ok`` holds by construction,
-    since every lag route returns R(-m) = conj R(m)."""
+    since every lag route returns R(-m) = conj R(m); ``condition12_estimates``
+    is a closed form's exact squared integral, or a table's four estimates."""
 
     model: str
     has_density: bool

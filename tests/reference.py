@@ -12,7 +12,9 @@ otherwise:
   collapse (b(alpha - alpha^2) + alpha S(b)) / (2 b);
 - ``class_draws`` is the Monte Carlo estimator's draw route one class at a
   time: a factor and a ``_cn`` draw per piece, then the pieces regrouped
-  into batches.
+  into batches;
+- ``breakpoints`` gives the quadrature oracles of the lags and the circulant
+  cells the density's jumps to split at.
 """
 
 from __future__ import annotations
@@ -132,3 +134,10 @@ def class_draws(rng: np.random.Generator, mix: mi._Mixture, n: int):
     rows = mix.batch_rows
     return [(c[s:s + rows], y[s:s + rows]) for s in range(0, c.size, rows)]
 
+
+def breakpoints(model: spectra.FadingModel) -> tuple[float, ...]:
+    """The density's interior jumps, where adaptive quadrature splits:
+    (-lambda_c, lambda_c) for a band-limited law, none for any other kind."""
+    if isinstance(model, spectra.BandLimited):
+        return (-model.lambda_c, model.lambda_c)
+    return ()

@@ -25,6 +25,7 @@ from fadelab.spectra import _SYNTH_CHUNK, _cn
 from conftest import jakes_like_table, write_density_table
 from fadelab.cli import run
 from test_laws import PROPS, _mp_pl_fourier, every_law
+from reference import breakpoints
 
 CHUNK = _SYNTH_CHUNK
 
@@ -218,7 +219,7 @@ circulant_laws = every_law.map(lambda m: m.residual if m.jumps else m).filter(
 def cell_mass(model, a, b):
     """Adaptive quadrature of the density over [a, b] within [-1/2, 1/2],
     split at the density's breakpoints (every node of a table)."""
-    inner = model.grid if isinstance(model, spectra.TabulatedDensity) else model.breakpoints
+    inner = model.grid if isinstance(model, spectra.TabulatedDensity) else breakpoints(model)
     pts = [p for p in inner if a < p < b]
     return scipy.integrate.quad(lambda x: model.density(x), a, b, points=pts or None,
                                 limit=200 + len(pts), epsabs=1e-15, epsrel=1e-12)[0]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import fadelab as fl
 from fadelab import asymptotics
 from fadelab.cli import SWEEP_HEADER, parse_config, run
-from fadelab.errors import UsageError
+from fadelab.errors import DomainError, UsageError
 from conftest import jakes_like_table, write_density_table
 
 
@@ -130,6 +131,19 @@ class TestCommands:
     ], ids=["delta2", "tol", "sigma2", "A", "snr_list"])
     def test_non_finite_flag_is_usage_error(self, capsys, argv):
         assert run(argv) == 1
+
+    def test_tol_below_machine_epsilon_is_refused(self, capsys):
+        # below eps the band-limited series would sum ~sqrt(w / (tol |sin c|))
+        # terms for nothing: its tail bound lies under the sum's own rounding
+        eps = float(np.finfo(float).eps)
+        argv = ["phi", "--model", "bandlimited", "--lambda-c", "0.25", "--method", "series"]
+        t0 = time.perf_counter()
+        assert run([*argv, "--tol", "1e-20"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        with pytest.raises(DomainError, match="machine epsilon"):
+            asymptotics.phi_series(fl.bandlimited(0.25), tol=eps / 2)
+        assert run([*argv, "--tol", repr(eps)]) == 0
+        assert json.loads(capsys.readouterr().out)["phi_series"] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("command,header,row", [
         ("validate", "lambda,value", "abc,1"), ("capacity", "lambda,value", "0.1,nan"),

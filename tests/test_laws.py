@@ -11,6 +11,7 @@ import fadelab as fl
 from fadelab import quadrature, spectra
 from fadelab.errors import QuadratureFailure
 from conftest import jakes_like_table
+from reference import breakpoints
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -84,7 +85,7 @@ def test_lag_range_matches_autocorr_lags(model, start, extra):
 @PROPS
 @given(closed_form_laws, st.integers(0, 16))
 def test_closed_form_lags_are_fourier_integrals(model, m):
-    bps = model.breakpoints
+    bps = breakpoints(model)
     re = quadrature.quad_interval(lambda x: np.cos(2 * np.pi * m * x) * fl.density(model, x), bps)
     im = quadrature.quad_interval(lambda x: np.sin(2 * np.pi * m * x) * fl.density(model, x), bps)
     assert abs(fl.autocorr(model, m) - (re + 1j * im)) <= 1e-8
@@ -226,48 +227,69 @@ def test_capacity_of_slowly_forgetting_ar1(a):
     phi = a * a / (1 - a * a)
     assert fl.capacity_asymptote(fl.ar1(a)).phi == pytest.approx(phi, rel=1e-6)
     rep = fl.validate(fl.ar1(a))
-    assert rep.condition12_verdict == "yes" and len(rep.condition12_estimates) == 4
+    assert rep.condition12_verdict == "yes"
+    assert rep.condition12_estimates == (fl.ar1(a).square_integral(),)
+
+
+@PROPS
+@given(closed_form_laws)
+def test_closed_forms_report_their_exact_square_integral(model):
+    assert fl.validate(model).condition12_estimates == (model.square_integral(),)
 
 
 def test_closed_form_kinds_skip_the_probe(monkeypatch):
-    """The squared-density estimates run once per law, and only when asked
-    for or to build a table: closed-form and line laws carry their verdict,
-    and a table's validate, phi_series and capacity reuse what it built."""
-    calls = []
-    for cls in (spectra.FadingModel, spectra.TabulatedDensity):
-        estimate = cls.square_integral_estimate
+    """Only a table probes its density, once, as it is built: 65, 129, 257
+    and 513 points.  Closed-form and line laws report their verdict and
+    estimates without evaluating theirs, and a table's validate (which
+    checks the density's sign on 4097 points), phi_series and capacity reuse
+    what it built."""
+    sizes = []
+    evaluate = spectra.FadingModel.density
 
-        def counted(self, n, estimate=estimate):
-            calls.append(n)
-            return estimate(self, n)
+    def counted(self, lam):
+        sizes.append(np.size(lam))
+        return evaluate(self, lam)
 
-        monkeypatch.setattr(cls, "square_integral_estimate", counted)
+    monkeypatch.setattr(spectra.FadingModel, "density", counted)
     for model in (fl.memoryless(), fl.ar1(0.5), fl.ar1(0.99), fl.bandlimited(0.1),
                   fl.tabulated_autocorr([1.0, 0.5]),
-                  fl.line_plus_residual([(0.1, 0.3)], fl.ar1(0.5)),
-                  fl.line_plus_residual([(0.0, 1.0)])):
-        assert model.density_square_integrable in ("yes", "undetermined")
-    assert calls == []
+                  fl.line_plus_residual([(0.1, 0.3)], fl.ar1(0.5))):
+        assert spectra.condition12_probe(model)[0] == "yes"
+    assert fl.line_plus_residual([(0.0, 1.0)]).density_square_integrable == "undetermined"
+    assert sizes == []
     xs = np.linspace(-0.5, 0.5, 11)
     table = fl.tabulated_density(xs, np.ones_like(xs))
     assert table.density_square_integrable == "yes"
-    assert calls == [64, 128, 256, 512]
+    assert sizes == [65, 129, 257, 513]
     rep = fl.validate(table)
     fl.phi_series(table)
     fl.capacity_asymptote(table)
-    assert len(calls) == 4
+    assert sizes == [65, 129, 257, 513, 4097]
     assert (rep.condition12_verdict, rep.condition12_estimates) == spectra.condition12_probe(table)
 
 
 @PROPS
-@given(table_laws(), st.floats(-0.5, 0.49), st.floats(0.05, 0.95))
-def test_a_line_law_reports_its_residual_verdict(table, loc, mass):
-    """The report carries the residual table's verdict and the table's own
-    estimates, scaled by the squared residual weight."""
-    rep = fl.validate(fl.line_plus_residual([(loc, mass)], table))
-    assert rep.condition12_verdict == table.density_square_integrable
+@given(density_laws, st.floats(-0.5, 0.49), st.floats(0.05, 0.95))
+def test_a_line_law_reports_its_residual_verdict(residual, loc, mass):
+    """The report carries the residual's verdict and its own estimates,
+    scaled by the squared residual weight."""
+    rep = fl.validate(fl.line_plus_residual([(loc, mass)], residual))
+    assert rep.condition12_verdict == residual.density_square_integrable
     w = 1.0 - mass
-    assert rep.condition12_estimates == tuple(w ** 2 * e for e in table.condition12_estimates)
+    assert rep.condition12_estimates == tuple(w ** 2 * e for e in residual.condition12_estimates)
+
+
+@PROPS
+@given(table_laws())
+def test_table_lag_series_stays_under_its_parseval_total(table):
+    """Bessel's inequality: no partial sum of |R(nu)|^2 passes the exact
+    total (integral f^2 - 1) / 2, so the table's series needs no ceiling
+    on its terms once the total is under ``SERIES_CEILING``.  The margin is
+    relative to integral f^2, whose rounding the total carries: a flat
+    table's total is 0, and its lags square to rounding, about 1e-66."""
+    partial = np.cumsum(np.abs(table.lags(1, 20_001)) ** 2)
+    square = table.square_integral()
+    assert partial.max() <= 0.5 * (square - 1.0) + 1e-12 * square
 
 
 def test_table_series_is_checked_against_parseval():

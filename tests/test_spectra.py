@@ -13,12 +13,13 @@ from fadelab.errors import (
     ParamOutOfRange,
 )
 from conftest import write_density_table
+from reference import breakpoints
 from test_laws import PROPS
 
 
 def quad_autocorr(model, m):
     """Independent oracle: direct quadrature of e^{i 2 pi m lam} f(lam)."""
-    bps = list(model.breakpoints)
+    bps = list(breakpoints(model))
     re, _ = scipy.integrate.quad(
         lambda x: np.cos(2 * np.pi * m * x) * fl.density(model, x),
         -0.5, 0.5, points=bps or None, limit=300, epsabs=1e-12)
