@@ -19,7 +19,6 @@ from .errors import (
     FadingLabError,
     IllConditioned,
     NoDensity,
-    NonConvergent,
     NotNormalized,
     ParamOutOfRange,
     QuadratureFailure,

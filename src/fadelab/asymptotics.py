@@ -91,14 +91,15 @@ def phi_integral(model: spectra.FadingModel) -> float:
 def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
     """phi as the lag series sum_{nu >= 1} |R(nu)|^2.
 
-    Summed by the law's own rule where it has a closed form (geometric
-    powers to their tail bound for ar1; for the band-limited sinc^2, the
+    Summed by the law's own rule where it has a closed form (ar1's powers to
+    their tail bound, as r2 (1 - r2^N) / (1 - r2); for the band-limited sinc^2, the
     terms up to M plus the exact non-oscillating tail psi'(M + 1) / (2 c^2),
     with M set by a summation-by-parts bound on the oscillating tail);
     otherwise by a stagnation rule, which a tabulated density with a "yes"
-    verdict cross-checks against its exact Parseval total.  Partial sums
-    that pass ``spectra.SERIES_CEILING`` raise :class:`Diverges`, and a tol
-    below machine epsilon (no sum is that exact) :class:`DomainError`.
+    verdict cross-checks against its exact Parseval total.  Only a spectral
+    line, or a tabulated density's or band-limited sum past
+    ``spectra.SERIES_CEILING``, raises :class:`Diverges`; a tol below
+    machine epsilon (no sum is that exact) raises :class:`DomainError`.
     """
     tol = float(tol)
     if not tol >= np.finfo(float).eps:

@@ -37,10 +37,6 @@ class Diverges(FadingLabError):
     (signals an infinite memory parameter, e.g. spectral lines)."""
 
 
-class NonConvergent(FadingLabError):
-    """A limit extrapolation grows monotonically beyond its configured bound."""
-
-
 class EmbeddingFailure(FadingLabError):
     """No allowed circulant length synthesizes a path whose covariance is
     within the bound of the law's lags (e.g. an autocorrelation table whose

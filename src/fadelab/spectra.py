@@ -21,6 +21,7 @@ construction, from blind estimates of its squared integral on nested grids.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import ClassVar, Sequence
@@ -58,7 +59,9 @@ CONDITION12_STABILIZE_RTOL = 1e-3
 #: an autocorrelation table's log integral
 _DENSITY_FLOOR = -1e-9
 
-#: lag-series partial sums past this value are declared divergent
+#: lag-series partial sums past this value are declared divergent, only by a
+#: tabulated density (its verdict is a heuristic) and a band-limited law (its
+#: term count grows like lambda_c^(-3/2)); the other sums have no ceiling
 SERIES_CEILING = 1e4
 
 #: consecutive negligible terms required to stop a tabulated density's lag series
@@ -198,9 +201,9 @@ class FadingModel:
     ``log_integral(delta2)`` (not ``Memoryless`` or a line law): of log f at
     delta2 = 0, else of log1p(f / delta2), and ``series(tol)``, its rule for
     the lag series sum_{nu >= 1} |R(nu)|^2.  It overrides the generic
-    synthesis below where it has an exact one.  A kind synthesized by the
-    circulant route also defines ``_cdf(x)``, the integral of f from -1/2 to
-    each x in [-1/2, 1/2], or its own ``_circulant_eigenvalues``.
+    synthesis and sign check below where it has its own.  A kind synthesized
+    by the circulant route also defines ``_cdf(x)``, the integral of f from
+    -1/2 to each x in [-1/2, 1/2], or its own ``_circulant_eigenvalues``.
     ``jumps`` lists the spectral lines (location, mass); the distribution is
     absolutely continuous iff there are none.  ``density_square_integrable``
     is the one verdict on square integrability of the density: "yes", "no"
@@ -230,6 +233,10 @@ class FadingModel:
     def condition12_estimates(self) -> tuple[float, ...]:
         """The exact squared-density integral, alone."""
         return (self.square_integral(),)
+
+    def density_nonnegative(self) -> bool:
+        """Whether f >= ``_DENSITY_FLOOR`` on 4097 uniform points."""
+        return bool(np.min(self.density(np.linspace(-0.5, 0.5, 4097))) >= _DENSITY_FLOOR)
 
     def synthesize(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Path of length n: the first n points of a circulant Gaussian path
@@ -342,23 +349,16 @@ class AR1(FadingModel):
 
     def series(self, tol):
         """The sum of r2^m for m = 1..N, r2 = |a|^2, N the fewest terms whose
-        tail is at most tol.  A closed-form partial sum above twice
-        ``SERIES_CEILING`` is refused before the N powers are allocated;
-        below that the powers are summed, so the closed form's rounding
-        moves no verdict."""
+        tail r2^(N+1) / (1 - r2) is at most tol, in closed form:
+        r2 (1 - r2^N) / (1 - r2), with 1 - r2^N = -expm1(N log r2).  O(1)
+        and no ceiling: the verdict "yes" is the one test that the sum is
+        finite."""
         r2 = abs(self.a) ** 2
         if r2 == 0.0:
             return 0.0
-        # tail after N terms: r2^{N+1} / (1 - r2) <= tol
-        n_terms = int(np.ceil(np.log(tol * (1.0 - r2)) / np.log(r2))) + 1
-        n_terms = max(n_terms, 1)
-        if r2 * (1.0 - r2 ** n_terms) / (1.0 - r2) > 2.0 * SERIES_CEILING:
-            raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
-        powers = r2 ** np.arange(1, n_terms + 1)
-        total = float(np.sum(powers))
-        if total > SERIES_CEILING:
-            raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
-        return total
+        log_r2 = math.log(r2)
+        n_terms = max(int(np.ceil(np.log(tol * (1.0 - r2)) / log_r2)) + 1, 1)
+        return r2 * -math.expm1(n_terms * log_r2) / (1.0 - r2)
 
     def synthesize(self, n, rng):
         """The exact recursion h[k] = a h[k - 1] + sqrt(1 - |a|^2) v[k] from a
@@ -540,11 +540,10 @@ class TabulatedAutocorr(FadingModel):
     def log_integral(self, delta2):
         """By adaptive quadrature: a truncated Fourier series has no closed
         form.  A density value under ``_DENSITY_FLOOR`` raises
-        :class:`DomainError`, whatever delta2, on the uniform grid of N points
-        (N the least power of two >= 64 (M + 1), the density there one
-        Hermitian FFT of the lags) or anywhere the quadrature looks; the rest
-        count as >= 0."""
-        grid = np.fft.hfft(self.values, 1 << (64 * self.values.size - 1).bit_length())
+        :class:`DomainError`, whatever delta2, on the grid of
+        ``_grid_density`` or anywhere the quadrature looks; the rest count as
+        >= 0."""
+        grid = self._grid_density()
         if grid.min() < _DENSITY_FLOOR:
             raise DomainError(f"density {grid.min():.3g} at lambda {grid.argmin() / grid.size:.6g}:"
                               " the lags are not a covariance")
@@ -556,11 +555,18 @@ class TabulatedAutocorr(FadingModel):
             return np.log(max(f, 1e-300)) if delta2 == 0.0 else np.log1p(max(f, 0.0) / delta2)
         return quadrature.quad_interval(integrand)
 
+    def _grid_density(self):
+        """The density at k / N, k = 0..N - 1, N the least power of two
+        >= 64 (M + 1) and >= 4096 (so the grid holds the 4097 uniform points
+        of the generic check): one Hermitian FFT of the lags."""
+        return np.fft.hfft(self.values, 1 << max(12, (64 * self.values.size - 1).bit_length()))
+
+    def density_nonnegative(self):
+        """On the grid that ``log_integral`` checks, ``_grid_density``."""
+        return bool(self._grid_density().min() >= _DENSITY_FLOOR)
+
     def series(self, tol):
-        total = float(np.sum(np.abs(self.values[1:]) ** 2))
-        if total > SERIES_CEILING:
-            raise Diverges(f"partial sum exceeded {SERIES_CEILING:g}")
-        return total
+        return float(np.sum(np.abs(self.values[1:]) ** 2))
 
     def _circulant_eigenvalues(self, big_n):
         """The FFT of the exact lags' circulant row, clipped at 0: a
@@ -623,6 +629,10 @@ class LinePlusResidual(FadingModel):
         if self.residual is None:
             raise NoDensity("purely atomic spectral distribution has no density")
         return tuple(residual_weight(self) ** 2 * e for e in self.residual.condition12_estimates)
+
+    def density_nonnegative(self):
+        """The residual's: its weight is positive."""
+        return self.residual.density_nonnegative()
 
     def series(self, tol):
         """Refused before any lag is fetched: a line of mass m keeps the mean
@@ -992,6 +1002,7 @@ def validate(model: FadingModel) -> ValidationReport:
     The lags are computed once, as the 64 x 64 Toeplitz covariance T: R(0)
     is its corner and the PSD check takes its least eigenvalue, which by
     Cauchy interlacing is also at or below that of every leading block.
+    The density's sign is the law's own ``density_nonnegative`` check.
     """
     cov = toeplitz_cov(model, 64)
     r0 = complex(cov[0, 0])
@@ -1008,8 +1019,7 @@ def validate(model: FadingModel) -> ValidationReport:
     verdict: str | None = None
     estimates: tuple[float, ...] = ()
     if not model.jumps or model.residual is not None:
-        xs = np.linspace(-0.5, 0.5, 4097)
-        nonneg_ok = bool(np.min(density(model, xs)) >= _DENSITY_FLOOR)
+        nonneg_ok = model.density_nonnegative()
         verdict, estimates = condition12_probe(model)
 
     ok = r0_ok and mass_ok and psd_ok and (nonneg_ok is not False)

@@ -86,6 +86,18 @@ class TestCapacityAsymptote:
         assert ca.kappa == pytest.approx(16 / 9, abs=1e-6)
         assert ca.alpha_star == 1.0
 
+    def test_fejer_triangle_table_past_the_ceiling(self):
+        # R(m) = 1 - m/(M + 1): the lag series sums to M (2M + 1) / (6 (M + 1)),
+        # about 13,333 at M = 40,000, and a table's "yes" verdict is the one
+        # finiteness test of its finite sum
+        m_max = 40_000
+        table = fl.tabulated_autocorr(1.0 - np.arange(m_max + 1) / (m_max + 1))
+        phi = m_max * (2 * m_max + 1) / (6 * (m_max + 1))
+        ca = fl.capacity_asymptote(table)
+        assert ca.regime == "slowly_forgetting"
+        assert ca.phi == pytest.approx(phi, rel=1e-12)
+        assert fl.phi_series(table) == pytest.approx(phi, rel=1e-12)
+
     def test_spectral_line(self):
         ca = fl.capacity_asymptote(fl.line_plus_residual([(0.0, 0.3)], fl.memoryless()))
         assert ca.regime == "spectral_line"

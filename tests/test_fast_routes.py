@@ -6,9 +6,10 @@ the band-limited lag series with its closed-form tail against
 uniform-grid table lags at one point each and a nudged grid on the
 per-piece route against mpmath, the table series refused by its Parseval
 total,
-the line-law series refused before any lag, the AR(1) series refused
-past its ceiling before its powers are allocated, the decade extension of the
-phi-limit grid, the numpy "%.12g" against Python's on raw bit patterns and
+the line-law series refused before any lag, the AR(1) series in closed
+form against mpmath in constant memory however close a is to 1, the
+decade extension of the phi-limit grid and its unconverged estimate
+flagged, the numpy "%.12g" against Python's on raw bit patterns and
 edge values (rarely falling back to Python's, and without a numpy warning)
 and on row indices, the chunked trace writer against a
 per-row writer, split into 1 to 4 row ranges or not, on a StringIO, files
@@ -24,6 +25,7 @@ import tracemalloc
 import warnings
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -192,29 +194,24 @@ def test_line_law_series_fetches_no_lag(pl_fourier_lags):
     assert pl_fourier_lags == []
 
 
-def summed_ar1_series(a, tol):
-    """The AR(1) lag series as the sum of every power, the ceiling checked
-    on the sum alone."""
+def mp_ar1_series(a, tol):
+    """The AR(1) lag series summed to the N of ``AR1.series``, as the 50-digit
+    closed form r2 (1 - r2^N) / (1 - r2) of the float r2 = |a|^2."""
     r2 = abs(a) ** 2
     n_terms = max(int(np.ceil(np.log(tol * (1.0 - r2)) / np.log(r2))) + 1, 1)
-    total = float(np.sum(r2 ** np.arange(1, n_terms + 1)))
-    if total > spectra.SERIES_CEILING:
-        raise Diverges("partial sum exceeded")
-    return total
+    with mp.workdps(50):
+        r2 = mp.mpf(r2)
+        return r2 * (1 - r2 ** n_terms) / (1 - r2)
 
 
 @pytest.mark.parametrize("total", [5e3, 9_999.0, 1e4, 10_001.0, 19_999.0, 2e4, 20_001.0, 3e4])
 @pytest.mark.parametrize("tol", [1e-7, 1e-3])
 def test_ar1_series_verdict_is_the_summed_one(total, tol):
-    # r2 / (1 - r2) = total: the infinite sum sits at the given total
+    # r2 / (1 - r2) = total: the infinite sum sits at the given total, on
+    # either side of the ceiling that the table and band-limited series keep
     a = np.sqrt(total / (1.0 + total))
-    try:
-        expected = summed_ar1_series(a, tol)
-    except Diverges:
-        with pytest.raises(Diverges):
-            fl.ar1(a).series(tol)
-    else:
-        assert fl.ar1(a).series(tol) == expected
+    want = mp_ar1_series(a, tol)
+    assert abs(fl.ar1(a).series(tol) - want) <= 2e-15 * want
 
 
 def test_ar1_series_past_the_ceiling_allocates_no_powers():
@@ -222,12 +219,37 @@ def test_ar1_series_past_the_ceiling_allocates_no_powers():
     model = fl.ar1(0.999999)
     tracemalloc.start()
     try:
-        with pytest.raises(Diverges):
-            fl.phi_series(model)
+        got = fl.phi_series(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    want = mp_ar1_series(model.a, 1e-7)
+    assert abs(got - want) <= 2e-15 * want
+
+
+@PROPS
+@given(st.floats(0.9, 1.0 - 1e-7), st.sampled_from((1.0, -1.0, 0.6 + 0.8j, -0.28j - 0.96)),
+       st.sampled_from((1e-7, 1e-3, np.finfo(float).eps)))
+@example(1.0 - 1e-7, 1.0, np.finfo(float).eps)
+def test_ar1_series_near_the_unit_root(r, phase, tol):
+    """Within tol + 2e-15 phi of r2 / (1 - r2) however many terms N it
+    takes (up to about 2e8 here), in the same few hundred traced bytes and
+    well under 10 ms a call."""
+    model = fl.ar1(r * phase)
+    r2 = abs(model.a) ** 2
+    t0 = time.perf_counter()
+    got = fl.phi_series(model, tol)
+    assert time.perf_counter() - t0 < 0.01
+    phi = r2 / (1.0 - r2)
+    assert abs(got - phi) <= tol + 2e-15 * phi
+    tracemalloc.start()
+    try:
+        model.series(tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 10
 
 
 @PROPS
@@ -265,6 +287,15 @@ def test_default_grid_stops_at_the_floor():
     # a spectral peak of width 1e-4 needs rho below the grid's floor
     est = fl.phi_via_limit(fl.ar1(0.9999))
     assert est.rho_grid == prediction.RHO_GRID
+    assert est.indicator > prediction.PHI_LIMIT_AGREEMENT
+
+
+def test_an_unconverged_limit_is_flagged_not_refused():
+    # phi = 4,999,999.25: the ratios still grow tenfold a decade at the
+    # grid's floor, and the indicator, not an error, says so
+    est = fl.phi_via_limit(fl.ar1(0.9999999))
+    assert est.rho_grid == prediction.RHO_GRID
+    assert all(np.diff(est.ratios) > 0.0)
     assert est.indicator > prediction.PHI_LIMIT_AGREEMENT
 
 

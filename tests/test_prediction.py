@@ -170,8 +170,18 @@ class TestNoiseless:
         assert fp.error == pytest.approx(0.75, abs=1e-10)
 
     def test_bandlimited_deterministic(self):
-        res = fl.noiseless_pred_error(fl.bandlimited(0.25))
-        assert res.error == 0.0
+        for lambda_c in (0.05, 0.25, 0.4999):
+            assert fl.noiseless_pred_error(fl.bandlimited(lambda_c)).error == 0.0
+
+    def test_a_tiny_error_is_not_rounded_to_zero(self):
+        # a floor of e^-90 off a unit-mass spike: integral log f is about -90,
+        # far below any fixed floor, and its exponential is still the error
+        xs = np.linspace(-0.5, 0.5, 1001)
+        vals = np.where(np.abs(xs) < 1e-9, 1000.0, np.exp(-90.0))
+        tab = fl.tabulated_density(xs, vals)
+        log_int = tab.log_integral(0.0)  # the exact per-piece pl_log_integral
+        assert -95.0 < log_int < -85.0
+        assert fl.noiseless_pred_error(tab).error == np.exp(log_int) > 0.0
 
     def test_atomic_refused(self):
         with pytest.raises(NoDensity):

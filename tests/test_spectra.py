@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 import fadelab as fl
 from fadelab.errors import (
     DimensionTooLarge,
+    DomainError,
     NoDensity,
     NotNormalized,
     ParamOutOfRange,
@@ -263,6 +264,50 @@ class TestTabulatedAutocorr:
         m = fl.tabulated_autocorr([1.0, 0.25])
         assert fl.density(m, 0.0) == pytest.approx(1.5)
         assert m.square_integral() == pytest.approx(1.0 + 2 * 0.25 ** 2)
+
+    def test_a_dip_between_uniform_points_fails_validate(self):
+        # 1 - 1e-3 F_M(lam + 1/8192), F_M the Fejer kernel at M = 20,000, dips
+        # to -19 between two of 4097 uniform points, on a point of the grid
+        # that the log integral checks; validate reads that grid too
+        m_max = 20_000
+        ms = np.arange(m_max + 1)
+        r = -1e-3 * (1.0 - ms / (m_max + 1)) * np.exp(-2j * np.pi * ms / 8192)
+        r[0] += 1.0
+        table = fl.tabulated_autocorr(r / r[0])
+        rep = fl.validate(table)
+        assert rep.density_nonnegative_ok is False and rep.ok is False
+        assert fl.validate(fl.line_plus_residual([(0.1, 0.3)], table)).density_nonnegative_ok is False
+        with pytest.raises(DomainError, match="not a covariance"):
+            table.log_integral(0.1)
+        # a short table: 1 + 1.0001 cos(2 pi (lam - 1/256) + pi) dips to -1e-4
+        # at lam = 1/256, one of the 4097 uniform points, midway between two
+        # points of a 128-point grid; the checked grid holds all 4097
+        short = fl.tabulated_autocorr([1.0, 0.50005 * np.exp(1j * (np.pi + 2 * np.pi / 256))])
+        rep = fl.validate(short)
+        assert rep.psd_ok and rep.density_nonnegative_ok is False and rep.ok is False
+        with pytest.raises(DomainError, match="not a covariance"):
+            short.log_integral(0.1)
+
+    def test_validate_reads_the_sign_that_the_log_integral_checks(self):
+        # MA(q) lags, q <= 6, with R(1..q) scaled by s in [0.5, 1.5]: the
+        # density (1 - s) + s f_MA dips below 0 for some s > 1
+        rng = np.random.default_rng(0)
+        verdicts = set()
+        for _ in range(200):
+            taps = rng.integers(2, 8)  # q + 1
+            b = rng.standard_normal(taps) + 1j * rng.standard_normal(taps)
+            r = np.array([np.vdot(b[m:], b[:b.size - m]) for m in range(b.size)]) / np.vdot(b, b)
+            r[1:] *= min(rng.uniform(0.5, 1.5), 1.0 / np.abs(r[1:]).max())
+            table = fl.tabulated_autocorr(r)
+            nonneg = fl.validate(table).density_nonnegative_ok
+            try:
+                table.log_integral(0.1)
+            except DomainError:
+                assert nonneg is False
+            else:
+                assert nonneg is True
+            verdicts.add(nonneg)
+        assert verdicts == {False, True}
 
 
 #: |a| <= 0.999, real of either sign or complex
