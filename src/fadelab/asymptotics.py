@@ -92,14 +92,13 @@ def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
     """phi as the lag series sum_{nu >= 1} |R(nu)|^2.
 
     Summed by the law's own rule where it has a closed form (ar1's powers to
-    their tail bound, as r2 (1 - r2^N) / (1 - r2); for the band-limited sinc^2, the
-    terms up to M plus the exact non-oscillating tail psi'(M + 1) / (2 c^2),
-    with M set by a summation-by-parts bound on the oscillating tail);
+    their tail bound, as r2 (1 - r2^N) / (1 - r2); the band-limited sinc^2
+    series exactly, as (1 - 2 lambda_c) / (4 lambda_c), whatever tol);
     otherwise by a stagnation rule, which a tabulated density with a "yes"
     verdict cross-checks against its exact Parseval total.  Only a spectral
-    line, or a tabulated density's or band-limited sum past
-    ``spectra.SERIES_CEILING``, raises :class:`Diverges`; a tol below
-    machine epsilon (no sum is that exact) raises :class:`DomainError`.
+    line, or a tabulated density past ``spectra.SERIES_CEILING`` or its
+    2e6-lag budget, raises :class:`Diverges`; a tol below machine epsilon
+    (no sum is that exact) raises :class:`DomainError`.
     """
     tol = float(tol)
     if not tol >= np.finfo(float).eps:
@@ -107,10 +106,20 @@ def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
     return model.series(tol)
 
 
+def phi_routes_agree(phi_density: float, phi_sum: float, tol: float = 1e-7) -> bool:
+    """Whether phi from the density and phi from the lag series summed to
+    ``tol`` agree: within max(1e-6, 1e-10 phi, 2 tol), phi the smaller of
+    the two.  The bound is 1e-6 at every phi <= 1e4 and tol <= 5e-7; above,
+    it admits two closed forms that differ by rounding, and the tol the
+    series was summed to.  A value that is not finite agrees with none."""
+    bound = max(1e-6, 1e-10 * min(phi_density, phi_sum), 2.0 * tol)
+    return abs(phi_density - phi_sum) <= bound
+
+
 def _check_phi(phi: float) -> float:
     phi = float(phi)
-    if not phi >= 0.0:
-        raise DomainError(f"phi must be >= 0, got {phi}")
+    if not 0.0 <= phi < np.inf:
+        raise DomainError(f"phi must be finite and >= 0, got {phi}")
     return phi
 
 
@@ -138,17 +147,18 @@ def capacity_asymptote(model: spectra.FadingModel) -> CapacityAsymptote:
     """Classify the regime and evaluate the small-SNR capacity summary.
 
     Density models require a "yes" square-integrability verdict; phi is
-    computed from the density and cross-checked against the lag series to
-    1e-6.  Models with spectral lines report the linear regime with slope
-    equal to the total jump mass.
+    computed from the density, refused unless finite (a band-limited law's
+    overflows below lambda_c of about 2.8e-309), and cross-checked against
+    the lag series by :func:`phi_routes_agree`.  Models with spectral lines
+    report the linear regime with slope equal to the total jump mass.
     """
     if model.jumps:
         return CapacityAsymptote(
             regime=REGIME_SPECTRAL_LINE, phi=None, kappa=None,
             alpha_star=None, linear_slope=spectra.jump_mass_total(model))
-    phi = phi_integral(model)
+    phi = _check_phi(phi_integral(model))
     phi_s = phi_series(model)
-    if abs(phi - phi_s) > 1e-6:
+    if not phi_routes_agree(phi, phi_s):
         raise QuadratureFailure(
             f"phi routes disagree: density {phi:.9g} vs series {phi_s:.9g}")
     regime = REGIME_SLOWLY_FORGETTING if phi >= 0.5 else REGIME_QUICKLY_FORGETTING

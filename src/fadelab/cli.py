@@ -326,10 +326,10 @@ def _cmd_phi(cfg, model):
         out["phi_limit"] = est.value
         out["limit_indicator"] = est.indicator
     if args.method == "all":
-        spread_fast = abs(out["phi_integral"] - out["phi_series"])
         spread_limit = abs(out["phi_limit"] - out["phi_integral"])
         out["within_tolerance"] = bool(
-            spread_fast <= 1e-6 and spread_limit <= prediction.PHI_LIMIT_AGREEMENT)
+            asymptotics.phi_routes_agree(out["phi_integral"], out["phi_series"], args.tol)
+            and spread_limit <= prediction.PHI_LIMIT_AGREEMENT)
         if not out["within_tolerance"]:
             raise QuadratureFailure(
                 f"phi cross-method disagreement: integral {out['phi_integral']:.9g}, "

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fadelab as fl
+from fadelab import asymptotics
 from fadelab.errors import ConditionTwelveFails, Diverges, DomainError, NoDensity
 from test_laws import PROPS, every_law
 
@@ -62,6 +63,24 @@ class TestPhiRoutes:
         tab = fl.tabulated_density(xs, fl.density(fl.ar1(0.5), xs))
         assert fl.phi_series(tab) == pytest.approx(fl.phi_integral(tab), abs=1e-6)
         assert fl.phi_series(tab) == pytest.approx(1 / 3, abs=1e-4)
+
+
+@PROPS
+@given(st.floats(0.0, 1e4))
+@example(1e4)
+def test_phi_routes_agree_to_1e_6_up_to_1e4(phi):
+    for spread, agree in ((1.01e-6, False), (0.99e-6, True)):
+        assert asymptotics.phi_routes_agree(phi, phi + spread, 1e-7) is agree
+        assert asymptotics.phi_routes_agree(phi + spread, phi, 1e-7) is agree
+
+
+def test_phi_routes_agree_scales_with_phi_and_tol():
+    assert asymptotics.phi_routes_agree(1e8, 1e8 + 0.0099, 1e-7)
+    assert not asymptotics.phi_routes_agree(1e8, 1e8 + 0.0101, 1e-7)
+    assert asymptotics.phi_routes_agree(1.0, 1.0019, 1e-3)
+    assert not asymptotics.phi_routes_agree(1.0, 1.0021, 1e-3)
+    assert not asymptotics.phi_routes_agree(np.inf, np.inf, 1e-7)
+    assert not asymptotics.phi_routes_agree(np.inf, 1e300, 1e-7)
 
 
 class TestCapacityAsymptote:

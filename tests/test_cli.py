@@ -3,16 +3,19 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import fadelab as fl
 from fadelab import asymptotics
 from fadelab.cli import SWEEP_HEADER, parse_config, run
 from fadelab.errors import DomainError, UsageError
 from conftest import jakes_like_table, write_density_table
+from test_laws import PROPS
 
 
 def run_cli(capsys, argv):
@@ -116,6 +119,15 @@ class TestCommands:
         assert doc["within_tolerance"] is True
         assert abs(doc["phi_integral"] - doc["phi_series"]) <= 1e-6
 
+    def test_phi_all_at_a_coarse_tol(self, capsys):
+        # the series summed to 1e-3 agrees with the density route to 2 tol
+        code, out = run_cli(capsys, ["phi", "--model", "ar1", "--a", "0.5", "--method", "all",
+                                     "--tol", "1e-3"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["within_tolerance"] is True
+        assert 1e-6 < doc["phi_integral"] - doc["phi_series"] <= 1e-3
+
     def test_usage_exit_code(self, capsys):
         assert run(["phi", "--model", "ar1", "--a", "1.2"]) == 1
         assert run(["nonsense"]) == 1
@@ -133,8 +145,8 @@ class TestCommands:
         assert run(argv) == 1
 
     def test_tol_below_machine_epsilon_is_refused(self, capsys):
-        # below eps the band-limited series would sum ~sqrt(w / (tol |sin c|))
-        # terms for nothing: its tail bound lies under the sum's own rounding
+        # input validation alone: no sum is exact below eps, and the
+        # band-limited series, in closed form, takes no tol at all
         eps = float(np.finfo(float).eps)
         argv = ["phi", "--model", "bandlimited", "--lambda-c", "0.25", "--method", "series"]
         t0 = time.perf_counter()
@@ -277,6 +289,17 @@ class TestSweep:
         gap_line = next(ln for ln in lines if ln.startswith("# iid_vs_block_gap="))
         assert float(gap_line.split("=")[1]) >= 0.0138
 
+    @pytest.mark.parametrize("flags,label", [
+        (["--model", "ar1", "--a", "0.9999999"], "ar1(a=0.9999999)"),
+        (["--model", "ar1", "--a", "-0.9999995"], "ar1(a=-0.9999995)"),
+        (["--model", "bandlimited", "--lambda-c", "0.1234567"], "bandlimited(lambda_c=0.1234567)"),
+    ], ids=["ar1", "ar1_negative", "bandlimited"])
+    def test_sweep_model_column_reads_back(self, capsys, flags, label):
+        code, out = run_cli(capsys, ["sweep", *flags, "--b-list", "2", "--alpha-list", "1",
+                                     "--snr-list", "0.1"])
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[0] == label
+
     def test_json_summary(self, capsys):
         code, out = run_cli(capsys, [
             "sweep", "--model", "ar1", "--a", "0.5", "--format", "json",
@@ -343,6 +366,48 @@ class TestNumericalConditions:
         assert code == 2
         doc = json.loads(out)
         assert doc["error"] == "QuadratureFailure" and doc["detail"].startswith(detail)
+
+    @pytest.mark.parametrize("lambda_c", ["2e-5", "1e-5", "1e-160", "1e-300"])
+    @pytest.mark.parametrize("argv", [
+        ["capacity"], ["sweep", "--b-list", "4", "--alpha-list", "1", "--snr-list", "0.1"],
+        ["phi", "--method", "series"],
+    ], ids=["capacity", "sweep", "phi_series"])
+    def test_small_band_limited_cutoff(self, capsys, argv, lambda_c):
+        # phi = 1/(4 lambda_c) - 1/2 from 12,499.5 up to 2.5e299, in closed form
+        t0 = time.perf_counter()
+        code, out = run_cli(capsys, [*argv, "--model", "bandlimited", "--lambda-c", lambda_c,
+                                     "--format", "json"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        doc = json.loads(out)
+        phi = doc["summary"]["phi"] if "summary" in doc else doc.get("phi", doc.get("phi_series"))
+        exact = 1 / (4 * Fraction(lambda_c)) - Fraction(1, 2)
+        assert abs(Fraction(phi) - exact) <= exact / 10**12
+
+    def test_band_limited_phi_past_the_largest_double(self, capsys):
+        # at lambda_c = 5e-324, 1/(4 lambda_c) overflows: the series reports inf
+        # and capacity and sweep refuse it, with no traceback
+        law = ["--model", "bandlimited", "--lambda-c", "5e-324", "--format", "json"]
+        code, out = run_cli(capsys, ["phi", "--method", "series", *law])
+        assert code == 0 and json.loads(out)["phi_series"] == "inf"
+        for argv in (["capacity"], ["sweep", "--b-list", "4", "--alpha-list", "1",
+                                    "--snr-list", "0.1"]):
+            code, out = run_cli(capsys, [*argv, *law])
+            doc = json.loads(out)
+            assert code == 2
+            assert (doc["error"], doc["detail"]) == ("DomainError",
+                                                      "phi must be finite and >= 0, got inf")
+
+    @PROPS
+    @given(st.floats(0.0, 0.5, exclude_min=True))
+    @example(5e-324)
+    @example(2e-309)  # phi = 1.25e308 is finite, 1/(2 lambda_c) is not
+    def test_no_band_limited_cutoff_raises(self, lambda_c):
+        # every cutoff that the range check admits gets a report; capacity
+        # refuses only where the density route's 1/(2 lambda_c) overflows
+        law = ["--model", "bandlimited", "--lambda-c", repr(lambda_c)]
+        assert run(["phi", "--method", "series", *law]) == 0
+        assert run(["capacity", *law]) == (0 if 0.5 / lambda_c < np.inf else 2)
 
     def test_missing_table_is_io_error(self, capsys):
         assert run(["phi", "--model", "table", "--table", "/nonexistent/x.csv"]) == 3

@@ -1,8 +1,8 @@
 """The structured kernels behind phi and the finite-past error, against
 brute-force oracles: Durbin's recursion against a dense Cholesky solve
 (a breakdown with noise above the rounding floor refused),
-the band-limited lag series with its closed-form tail against
-1/(4 lambda_c) - 1/2 and that tail's trigamma series against scipy's,
+the band-limited lag series in closed form against 50-digit
+1/(4 lambda_c) - 1/2 in constant time and memory down to lambda_c = 1e-300,
 uniform-grid table lags at one point each and a nudged grid on the
 per-piece route against mpmath, the table series refused by its Parseval
 total,
@@ -29,7 +29,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 import fadelab as fl
@@ -208,7 +207,7 @@ def mp_ar1_series(a, tol):
 @pytest.mark.parametrize("tol", [1e-7, 1e-3])
 def test_ar1_series_verdict_is_the_summed_one(total, tol):
     # r2 / (1 - r2) = total: the infinite sum sits at the given total, on
-    # either side of the ceiling that the table and band-limited series keep
+    # either side of the ceiling that the tabulated density's series keeps
     a = np.sqrt(total / (1.0 + total))
     want = mp_ar1_series(a, tol)
     assert abs(fl.ar1(a).series(tol) - want) <= 2e-15 * want
@@ -271,12 +270,34 @@ def test_phi_all_agrees_on_slowly_forgetting_ar1(a, capsys):
     assert abs(doc["phi_limit"] - phi) <= 1e-6 * phi
 
 
-def test_trigamma_matches_scipy():
-    # the band-limited tail psi'(M + 1), for every M from 0 to 10^9
-    ns = np.concatenate([np.arange(1.0, 64.0), np.unique(np.geomspace(64, 1e9, 400).round())])
-    want = scipy.special.polygamma(1, ns)
-    got = np.array([spectra._trigamma(n) for n in ns])
-    assert np.max(np.abs(got - want) / want) <= 1e-15
+@PROPS
+@given(st.one_of(st.floats(0.0, 0.5, exclude_min=True),
+                 st.floats(-300.0, -2.0).map(lambda e: 10.0 ** e)))
+@example(0.24999999999999992)  # (1/2 - lambda_c) / (2 lambda_c) in floats is 2.2e-16 off here
+@example(0.5)
+def test_bandlimited_series_is_its_closed_form(lambda_c):
+    model = fl.bandlimited(lambda_c)
+    # the best of three calls, so that a preempted call does not count
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        got = fl.phi_series(model)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 1e-3
+    with mp.workdps(50):
+        exact = 1 / (4 * mp.mpf(lambda_c)) - mp.mpf(1) / 2
+        if exact > sys.float_info.max:  # lambda_c below about 1.4e-309
+            assert got == np.inf
+        else:
+            assert abs(got - exact) <= 2e-16 * exact
+    model.series(1e-7)  # once untraced: under hypothesis a first call traced up to ~1 KiB more
+    tracemalloc.start()
+    try:
+        model.series(1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 10
 
 
 def test_rho_grid_starts_with_three_decades():

@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ class TestConstructors:
             fl.make_model("nonsense")
         with pytest.raises(ParamOutOfRange):
             fl.make_model("ar1", lambda_c=0.2)
+
+    @pytest.mark.parametrize("model,label,value", [
+        (fl.ar1(0.9999999), "ar1(a=0.9999999)", 0.9999999),
+        (fl.ar1(-0.9999995), "ar1(a=-0.9999995)", -0.9999995),
+        (fl.ar1(0.1234567 - 0.7654321j), "ar1(a=0.1234567-0.7654321j)", 0.1234567 - 0.7654321j),
+        (fl.bandlimited(0.1234567), "bandlimited(lambda_c=0.1234567)", 0.1234567),
+        (fl.bandlimited(5e-324), "bandlimited(lambda_c=5e-324)", 5e-324),
+        (fl.line_plus_residual([(0.0, 0.1234567)], fl.memoryless()),
+         "line(0.1234567@0;residual=memoryless)", 0.1234567),
+    ], ids=["ar1", "ar1_negative", "ar1_complex", "bandlimited", "bandlimited_subnormal", "line"])
+    def test_label_reads_back_as_the_law(self, model, label, value):
+        assert model.label() == label
+        assert complex(re.search(r"[=(]([-+.0-9ej]+)[@)]", label).group(1)) == value
 
     @pytest.mark.parametrize("kind,params", [
         ("memoryless", {"a": 0.5}),
