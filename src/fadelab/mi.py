@@ -16,17 +16,25 @@ one Cholesky factor for the off block and one, chol(A^2 T_b + sigma2 I),
 for every on class up to its signs (see ``_Mixture``).
 Each batch of outputs (``_batches``) costs real products for its features,
 one GEMM for the log densities of every class and a log-sum-exp in place.
+The calling thread draws every batch from the one "mi" stream and hands
+them to min(usable CPUs, batches) evaluators, itself and helper threads
+(``_moments``).  Each evaluates in a buffer set (``_Work``) that the
+calling thread allocates once per call, and the per-batch moments are
+merged in batch order, so the thread count changes no bit of an estimate.
 """
 
 from __future__ import annotations
 
+import collections
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectra
 from .errors import BlockTooLarge, DomainError, IllConditioned
-from .simulate import BlockScheme, rng_stream
+from .simulate import BlockScheme, _usable_cpus, rng_stream
 
 #: mixture enumeration cap on the block length
 BLOCK_CAP = 12
@@ -36,7 +44,9 @@ BLOCK_CAP = 12
 #: of a chunk before its imaginary parts, so another value gives other
 #: samples (with 4096 instead of 2^18 one seed gave 0.0077816 instead of
 #: 0.0077833).  The evaluation batch does not change the draws, only the
-#: rounding of the moment merge.
+#: rounding of the moment merge.  It does not depend on the thread count:
+#: every thread evaluates whole batches in its own buffers, and the merge
+#: runs in batch order.
 _CHUNK = 1 << 18
 
 _LOG_PI = float(np.log(np.pi))
@@ -211,34 +221,70 @@ class _Mixture:
         s = self.signs
         return self.chols[self.group_of_class] * (s[:, :, None] * s[:, None, :])
 
-    def class_logpdfs(self, y: np.ndarray) -> np.ndarray:
-        """(n_classes, m) conditional log densities for a batch of m outputs."""
-        yt = np.atleast_2d(y).T
-        u = np.array([yt.real, yt.imag, -yt.imag], order="C").reshape(3 * self.b, -1)
-        f = np.empty((self._coef.shape[1], u.shape[1]))
+    def class_logpdfs(self, y: np.ndarray, work: _Work | None = None) -> np.ndarray:
+        """(n_classes, m) conditional log densities for a batch of m outputs,
+        computed in ``work``'s buffers (a new set for m rows if None)."""
+        y = np.atleast_2d(y)
+        b, m = self.b, y.shape[0]
+        work = work or _Work(self, m)
+        u = work.view("u", 3 * b, m)    # rows Re y, Im y, -Im y
+        np.copyto(u[:b], y.real.T)
+        np.copyto(u[b:2 * b], y.imag.T)
+        np.negative(y.imag.T, out=u[2 * b:])
+        f = work.view("f", self._coef.shape[1], m)
         for lo, hi, j1, i1, j2, i2 in self._runs:
-            np.multiply(u[j1], u[i1], out=f[lo:hi])
-            f[lo:hi] += u[j2] * u[i2]
-        lp = self._coef @ f
+            run = work.view("run", hi - lo, m)
+            np.take(u, j1, axis=0, out=f[lo:hi], mode="clip")
+            np.multiply(f[lo:hi], u[i1], out=f[lo:hi])
+            np.take(u, j2, axis=0, out=run, mode="clip")
+            np.multiply(run, u[i2], out=run)
+            np.add(f[lo:hi], run, out=f[lo:hi])
+        lp = np.matmul(self._coef, f, out=work.view("lp", self.n_classes, m))
         lp -= self._offset
         return lp
 
-    def log_mixture(self, lp: np.ndarray) -> np.ndarray:
+    def log_mixture(self, lp: np.ndarray, work: _Work) -> np.ndarray:
         """Mixture log density from a batch of class log densities, computed
-        in lp's buffer, which it overwrites.
+        in lp's buffer, which it overwrites, and ``work``'s row vectors.
 
         Written out rather than scipy.special.logsumexp, which costs 6-10x
         as much on these batches (scipy 1.17) and made mi_monte_carlo 1.5-3x
         slower at b = 1 to 12.
         """
+        m = lp.shape[1]
         lp += self.log_weights[:, None]
-        top = lp.max(axis=0)
+        top = np.max(lp, axis=0, out=work.view("top", m))
         lp -= top
-        return top + np.log(np.sum(np.exp(lp, out=lp), axis=0))
+        total = np.sum(np.exp(lp, out=lp), axis=0, out=work.view("total", m))
+        np.log(total, out=total)
+        total += top
+        return total
 
     def mixture_logpdf(self, y: np.ndarray) -> np.ndarray:
         """Mixture log density at each row of y, as one batch."""
-        return self.log_mixture(self.class_logpdfs(y))
+        work = _Work(self, np.atleast_2d(y).shape[0])
+        return self.log_mixture(self.class_logpdfs(y, work), work)
+
+
+class _Work:
+    """The buffers one thread evaluates batches of up to ``rows`` outputs
+    of ``mix`` in: the features u and f, the run products, the class log
+    densities and the row vectors.  They are allocated by the thread that
+    builds the set, so that a helper thread allocates nothing of a batch's
+    size (see ``_moments``)."""
+
+    def __init__(self, mix: _Mixture, rows: int):
+        longest_run = max(hi - lo for lo, hi, *_ in mix._runs)
+        sizes = {"u": 3 * mix.b, "f": mix._coef.shape[1], "run": longest_run,
+                 "lp": mix.n_classes, "own": 1, "top": 1, "total": 1}
+        self._flat = {name: np.empty(k * rows) for name, k in sizes.items()}
+        self._flat["at"] = np.empty(rows, dtype=np.intp)
+        self.columns = np.arange(rows)
+
+    def view(self, name: str, *shape: int) -> np.ndarray:
+        """A C-contiguous array of the given shape at the start of buffer
+        ``name``, strided as a fresh array of that shape is."""
+        return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
@@ -290,6 +336,89 @@ def _batches(rng: np.random.Generator, mix: _Mixture, n: int):
         yield held_c, held_y
 
 
+def _batch_moments(mix: _Mixture, work: _Work, ci: np.ndarray, y: np.ndarray):
+    """(rows, mean, sum of squared deviations) of log p(y|x) - log p(y) over
+    one batch, computed in ``work``'s buffers alone.
+
+    It runs with numpy's ufunc buffer at its least size, 16 elements: at
+    the default, 8192, each op that broadcasts over rows shorter than that
+    goes through a 64 KiB buffer that numpy allocates per call.  Buffered
+    or not, every op and reduction here gives the same bits.
+    """
+    old = np.setbufsize(16)
+    try:
+        m = ci.size
+        lp = mix.class_logpdfs(y, work)
+        at = np.multiply(ci, m, out=work.view("at", m))
+        at += work.columns[:m]
+        ratio = np.take(lp.reshape(-1), at, out=work.view("own", m), mode="clip")
+        ratio -= mix.log_mixture(lp, work)
+        c_mean = float(ratio.mean())
+        dev = np.subtract(ratio, c_mean, out=work.view("top", m))
+        return m, c_mean, float(np.sum(np.square(dev, out=dev)))
+    finally:
+        np.setbufsize(old)
+
+
+def _moments(mix: _Mixture, batches, w: int) -> list:
+    """``_batch_moments`` of every batch, in batch order, evaluated by the
+    calling thread and w - 1 helper threads, one ``_Work`` set each.
+
+    The calling thread draws the batches and queues each; a helper takes
+    the oldest queued batch, and the calling thread evaluates the newest
+    itself whenever w are queued, so at most w - 1 wait.  Which thread
+    evaluates a batch does not change its arithmetic.  Every set is
+    allocated here: glibc gives each thread its own malloc arena and keeps
+    what a helper frees in it resident, under whatever this process runs
+    next.  The helpers finish the queue and are joined before the call
+    returns or raises; the first error a helper raises is raised here.
+    """
+    works = [_Work(mix, mix.batch_rows) for _ in range(w)]
+    results = []
+    queued = collections.deque()    # (index, classes, outputs); None stops a helper
+    ready = threading.Condition()
+    errors = []
+
+    def helper(work):
+        while True:
+            with ready:
+                while not queued:
+                    ready.wait()
+                item = queued.popleft()
+            if item is None:
+                return
+            try:
+                results[item[0]] = _batch_moments(mix, work, *item[1:])
+            except BaseException as exc:    # handed to the calling thread
+                errors.append(exc)
+                return
+
+    threads = []
+    try:
+        for work in works[1:]:
+            threads.append(threading.Thread(target=helper, args=(work,)))
+            threads[-1].start()
+        for i, (ci, y) in enumerate(batches):
+            if errors:
+                break
+            results.append(None)
+            with ready:
+                queued.append((i, ci, y))
+                ready.notify()
+                item = queued.pop() if len(queued) >= w else None
+            if item is not None:
+                results[item[0]] = _batch_moments(mix, works[0], *item[1:])
+    finally:
+        with ready:
+            queued.extend([None] * len(threads))
+            ready.notify_all()
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: float,
                    n_samples: int, seed: int) -> MIEstimate:
     """Monte Carlo estimate of the per-block mutual information in nats.
@@ -297,21 +426,18 @@ def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: floa
     Draws (x, y) from the joint law (y sampled directly from its conditional
     Gaussian) and averages log p(y|x) - log p(y).  Every draw comes from the
     seed's "mi" stream, so the estimate is deterministic given the seed.
+    The batches are evaluated on min(usable CPUs, batches) threads and
+    merged in batch order, so the thread count does not change a bit of it.
     """
     n_samples = int(n_samples)
     if n_samples < 10_000:
         raise DomainError("need at least 1e4 samples for a meaningful standard error")
     mix = _Mixture(scheme, model, sigma2)
+    w = min(_usable_cpus(), -(-n_samples // mix.batch_rows))
 
     tot_n, tot_mean, tot_m2 = 0, 0.0, 0.0
-    for ci, y in _batches(rng_stream(seed, "mi"), mix, n_samples):
-        lp = mix.class_logpdfs(y)
-        own = lp[ci, np.arange(ci.size)]
-        ratio = own - mix.log_mixture(lp)
-        c_mean = float(ratio.mean())
-        c_m2 = float(np.sum((ratio - c_mean) ** 2))
-        tot_n, tot_mean, tot_m2 = _merge_moments(
-            tot_n, tot_mean, tot_m2, ratio.size, c_mean, c_m2)
+    for c_n, c_mean, c_m2 in _moments(mix, _batches(rng_stream(seed, "mi"), mix, n_samples), w):
+        tot_n, tot_mean, tot_m2 = _merge_moments(tot_n, tot_mean, tot_m2, c_n, c_mean, c_m2)
 
     var = tot_m2 / (tot_n - 1) if tot_n > 1 else 0.0
     std_error = float(np.sqrt(var / tot_n))

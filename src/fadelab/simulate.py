@@ -420,12 +420,20 @@ def _python_words(value: float) -> np.ndarray:
     return np.frombuffer(text.ljust(32, b"\0"), dtype=_U64)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or 1 where the
+    platform reports none."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _n_workers(n: int) -> int:
     """Processes that format n rows: min(usable CPUs, n // ``R_MIN``), at
     least 1, and 1 where the platform cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not hasattr(os, "fork"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n // R_MIN))
+    return max(1, min(_usable_cpus(), n // R_MIN))
 
 
 def _write_ranges(n: int, format_slice, fh) -> None:

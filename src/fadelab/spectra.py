@@ -198,10 +198,11 @@ class FadingModel:
     absolutely continuous iff there are none.  ``density_square_integrable``
     is the one verdict on square integrability of the density: "yes", "no"
     or "undetermined".  Each kind sets it once: "yes" for the bounded
-    densities, the probe's verdict for a tabulated density (decided at
-    construction), the residual's for a line law ("undetermined" for pure
-    lines), with the squared integrals that back it in
-    ``condition12_estimates``: the exact one for a bounded density.
+    densities whose exact squared integral is a finite double, the probe's
+    verdict for a tabulated density (decided at construction), the
+    residual's for a line law ("undetermined" for pure lines), with the
+    squared integrals that back it in ``condition12_estimates``: the exact
+    one for a bounded density.
     """
 
     jumps: tuple[tuple[float, float], ...] = ()
@@ -394,6 +395,13 @@ class BandLimited(FadingModel):
 
     def square_integral(self):
         return 1.0 / (2.0 * self.lambda_c)
+
+    @property
+    def density_square_integrable(self):
+        """"yes" where the exact 1/(2 lambda_c) is a finite double;
+        "undetermined" below lambda_c of about 2.8e-309, where it overflows,
+        so that no route takes phi from it."""
+        return VERDICT_YES if math.isfinite(self.square_integral()) else VERDICT_UNDETERMINED
 
     def log_integral(self, delta2):
         w = 2.0 * self.lambda_c  # -inf at delta2 = 0 unless the band is the whole circle

@@ -13,6 +13,9 @@ otherwise:
 - ``class_draws`` is the Monte Carlo estimator's draw route one class at a
   time: a factor and a ``_cn`` draw per piece, then the pieces regrouped
   into batches;
+- ``batch_moments`` is one batch's evaluation with a fresh array for every
+  intermediate, the arithmetic the buffered, threaded route must keep bit
+  for bit;
 - ``breakpoints`` gives the quadrature oracles of the lags and the circulant
   cells the density's jumps to split at.
 """
@@ -133,6 +136,27 @@ def class_draws(rng: np.random.Generator, mix: mi._Mixture, n: int):
     c, y = np.concatenate(held_c), np.concatenate(held_y)
     rows = mix.batch_rows
     return [(c[s:s + rows], y[s:s + rows]) for s in range(0, c.size, rows)]
+
+
+def batch_moments(mix: mi._Mixture, ci: np.ndarray, y: np.ndarray) -> tuple[int, float, float]:
+    """(rows, mean, sum of squared deviations) of log p(y|x) - log p(y) over
+    one batch, each intermediate a new array: the feature runs, one GEMM,
+    the log-sum-exp and the two-pass moments of ``mi._batch_moments``."""
+    yt = y.T
+    u = np.array([yt.real, yt.imag, -yt.imag], order="C").reshape(3 * mix.b, -1)
+    f = np.empty((mix._coef.shape[1], u.shape[1]))
+    for lo, hi, j1, i1, j2, i2 in mix._runs:
+        np.multiply(u[j1], u[i1], out=f[lo:hi])
+        f[lo:hi] += u[j2] * u[i2]
+    lp = mix._coef @ f
+    lp -= mix._offset
+    own = lp[ci, np.arange(ci.size)]
+    lp += mix.log_weights[:, None]
+    top = lp.max(axis=0)
+    lp -= top
+    ratio = own - (top + np.log(np.sum(np.exp(lp, out=lp), axis=0)))
+    c_mean = float(ratio.mean())
+    return ratio.size, c_mean, float(np.sum((ratio - c_mean) ** 2))
 
 
 def breakpoints(model: spectra.FadingModel) -> tuple[float, ...]:

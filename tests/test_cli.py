@@ -385,8 +385,9 @@ class TestNumericalConditions:
         assert abs(Fraction(phi) - exact) <= exact / 10**12
 
     def test_band_limited_phi_past_the_largest_double(self, capsys):
-        # at lambda_c = 5e-324, 1/(4 lambda_c) overflows: the series reports inf
-        # and capacity and sweep refuse it, with no traceback
+        # at lambda_c = 5e-324, 1/(4 lambda_c) overflows: the series reports inf,
+        # and capacity and sweep refuse the law by its verdict, which is not
+        # "yes" where 1/(2 lambda_c) overflows, with no traceback
         law = ["--model", "bandlimited", "--lambda-c", "5e-324", "--format", "json"]
         code, out = run_cli(capsys, ["phi", "--method", "series", *law])
         assert code == 0 and json.loads(out)["phi_series"] == "inf"
@@ -395,8 +396,27 @@ class TestNumericalConditions:
             code, out = run_cli(capsys, [*argv, *law])
             doc = json.loads(out)
             assert code == 2
-            assert (doc["error"], doc["detail"]) == ("DomainError",
-                                                      "phi must be finite and >= 0, got inf")
+            assert (doc["error"], doc["detail"]) == (
+                "ConditionTwelveFails",
+                "square-integrability verdict is 'undetermined'; refusing phi")
+
+    @pytest.mark.parametrize("lambda_c,verdict,estimate", [
+        ("1e-310", "undetermined", "inf"), ("1e-300", "yes", 4.9999999999999995e+299)])
+    def test_validate_and_capacity_read_one_verdict(self, capsys, lambda_c, verdict, estimate):
+        # the verdict is "yes" only where the squared integral 1/(2 lambda_c)
+        # is a finite double, so capacity refuses exactly the law that
+        # validate does not call square integrable
+        law = ["--model", "bandlimited", "--lambda-c", lambda_c, "--format", "json"]
+        code, out = run_cli(capsys, ["validate", *law])
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] is True
+        assert (doc["condition12_verdict"], doc["condition12_estimates"]) == (verdict, [estimate])
+        code, out = run_cli(capsys, ["capacity", *law])
+        doc = json.loads(out)
+        if verdict == "yes":
+            assert code == 0 and doc["phi"] == 2.4999999999999998e+299
+        else:
+            assert code == 2 and doc["error"] == "ConditionTwelveFails"
 
     @PROPS
     @given(st.floats(0.0, 0.5, exclude_min=True))

@@ -1,3 +1,8 @@
+import itertools
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +13,8 @@ import fadelab as fl
 from fadelab import mi
 from fadelab.errors import BlockTooLarge, DomainError, IllConditioned
 from fadelab.mi import _Mixture
-from reference import law_moments, second_order_coeff_exact
+from fadelab.simulate import rng_stream
+from reference import batch_moments, law_moments, second_order_coeff_exact
 
 SEED = 314159
 
@@ -255,6 +261,126 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             fl.mi_monte_carlo(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=1),
                               fl.memoryless(), 1.0, 100, SEED)
+
+
+#: (block length, samples): at least 4 batches of the default batch_rows,
+#: whose (rows x classes) entries per batch stay 2^18
+THREADED = [(1, 530_000), (2, 350_000), (4, 120_000), (8, 10_000), (10, 10_000), (12, 10_000)]
+
+
+def reference_estimate(scheme, model, sigma2, n, seed):
+    """mi_monte_carlo's (estimate, std error) with every batch evaluated by
+    ``reference.batch_moments``, one after another, and merged in order."""
+    mix = _Mixture(scheme, model, sigma2)
+    tot = (0, 0.0, 0.0)
+    for ci, y in mi._batches(rng_stream(seed, "mi"), mix, n):
+        tot = mi._merge_moments(*tot, *batch_moments(mix, ci, y))
+    count, mean, m2 = tot
+    return mean, float(np.sqrt(m2 / (count - 1) / count))
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(mi, "_usable_cpus", lambda: count)
+
+
+class TestThreads:
+    """The batches are evaluated on min(usable CPUs, batches) threads, in
+    buffers the calling thread owns; no thread count moves a bit."""
+
+    @pytest.mark.parametrize("rows", [None, 997])
+    @pytest.mark.parametrize("b,n", THREADED)
+    def test_bitwise_across_thread_counts(self, monkeypatch, b, n, rows):
+        if rows is not None:
+            init = mi._Mixture.__init__
+
+            def init_rows(mix, *args):
+                init(mix, *args)
+                mix.batch_rows = rows
+
+            monkeypatch.setattr(mi._Mixture, "__init__", init_rows)
+            n = 10_000
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=b)
+        model = fl.ar1(0.8)
+        assert -(-n // _Mixture(scheme, model, 10.0).batch_rows) >= 4
+        want = tuple(x.hex() for x in reference_estimate(scheme, model, 10.0, n, SEED))
+        for count in (1, 2, 3):
+            use_cpus(monkeypatch, count)
+            est = fl.mi_monte_carlo(scheme, model, 10.0, n, SEED)
+            assert (est.estimate.hex(), est.std_error.hex()) == want, count
+
+    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
+        # 8 evaluators over 79 batches of 127 rows, switching threads every
+        # microsecond: a batch lost or merged out of order moves the bits
+        use_cpus(monkeypatch, 8)
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=12)
+        model = fl.ar1(0.3 + 0.4j)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(
+                target=lambda: got.append(fl.mi_monte_carlo(scheme, model, 10.0, 10_000, SEED)))
+            run.start()
+            run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive() and len(got) == 1
+        want = reference_estimate(scheme, model, 10.0, 10_000, SEED)
+        assert (got[0].estimate.hex(), got[0].std_error.hex()) == tuple(x.hex() for x in want)
+
+    @pytest.mark.parametrize("b,rows", [(1, 131_072), (10, 511)])
+    def test_batch_evaluation_allocates_no_row_vector(self, b, rows):
+        # at b = 1 one row vector is 1 MiB; the evaluation writes only into
+        # its buffer set, so a helper thread leaves nothing of that size in
+        # its malloc arena
+        mix = _Mixture(fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=b),
+                       fl.ar1(0.8), 10.0)
+        ci, y = next(mi._batches(np.random.default_rng(1), mix, 2 * mix.batch_rows))
+        assert ci.size == mix.batch_rows == rows
+        work = mi._Work(mix, mix.batch_rows)
+        want = batch_moments(mix, ci, y)
+        assert mi._batch_moments(mix, work, ci, y) == want
+        tracemalloc.start()
+        try:
+            got = mi._batch_moments(mix, work, ci, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 64 * 1024
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        evaluators = set()
+        evaluate = mi._batch_moments
+
+        def recorded(*args):
+            evaluators.add(threading.get_ident())
+            return evaluate(*args)
+
+        monkeypatch.setattr(mi, "_batch_moments", recorded)
+        before = threading.active_count()
+        fl.mi_monte_carlo(fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=10),
+                          fl.ar1(0.8), 10.0, 10_000, SEED)
+        assert threading.active_count() == before
+        assert len(evaluators) > 1
+
+    def test_an_error_in_a_batch_reaches_the_caller(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        calls = itertools.count(1)
+        evaluate = mi._batch_moments
+
+        def third_fails(*args):
+            if next(calls) == 3:
+                raise RuntimeError("batch 3 failed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(mi, "_batch_moments", third_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="batch 3 failed"):
+            fl.mi_monte_carlo(fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=10),
+                              fl.ar1(0.8), 10.0, 10_000, SEED)
+        assert threading.active_count() == before
 
 
 class TestFit:
