@@ -9,7 +9,8 @@ observed in IID complex Gaussian noise of variance delta2 it is
 
 A finite noisy past of length n gives the independent linear-MMSE oracle
 1 - r^H (T_n + delta2 I)^{-1} r on the Toeplitz covariance T_n, solved by
-Durbin's recursion in O(n^2).  The memory parameter is the slope of
+Durbin's recursion in O(n^2), or in O(1) where the kind has it in closed
+form (AR(1), white).  The memory parameter is the slope of
 eps2(1/rho) at rho = 0, which ``phi_via_limit`` extracts numerically.
 """
 
@@ -94,41 +95,13 @@ def noisy_pred_error(model: spectra.FadingModel, delta2: float) -> PredictionRes
     return PredictionResult(min(max(err, 0.0), 1.0), METHOD_CLOSED_FORM, None, delta2)
 
 
-def _durbin_error(c: np.ndarray) -> tuple[float | None, int]:
-    """Durbin's recursion on the lags c(0), ..., c(n): the order-n one-step
-    prediction error and n, or None and the order at which the recursion
-    breaks down (that order's error is not positive and finite, or its
-    reflection coefficient has modulus >= 1)."""
-    err = float(c[0].real)
-    coeffs = np.zeros(c.size - 1, dtype=complex)
-    for k in range(1, c.size):
-        a = coeffs[:k - 1]  # the order k - 1 predictor, updated in place
-        kappa = (c[k] - np.dot(a, c[k - 1:0:-1])) / err
-        err *= 1.0 - abs(kappa) ** 2
-        if not (0.0 < err < np.inf) or abs(kappa) >= 1.0:
-            return None, k
-        a -= kappa * np.conj(a[::-1])
-        coeffs[k - 1] = kappa
-    return float(err), c.size - 1
-
-
 def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) -> PredictionResult:
-    """Linear MMSE from the n most recent noisy past samples.
-
-    The noisy observations have lags R(0) + delta2, R(1), ..., R(n); the
-    order-n error E_n of Durbin's recursion on them predicts the next noisy
-    sample, so the fading error is E_n - delta2 = 1 - r^H (T_n + delta2 I)^{-1} r.
-    Where the recursion breaks down at order k with delta2 at most the
-    rounding floor k^2 eps sum_{j <= k} |c(j)| of the noisy lags c (each of
-    the k orders rounds an inner product over up to k of them; an empirical
-    floor, which valid laws' breakdowns stay about ten times under), the
-    error is reported as 0 and flagged ``clipped``: past the order
-    of the breakdown the past predicts the next sample to working precision,
-    and 0 is exact when T_n is singular, as at delta2 = 0 for a pure line.
-    Above that floor a breakdown is refused with :class:`DomainError`: a
-    covariance keeps every order's error at or above delta2, so the lags
-    are not one.
-    """
+    """Linear MMSE from the n most recent noisy past samples,
+    1 - r^H (T_n + delta2 I)^{-1} r, by the kind's ``finite_past_error``:
+    Durbin's recursion on the noisy lags (a breakdown clipped to 0 or
+    refused), or in O(1) and with no lag fetched, AR(1)'s Kalman-Riccati map
+    and 1 for a white law.  The arguments and the dimension cap are checked
+    first, for every kind."""
     delta2 = float(delta2)
     if delta2 < 0.0:
         raise DomainError("delta2 must be >= 0")
@@ -136,18 +109,8 @@ def finite_past_pred_error(model: spectra.FadingModel, delta2: float, n: int) ->
     if n < 1:
         raise DomainError("past length must be >= 1")
     spectra._check_toeplitz_dim(n)
-    noisy = spectra.autocorr_lags(model, n)
-    noisy[0] += delta2
-    e_n, order = _durbin_error(noisy)
-    if e_n is None:
-        floor = order * order * np.finfo(float).eps * float(np.abs(noisy[:order + 1]).sum())
-        if delta2 > floor:
-            raise DomainError(
-                f"Durbin's recursion broke down at order {order} with delta2 = {delta2:g} "
-                f"above the rounding floor {floor:.3g}: the lags are not a covariance")
-        return PredictionResult(0.0, METHOD_FINITE_PAST, n, delta2, clipped=True)
-    err = min(max(e_n - delta2, 0.0), 1.0)
-    return PredictionResult(err, METHOD_FINITE_PAST, n, delta2)
+    err, clipped = model.finite_past_error(delta2, n)
+    return PredictionResult(err, METHOD_FINITE_PAST, n, delta2, clipped)
 
 
 def _quadratic_at_zero(rho: np.ndarray, g: np.ndarray) -> float:

@@ -65,33 +65,33 @@ def pl_square_integral(grid: np.ndarray, vals: np.ndarray) -> float:
     return float(np.sum(w * (f0 * f0 + f0 * f1 + f1 * f1) / 3.0))
 
 
+#: coefficients of psi(r)/r = sum_{k >= 1} (-1)^(k+1) r^(k-1) / (k (k+1)), highest
+#: order first; 48 terms reach double precision for |r| < ``_PSI_SERIES_BELOW``
+_PSI_SERIES_BELOW = 0.5
+_PSI_SERIES = np.array([(-1) ** (k + 1) / (k * (k + 1)) for k in range(48, 0, -1)])
+
+
 def _log_linear_piece(u0: np.ndarray, u1: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact ``\\int_0^w log(u0 + (u1-u0) t/w) dt`` element-wise.
-
-    Endpoints may be zero (the integrable ``u log u`` limit); the caller is
-    responsible for rejecting negative values and for intervals that are
-    identically zero.
+    """Exact ``\\int_0^w log(u0 + (u1-u0) t/w) dt`` element-wise, as
+    w (log hi + psi(r)) with hi = max(u0, u1), r = (lo - hi)/hi in [-1, 0] and
+    psi(r) = ((1 + r) log1p(r) - r)/r the mean of log1p(r t) over t in [0, 1],
+    taken from its series below |r| = 1/2, where that form cancels.  A zero
+    endpoint gives psi = -1, the integrable ``u log u`` limit; the caller
+    rejects negative values and intervals that are identically zero.
     """
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    w = np.asarray(w, dtype=float)
-    du = u1 - u0
-    scale = np.maximum(np.abs(u0), np.abs(u1))
-    flat = np.abs(du) <= 1e-12 * np.maximum(scale, 1e-300)
-
-    out = np.empty_like(w)
-    # nearly constant pieces: plain midpoint value
-    mid = 0.5 * (u0 + u1)
-    with np.errstate(divide="ignore"):
-        out[flat] = w[flat] * np.log(mid[flat])
-
-    # sloped pieces: primitive of log is u(log u - 1)
-    s = ~flat
+    lo, hi = np.minimum(u0, u1), np.maximum(u0, u1)
+    r = (lo - hi) / hi
+    psi = np.empty_like(r)
+    near = r > -_PSI_SERIES_BELOW
+    rs = r[near]
+    acc = np.zeros_like(rs)
+    for c in _PSI_SERIES:
+        acc = acc * rs + c
+    psi[near] = acc * rs
+    q, rb = lo[~near] / hi[~near], r[~near]  # 1 + r as the exact ratio
     with np.errstate(divide="ignore", invalid="ignore"):
-        g1 = np.where(u1[s] > 0.0, u1[s] * (np.log(u1[s]) - 1.0), 0.0)
-        g0 = np.where(u0[s] > 0.0, u0[s] * (np.log(u0[s]) - 1.0), 0.0)
-    out[s] = w[s] * (g1 - g0) / du[s]
-    return out
+        psi[~near] = np.where(q > 0.0, (q * np.log(q) - rb) / rb, -1.0)
+    return w * (np.log(hi) + psi)
 
 
 def pl_log_integral(grid: np.ndarray, vals: np.ndarray) -> float:

@@ -11,8 +11,9 @@ Each kind of law is one frozen subclass of :class:`FadingModel`
 (``Memoryless``, ``AR1``, ``BandLimited``, ``TabulatedDensity``,
 ``TabulatedAutocorr``, ``LinePlusResidual``, which composes its residual)
 carrying that kind's formulas: label, lags, density, mass, squared and log
-integrals, lag-series rule and path synthesis.  The module functions are the
-public API and delegate to the class.  Bounded densities are square
+integrals, lag-series rule, finite-past prediction error and path
+synthesis.  The module functions are the public API and delegate to the
+class.  Bounded densities are square
 integrable by construction, and ``validate`` reports their exact squared
 integral; a tabulated density gets a heuristic verdict, once, at
 construction, from blind estimates of its squared integral on nested grids.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import ClassVar, Sequence
@@ -191,9 +193,10 @@ class FadingModel:
     ``log_integral(delta2)`` (not ``Memoryless`` or a line law): of log f at
     delta2 = 0, else of log1p(f / delta2), and ``series(tol)``, its rule for
     the lag series sum_{nu >= 1} |R(nu)|^2.  It overrides the generic
-    synthesis and sign check below where it has its own.  A kind synthesized
-    by the circulant route also defines ``_cdf(x)``, the integral of f from
-    -1/2 to each x in [-1/2, 1/2], or its own ``_circulant_eigenvalues``.
+    finite-past error, synthesis and sign check below where it has its own.
+    A kind synthesized by the circulant route also defines ``_cdf(x)``, the
+    integral of f from -1/2 to each x in [-1/2, 1/2], or its own
+    ``_circulant_eigenvalues``.
     ``jumps`` lists the spectral lines (location, mass); the distribution is
     absolutely continuous iff there are none.  ``density_square_integrable``
     is the one verdict on square integrability of the density: "yes", "no"
@@ -243,6 +246,33 @@ class FadingModel:
         del eig  # freed before the FFT allocates its scratch
         np.fft.ifft(coef, out=coef)
         return coef[:n] * np.sqrt(big_n)
+
+    def finite_past_error(self, delta2: float, n: int) -> tuple[float, bool]:
+        """The error of predicting the next fading sample from the n most
+        recent ones seen in noise of variance delta2 >= 0, and whether it is
+        clipped, by Durbin's recursion: the noisy lags R(0) + delta2, R(1), ...,
+        R(n) have order-n error E_n for the next noisy sample, so the fading
+        error is E_n - delta2 = 1 - r^H (T_n + delta2 I)^{-1} r.
+        Where the recursion breaks down at order k with delta2 at most the
+        rounding floor k^2 eps sum_{j <= k} |c(j)| of the noisy lags c (each of
+        the k orders rounds an inner product over up to k of them; an empirical
+        floor, which valid laws' breakdowns stay about ten times under), the
+        error is 0 and clipped: past the order of the breakdown the past
+        predicts the next sample to working precision, and 0 is exact when T_n
+        is singular, as at delta2 = 0 for a pure line.  Above that floor a
+        breakdown is refused with :class:`DomainError`: a covariance keeps
+        every order's error at or above delta2, so the lags are not one."""
+        noisy = autocorr_lags(self, n)
+        noisy[0] += delta2
+        e_n, order = _durbin_error(noisy)
+        if e_n is None:
+            floor = order * order * np.finfo(float).eps * float(np.abs(noisy[:order + 1]).sum())
+            if delta2 > floor:
+                raise DomainError(
+                    f"Durbin's recursion broke down at order {order} with delta2 = {delta2:g} "
+                    f"above the rounding floor {floor:.3g}: the lags are not a covariance")
+            return 0.0, True
+        return min(max(e_n - delta2, 0.0), 1.0), False
 
     def _circulant_eigenvalues(self, big_n: int) -> np.ndarray:
         """lambda_k = N times the density's mass on the cell
@@ -304,6 +334,9 @@ class Memoryless(FadingModel):
     def series(self, tol):
         return 0.0
 
+    def finite_past_error(self, delta2, n):
+        return 1.0, False
+
     def synthesize(self, n, rng):
         return _cn(rng, n)
 
@@ -335,12 +368,18 @@ class AR1(FadingModel):
         r2 = abs(self.a) ** 2
         return (1.0 + r2) / (1.0 - r2)
 
+    def _jensen(self, delta2):
+        """|a|, u = 1 - |a|^2 and d = sqrt(u (u delta2^2 + 2 delta2 (1+|a|^2) + u))."""
+        r = abs(self.a)
+        u = (1.0 - r) * (1.0 + r)
+        d = np.sqrt(u) * np.hypot(np.sqrt(u) * (1.0 + delta2), 2.0 * r * np.sqrt(delta2))
+        return r, u, float(d)
+
     def log_integral(self, delta2):
-        """Jensen's formula: u = 1 - |a|^2, d = sqrt(u (u delta2^2 + 2 delta2 (1+|a|^2) + u))."""
-        r, u = abs(self.a), (1.0 - abs(self.a)) * (1.0 + abs(self.a))
+        """Jensen's formula, with u and d of ``_jensen``."""
+        r, u, d = self._jensen(delta2)
         if delta2 == 0.0:
             return float(np.log(u))
-        d = np.sqrt(u) * np.hypot(np.sqrt(u) * (1.0 + delta2), 2.0 * r * np.sqrt(delta2))
         if delta2 < 1.0:
             return float(np.log((delta2 * (1.0 + r * r) + u + d) / (2.0 * delta2)))
         return float(np.log1p(2.0 * u / (d + u * (delta2 - 1.0))))
@@ -357,6 +396,28 @@ class AR1(FadingModel):
         log_r2 = math.log(r2)
         n_terms = max(int(np.ceil(np.log(tol * (1.0 - r2)) / log_r2)) + 1, 1)
         return r2 * -math.expm1(n_terms * log_r2) / (1.0 - r2)
+
+    def finite_past_error(self, delta2, n):
+        """P_n, the state's error after n noisy samples, of the Kalman-Riccati
+        map P -> |a|^2 P delta2 / (P + delta2) + u from P_0 = 1, in closed
+        form; never clipped.  The map is Moebius, with fixed points p+ > 0 > p-
+        the roots of p^2 - u (1 - delta2) p - u delta2 (so p+ - p- = d of
+        ``_jensen``): (P_n - p+)/(P_n - p-) = w = K^n (1 - p+)/(1 - p-), with
+        K = |a|^2 (delta2 / (p+ + delta2))^2 < 1, so P_n = p+ + d w / (1 - w),
+        with log w a sum of logs and 1 - w an expm1.  O(1), no lags; u at
+        delta2 = 0 and at a = 0."""
+        r, u, d = self._jensen(delta2)
+        if delta2 == 0.0 or r == 0.0:
+            return u, False
+        if delta2 <= 1.0:
+            p = 0.5 * (u * (1.0 - delta2) + d)
+        else:  # 2 u delta2 / (d - u (1 - delta2)), scaled so that nothing overflows
+            p = 2.0 * u / (d / delta2 + u * (1.0 - 1.0 / delta2))
+        if p >= 1.0:  # u rounds to 1
+            return 1.0, False
+        log_w = (2.0 * n * (math.log(r) - math.log1p(p / delta2))
+                 + math.log1p(-p) - math.log1p(u * delta2 / p))  # p- = -u delta2 / p+
+        return min(p + d * math.exp(log_w) / -math.expm1(log_w), 1.0), False
 
     def synthesize(self, n, rng):
         """The exact recursion h[k] = a h[k - 1] + sqrt(1 - |a|^2) v[k] from a
@@ -404,10 +465,15 @@ class BandLimited(FadingModel):
         return VERDICT_YES if math.isfinite(self.square_integral()) else VERDICT_UNDETERMINED
 
     def log_integral(self, delta2):
+        """w log1p(1/x) with w = 2 lambda_c, x = w delta2; where 1/x is not a
+        finite double, w (log1p(x) - log w - log delta2)."""
         w = 2.0 * self.lambda_c  # -inf at delta2 = 0 unless the band is the whole circle
         if delta2 == 0.0:
             return 0.0 if w == 1.0 else -np.inf
-        return float(w * np.log1p(1.0 / (w * delta2)))
+        x = w * delta2
+        if x > 1.0 / sys.float_info.max:
+            return float(w * np.log1p(1.0 / x))
+        return w * (math.log1p(x) - math.log(w) - math.log(delta2))
 
     def series(self, tol):
         """The sum of sinc^2(2 lambda_c nu) over nu >= 1 in closed form, for
@@ -904,6 +970,24 @@ def _toeplitz(r: np.ndarray) -> np.ndarray:
     """
     vals = np.concatenate((r[::-1], np.conj(r[1:])))
     return sliding_window_view(vals, r.size)[::-1].copy()
+
+
+def _durbin_error(c: np.ndarray) -> tuple[float | None, int]:
+    """Durbin's recursion on the lags c(0), ..., c(n): the order-n one-step
+    prediction error and n, or None and the order at which the recursion
+    breaks down (that order's error is not positive and finite, or its
+    reflection coefficient has modulus >= 1)."""
+    err = float(c[0].real)
+    coeffs = np.zeros(c.size - 1, dtype=complex)
+    for k in range(1, c.size):
+        a = coeffs[:k - 1]  # the order k - 1 predictor, updated in place
+        kappa = (c[k] - np.dot(a, c[k - 1:0:-1])) / err
+        err *= 1.0 - abs(kappa) ** 2
+        if not (0.0 < err < np.inf) or abs(kappa) >= 1.0:
+            return None, k
+        a -= kappa * np.conj(a[::-1])
+        coeffs[k - 1] = kappa
+    return float(err), c.size - 1
 
 
 # ---------------------------------------------------------------------------

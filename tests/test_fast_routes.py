@@ -1,6 +1,9 @@
 """The structured kernels behind phi and the finite-past error, against
 brute-force oracles: Durbin's recursion against a dense Cholesky solve
-(a breakdown with noise above the rounding floor refused),
+(a breakdown with noise above the rounding floor refused), AR(1)'s
+closed-form finite past against Durbin and a 40-digit Riccati map, with no
+lag fetched for AR(1) or white laws and Durbin kept on AR(1) lags against
+the infinite past,
 the band-limited lag series in closed form against 50-digit
 1/(4 lambda_c) - 1/2 in constant time and memory down to lambda_c = 1e-300,
 uniform-grid table lags at one point each and a nudged grid on the
@@ -107,6 +110,73 @@ def test_dimension_cap_before_any_lag(monkeypatch):
     monkeypatch.setattr(quadrature, "pl_fourier", None)  # any lag call would fail
     with pytest.raises(DimensionTooLarge):
         fl.finite_past_pred_error(table, 0.1, spectra.TOEPLITZ_DIM_CAP + 1)
+
+
+@PROPS
+@given(st.floats(0.0, 0.999), st.sampled_from((1.0, -1.0, 0.6 + 0.8j, -0.28j - 0.96, 1j)),
+       st.one_of(st.just(0.0), st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)),
+       st.integers(1, spectra.TOEPLITZ_DIM_CAP))
+@example(0.999, 1.0, 1e4, spectra.TOEPLITZ_DIM_CAP)
+@example(0.0, 1.0, 0.1, 1)
+def test_ar1_closed_form_matches_durbin(r, phase, delta2, n):
+    model = fl.ar1(r * phase)
+    lags = fl.autocorr_lags(model, n)
+    lags[0] += delta2
+    e_n, order = spectra._durbin_error(lags)
+    assert order == n
+    res = fl.finite_past_pred_error(model, delta2, n)
+    assert not res.clipped
+    assert abs(res.error - (e_n - delta2)) <= 1e-10 * res.error
+
+
+def mp_riccati(a, delta2, n):
+    """P_n of P -> |a|^2 P delta2 / (P + delta2) + 1 - |a|^2 from P_0 = 1, at 40 digits."""
+    with mp.workdps(40):
+        r2, d2, p = abs(mp.mpc(a)) ** 2, mp.mpf(delta2), mp.mpf(1)
+        for _ in range(n):
+            p = r2 * p * d2 / (p + d2) + 1 - r2
+        return p
+
+
+@pytest.mark.parametrize("a,delta2,n", [
+    (0.5981, 9080.0, 99),  # Durbin's recursion is 1e-11 off here
+    (0.5, 1.0, 1), (0.9999999, 0.1, 1024), (0.9999999, 0.1, 4096), (0.9999999j, 1e-12, 1),
+    (-0.999, 1e4, spectra.TOEPLITZ_DIM_CAP), (0.6 - 0.3j, 3.0, 7), (1 - 2.0 ** -52, 1e-8, 64),
+    (0.8, 5e-324, 16), (0.8, 1.7e308, 16), (1e-9, 0.5, 3), (0.5, 500.0, 8),
+])
+def test_ar1_closed_form_against_mpmath(a, delta2, n):
+    want = mp_riccati(a, delta2, n)
+    got = fl.finite_past_pred_error(fl.ar1(a), delta2, n).error
+    assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("model", [fl.ar1(0.5), fl.ar1(-0.9 + 0.1j), fl.memoryless()])
+@pytest.mark.parametrize("delta2", [0.0, 0.1, 1e4])
+def test_closed_form_finite_past_fetches_no_lag(model, delta2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a lag was fetched")
+
+    monkeypatch.setattr(spectra, "autocorr_lags", refuse)
+    for n in (1, 64, spectra.TOEPLITZ_DIM_CAP):
+        res = fl.finite_past_pred_error(model, delta2, n)
+        assert 0.0 < res.error <= 1.0 and not res.clipped
+        assert res.error == 1.0 or not model.white
+    # every refusal stays where it was, before the kind is asked
+    with pytest.raises(DimensionTooLarge):
+        fl.finite_past_pred_error(model, delta2, spectra.TOEPLITZ_DIM_CAP + 1)
+    for bad in [(-1.0, 8), (0.1, 0)]:
+        with pytest.raises(DomainError):
+            fl.finite_past_pred_error(model, *bad)
+
+
+@pytest.mark.parametrize("a,delta2,n", [(0.5, 1.0, 256), (0.9, 0.1, 1024), (-0.6j, 3.0, 128)])
+def test_durbin_on_ar1_lags_reaches_the_infinite_past(a, delta2, n):
+    # the generic route, run on AR(1)'s lags, against the closed form of the
+    # infinite past: the finite-past gap K^n is below 1e-20 at these n
+    model = fl.ar1(a)
+    err, clipped = spectra.FadingModel.finite_past_error(model, delta2, n)
+    assert not clipped
+    assert err == pytest.approx(fl.noisy_pred_error(model, delta2).error, rel=1e-12)
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import fadelab as fl
+from fadelab import quadrature
 from fadelab.cli import run
 from fadelab.errors import ConditionTwelveFails, DomainError, NoDensity
 from test_laws import PROPS
@@ -124,6 +125,69 @@ def test_bandlimited_log_integral_against_mpmath(lambda_c, delta2):
     with mp.workdps(40):
         want = float(mp.quad(lambda x: mp.log1p(f(x) / mp.mpf(delta2)), nodes))
     assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("lambda_c", [5e-324, 1e-310, 2e-309, 1e-300])
+@pytest.mark.parametrize("delta2", [0.1, 1e-300, 5e-324, 1e300])
+def test_bandlimited_log_integral_where_the_reciprocal_overflows(lambda_c, delta2):
+    """w log1p(1/(w delta2)) with w = 2 lambda_c, also where 1/(w delta2)
+    is no finite double (or w delta2 underflows to 0): within 1e-14 of 40
+    digits, or of the least subnormal where the product is subnormal."""
+    got = fl.bandlimited(lambda_c).log_integral(delta2)
+    with mp.workdps(40):
+        w = 2 * mp.mpf(lambda_c)
+        want = float(w * mp.log1p(1 / (w * mp.mpf(delta2))))
+    assert abs(got - want) <= max(1e-14 * want, 5e-324)
+    res = fl.noisy_pred_error(fl.bandlimited(lambda_c), delta2)
+    assert 0.0 <= res.error < 1.0
+
+
+def test_bandlimited_predict_below_the_least_normal_cutoff(capsys):
+    # before: a ZeroDivisionError at 5e-324, and error 1 at 1e-310 (exact: 1.43e-308)
+    for lambda_c, want in [("5e-324", 7.4e-322), ("1e-310", 1.4308216334811722e-308)]:
+        assert run(["predict", "--model", "bandlimited", "--lambda-c", lambda_c,
+                    "--delta2", "0.1"]) == 0
+        got = json.loads(capsys.readouterr().out)["error"]
+        assert got == pytest.approx(want, rel=1e-2 if lambda_c == "5e-324" else 1e-14)
+
+
+def mp_log_piece(u0, u1, w):
+    """The integral of log over a linear piece of width w, by its primitive
+    u (log u - 1) at 50 digits."""
+    with mp.workdps(50):
+        a, b = mp.mpf(u0), mp.mpf(u1)
+        if a == b:
+            return w * mp.log(a)
+        g = lambda u: u * (mp.log(u) - 1) if u > 0 else mp.mpf(0)
+        return w * (g(b) - g(a)) / (b - a)
+
+
+@PROPS
+@given(st.floats(-6.0, 6.0), st.one_of(st.just(np.inf), st.floats(-16.0, 2.0)),
+       st.booleans(), st.floats(-3.0, 0.0))
+@example(0.0, -11.0, False, 0.0)
+@example(0.0, np.inf, True, -1.0)
+@example(0.0, -16.0, True, 0.0)
+@example(0.0, -2.0, True, 0.0)  # where the closed form of psi cancels
+def test_log_of_a_linear_piece_against_mpmath(log_hi, log_slope, rising, log_w):
+    """One piece from hi down to hi / (1 + slope), a zero endpoint at an
+    infinite slope: within 1e-14 of max(|value|, w |log hi|)."""
+    hi = 10.0 ** log_hi
+    lo = hi / (1.0 + 10.0 ** log_slope)
+    ends = [lo, hi] if rising else [hi, lo]
+    w = 10.0 ** log_w
+    got = quadrature.pl_log_integral(np.array([0.0, w]), np.array(ends))
+    want = float(mp_log_piece(*ends, w))
+    assert abs(got - want) <= 1e-14 * max(abs(want), w * abs(np.log(hi)))
+
+
+def test_a_nearly_flat_table_predicts_within_rounding():
+    # ends 1 and middle 1 + 1e-6: integral of log1p(f / delta2) at delta2 = 1e4
+    # cancelled in the old sloped-piece form, which reported 0.99925
+    xs = np.array([-0.5, 0.0, 0.5])
+    table = fl.tabulated_density(xs, np.array([1.0, 1.000001, 1.0]))
+    for delta2 in (1e4, 100.0, 1.0):
+        assert abs(fl.noisy_pred_error(table, delta2).error - 1.0) <= 1e-12
 
 
 def test_autocorr_table_vanishing_at_one_point_is_not_deterministic():
