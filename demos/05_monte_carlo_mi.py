@@ -23,8 +23,9 @@ def main():
 
     points = []
     print(f"{'SNR':>6s} {'estimate':>12s} {'std error':>11s} {'est/SNR^2':>11s}")
-    for snr in (0.1, 0.15, 0.25):
-        est = fl.mi_monte_carlo(scheme, model, 1.0 / snr, 500_000, SEED)
+    snrs = (0.1, 0.15, 0.25)
+    for snr, est in zip(snrs, fl.mi_monte_carlo_many(scheme, model, [1.0 / s for s in snrs],
+                                                     500_000, SEED)):
         points.append(est)
         print(f"{snr:6.2f} {est.estimate:12.6f} {est.std_error:11.2e} "
               f"{est.estimate / snr ** 2:11.5f}")

@@ -82,6 +82,7 @@ from .mi import (
     cond_covariance,
     fit_coefficient,
     mi_monte_carlo,
+    mi_monte_carlo_many,
     scheme_to_law,
 )
 

@@ -383,12 +383,14 @@ def _cmd_scheme(cfg, model):
 def _cmd_simulate(cfg, model):
     """The trace of ``apply_channel(gen_inputs(...), ...)``, with the fading
     drawn first: while the path is synthesized, only the law's synthesis
-    buffers are held, and the inputs (16 B per sample) are drawn after."""
+    buffers are held.  The inputs (16 B per sample) are drawn after it, and
+    the noise beside them, on a helper thread (``simulate._cn_beside``)."""
     args = cfg.args
     scheme = _scheme(args)
     h = simulate.gen_fading(model, args.n, args.seed)
-    x = simulate.gen_inputs(scheme, args.n, args.seed)
-    return None, simulate._channel_trace(x, h, model, args.sigma2, args.seed)
+    z, x = simulate._cn_beside(simulate.rng_stream(args.seed, "noise"), args.n,
+                               partial(simulate.gen_inputs, scheme, args.n, args.seed))
+    return None, simulate._channel_trace(x, h, z, model, args.sigma2, args.seed)
 
 
 def _cmd_mi(cfg, model):
@@ -427,13 +429,17 @@ def _cmd_sweep(cfg, model):
     for b in args.b_list:
         for alpha in args.alpha_list:
             coeffs = asymptotics.scheme_coefficients(model, b, alpha)
-            for snr in args.snr_list:
+            estimates = [None] * len(args.snr_list)
+            if args.mc:
+                # one draw of the "mi" stream serves every SNR of the list
+                scheme = simulate.BlockScheme(
+                    amplitude=args.amplitude, duty_cycle=alpha, block_length=b)
+                estimates = mi.mi_monte_carlo_many(
+                    scheme, model, [args.amplitude ** 2 / snr for snr in args.snr_list],
+                    args.samples, args.seed)
+            for snr, r in zip(args.snr_list, estimates):
                 est = stderr = None
-                if args.mc:
-                    scheme = simulate.BlockScheme(
-                        amplitude=args.amplitude, duty_cycle=alpha, block_length=b)
-                    sigma2 = args.amplitude ** 2 / snr
-                    r = mi.mi_monte_carlo(scheme, model, sigma2, args.samples, args.seed)
+                if r is not None:
                     est, stderr = r.estimate / b, r.std_error / b
                 rows.append({
                     "model": label, "b": b, "alpha": alpha, "snr": snr,

@@ -21,6 +21,12 @@ them to min(usable CPUs, batches) evaluators, itself and helper threads
 (``_moments``).  Each evaluates in a buffer set (``_Work``) that the
 calling thread allocates once per call, and the per-batch moments are
 merged in batch order, so the thread count changes no bit of an estimate.
+
+The draws do not depend on the noise variance: the class weights come
+from the scheme alone, and an output is a fixed normal vector times its
+class's factor.  ``mi_monte_carlo_many`` therefore estimates at k noise
+variances from one draw of the stream, forming each batch k times, once
+per variance's factors; each estimate is bitwise ``mi_monte_carlo``'s.
 """
 
 from __future__ import annotations
@@ -226,7 +232,7 @@ class _Mixture:
         computed in ``work``'s buffers (a new set for m rows if None)."""
         y = np.atleast_2d(y)
         b, m = self.b, y.shape[0]
-        work = work or _Work(self, m)
+        work = work or _Work([self], m)
         u = work.view("u", 3 * b, m)    # rows Re y, Im y, -Im y
         np.copyto(u[:b], y.real.T)
         np.copyto(u[b:2 * b], y.imag.T)
@@ -262,23 +268,27 @@ class _Mixture:
 
     def mixture_logpdf(self, y: np.ndarray) -> np.ndarray:
         """Mixture log density at each row of y, as one batch."""
-        work = _Work(self, np.atleast_2d(y).shape[0])
+        work = _Work([self], np.atleast_2d(y).shape[0])
         return self.log_mixture(self.class_logpdfs(y, work), work)
 
 
 class _Work:
     """The buffers one thread evaluates batches of up to ``rows`` outputs
-    of ``mix`` in: the features u and f, the run products, the class log
-    densities and the row vectors.  They are allocated by the thread that
-    builds the set, so that a helper thread allocates nothing of a batch's
-    size (see ``_moments``)."""
+    of any of ``mixes`` (one scheme's mixtures) in: the features u and f,
+    the run products, the class log densities and the row vectors, all
+    slices of one allocation.  It is made by the thread that builds the
+    set, so that a helper thread allocates nothing of a batch's size (see
+    ``_moments``)."""
 
-    def __init__(self, mix: _Mixture, rows: int):
-        longest_run = max(hi - lo for lo, hi, *_ in mix._runs)
-        sizes = {"u": 3 * mix.b, "f": mix._coef.shape[1], "run": longest_run,
-                 "lp": mix.n_classes, "own": 1, "top": 1, "total": 1}
-        self._flat = {name: np.empty(k * rows) for name, k in sizes.items()}
-        self._flat["at"] = np.empty(rows, dtype=np.intp)
+    def __init__(self, mixes: list[_Mixture], rows: int):
+        mix = mixes[0]
+        sizes = {"u": 3 * mix.b, "f": max(m._coef.shape[1] for m in mixes),
+                 "run": max(hi - lo for m in mixes for lo, hi, *_ in m._runs),
+                 "lp": mix.n_classes, "own": 1, "top": 1, "total": 1, "at": 1}
+        whole = np.empty(sum(sizes.values()) * rows)
+        ends = np.cumsum([0, *sizes.values()]) * rows
+        self._flat = {name: whole[lo:hi] for name, lo, hi in zip(sizes, ends, ends[1:])}
+        self._flat["at"] = self._flat["at"].view(np.intp)
         self.columns = np.arange(rows)
 
     def view(self, name: str, *shape: int) -> np.ndarray:
@@ -298,42 +308,50 @@ def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
     return n, mean, m2
 
 
-def _batches(rng: np.random.Generator, mix: _Mixture, n: int):
-    """n outputs of the mixture as (class indices, outputs) batches of
-    ``mix.batch_rows`` rows (the last one may be shorter), across class
-    boundaries.
+def _batches(rng: np.random.Generator, mixes: list[_Mixture], n: int):
+    """n outputs of each of ``mixes``, mixtures of one scheme under noise
+    variances that differ, as (mixture index, class indices, outputs)
+    batches of ``batch_rows`` rows (the last of a mixture may be shorter),
+    across class boundaries.
 
     Multinomial class counts, then each class's outputs in pieces of at most
     _CHUNK rows: a piece of m rows is ``_cn(rng, (m, b)) @ factor.T``.  The
     pieces that start in one batch form a span: one ``standard_normal``
     call draws each piece's real parts, then its imaginary parts, in
-    ``_cn``'s order, and each piece is one GEMM into the span's outputs.
+    ``_cn``'s order, and each piece is one GEMM into the span's outputs,
+    per mixture with its own factor.  The weights, and so the draws, are
+    the scheme's alone: every mixture's batches are those of a call with
+    that mixture alone.
     """
+    mix = mixes[0]
     b, rows = mix.b, mix.batch_rows
     counts = rng.multinomial(n, mix.weights / mix.weights.sum()).tolist()
     pieces = np.array([(ci, min(c - s, _CHUNK)) for ci, c in enumerate(counts)
                        for s in range(0, c, _CHUNK)])
     starts = np.cumsum(pieces[:, 1]) - pieces[:, 1]
-    factors_t = np.swapaxes(mix.factors(), 1, 2)
-    held_c, held_y = np.empty(0, dtype=int), np.empty((0, b), dtype=complex)
+    factors_t = [np.swapaxes(m.factors(), 1, 2) for m in mixes]
+    held_c, held_y = np.empty(0, dtype=int), [np.empty((0, b), dtype=complex)] * len(mixes)
     for span in np.split(pieces, np.flatnonzero(np.diff(starts // rows)) + 1):
-        z = rng.standard_normal(2 * b * span[:, 1].sum())
-        z *= np.sqrt(0.5)
+        drawn = rng.standard_normal(2 * b * span[:, 1].sum())
+        drawn *= np.sqrt(0.5)
         c = np.concatenate([held_c, np.repeat(*span.T)])
-        y = np.empty((c.size, b), dtype=complex)
-        y[:held_c.size] = held_y
-        g = np.empty((span[:, 1].max(), b), dtype=complex)
-        at = held_c.size
-        for k, m in span.tolist():
-            g[:m].real, g[:m].imag = z[:2 * b * m].reshape(2, m, b)
-            np.matmul(g[:m], factors_t[k], out=y[at:at + m])
-            z, at = z[2 * b * m:], at + m
         full = c.size - c.size % rows
-        for s in range(0, full, rows):
-            yield c[s:s + rows], y[s:s + rows]
-        held_c, held_y = c[full:], y[full:]
+        g = np.empty((span[:, 1].max(), b), dtype=complex)
+        for j, factors in enumerate(factors_t):
+            y = np.empty((c.size, b), dtype=complex)
+            y[:held_c.size] = held_y[j]
+            z, at = drawn, held_c.size
+            for k, m in span.tolist():
+                g[:m].real, g[:m].imag = z[:2 * b * m].reshape(2, m, b)
+                np.matmul(g[:m], factors[k], out=y[at:at + m])
+                z, at = z[2 * b * m:], at + m
+            for s in range(0, full, rows):
+                yield j, c[s:s + rows], y[s:s + rows]
+            held_y[j] = y[full:]
+        held_c = c[full:]
     if held_c.size:
-        yield held_c, held_y
+        for j, y in enumerate(held_y):
+            yield j, held_c, y
 
 
 def _batch_moments(mix: _Mixture, work: _Work, ci: np.ndarray, y: np.ndarray):
@@ -360,9 +378,10 @@ def _batch_moments(mix: _Mixture, work: _Work, ci: np.ndarray, y: np.ndarray):
         np.setbufsize(old)
 
 
-def _moments(mix: _Mixture, batches, w: int) -> list:
-    """``_batch_moments`` of every batch, in batch order, evaluated by the
-    calling thread and w - 1 helper threads, one ``_Work`` set each.
+def _moments(mixes: list[_Mixture], batches, w: int) -> list[list]:
+    """``_batch_moments`` of every (mixture index, classes, outputs) batch,
+    per mixture in batch order, evaluated by the calling thread and w - 1
+    helper threads, one ``_Work`` set each.
 
     The calling thread draws the batches and queues each; a helper takes
     the oldest queued batch, and the calling thread evaluates the newest
@@ -373,11 +392,15 @@ def _moments(mix: _Mixture, batches, w: int) -> list:
     next.  The helpers finish the queue and are joined before the call
     returns or raises; the first error a helper raises is raised here.
     """
-    works = [_Work(mix, mix.batch_rows) for _ in range(w)]
-    results = []
-    queued = collections.deque()    # (index, classes, outputs); None stops a helper
+    works = [_Work(mixes, mixes[0].batch_rows) for _ in range(w)]
+    results = [[] for _ in mixes]
+    queued = collections.deque()    # (results, index, batch); None stops a helper
     ready = threading.Condition()
     errors = []
+
+    def evaluate(work, item):
+        slot, i, (j, ci, y) = item
+        slot[i] = _batch_moments(mixes[j], work, ci, y)
 
     def helper(work):
         while True:
@@ -388,7 +411,7 @@ def _moments(mix: _Mixture, batches, w: int) -> list:
             if item is None:
                 return
             try:
-                results[item[0]] = _batch_moments(mix, work, *item[1:])
+                evaluate(work, item)
             except BaseException as exc:    # handed to the calling thread
                 errors.append(exc)
                 return
@@ -398,16 +421,17 @@ def _moments(mix: _Mixture, batches, w: int) -> list:
         for work in works[1:]:
             threads.append(threading.Thread(target=helper, args=(work,)))
             threads[-1].start()
-        for i, (ci, y) in enumerate(batches):
+        for batch in batches:
             if errors:
                 break
-            results.append(None)
+            slot = results[batch[0]]
+            slot.append(None)
             with ready:
-                queued.append((i, ci, y))
+                queued.append((slot, len(slot) - 1, batch))
                 ready.notify()
                 item = queued.pop() if len(queued) >= w else None
             if item is not None:
-                results[item[0]] = _batch_moments(mix, works[0], *item[1:])
+                evaluate(works[0], item)
     finally:
         with ready:
             queued.extend([None] * len(threads))
@@ -429,27 +453,43 @@ def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: floa
     The batches are evaluated on min(usable CPUs, batches) threads and
     merged in batch order, so the thread count does not change a bit of it.
     """
+    return _estimates(scheme, model, [sigma2], n_samples, seed)[0]
+
+
+def mi_monte_carlo_many(scheme: BlockScheme, model: spectra.FadingModel, sigma2s,
+                        n_samples: int, seed: int) -> list[MIEstimate]:
+    """``mi_monte_carlo`` at each noise variance of ``sigma2s``, bit for bit,
+    from one draw of the seed's "mi" stream: the class counts and normals
+    are drawn once and each batch is formed once per variance
+    (``_batches``).  Every mixture is built, and so refused, before
+    anything is drawn."""
+    return _estimates(scheme, model, sigma2s, n_samples, seed)
+
+
+def _estimates(scheme, model, sigma2s, n_samples, seed) -> list[MIEstimate]:
+    """The body of both public estimators, which stay one traced call each."""
     n_samples = int(n_samples)
     if n_samples < 10_000:
         raise DomainError("need at least 1e4 samples for a meaningful standard error")
-    mix = _Mixture(scheme, model, sigma2)
-    w = min(_usable_cpus(), -(-n_samples // mix.batch_rows))
-
-    tot_n, tot_mean, tot_m2 = 0, 0.0, 0.0
-    for c_n, c_mean, c_m2 in _moments(mix, _batches(rng_stream(seed, "mi"), mix, n_samples), w):
-        tot_n, tot_mean, tot_m2 = _merge_moments(tot_n, tot_mean, tot_m2, c_n, c_mean, c_m2)
-
-    var = tot_m2 / (tot_n - 1) if tot_n > 1 else 0.0
-    std_error = float(np.sqrt(var / tot_n))
-    return MIEstimate(
-        block_length=scheme.block_length,
-        snr=scheme.amplitude ** 2 / float(sigma2),
-        duty_cycle=scheme.duty_cycle,
-        estimate=float(tot_mean),
-        std_error=std_error,
-        n_samples=n_samples,
-        seed=int(seed),
-    )
+    mixes = [_Mixture(scheme, model, sigma2) for sigma2 in sigma2s]
+    w = min(_usable_cpus(), len(mixes) * -(-n_samples // mixes[0].batch_rows))
+    per_mix = _moments(mixes, _batches(rng_stream(seed, "mi"), mixes, n_samples), w)
+    estimates = []
+    for sigma2, moments in zip(sigma2s, per_mix):
+        tot_n, tot_mean, tot_m2 = 0, 0.0, 0.0
+        for c_n, c_mean, c_m2 in moments:
+            tot_n, tot_mean, tot_m2 = _merge_moments(tot_n, tot_mean, tot_m2, c_n, c_mean, c_m2)
+        var = tot_m2 / (tot_n - 1) if tot_n > 1 else 0.0
+        estimates.append(MIEstimate(
+            block_length=scheme.block_length,
+            snr=scheme.amplitude ** 2 / float(sigma2),
+            duty_cycle=scheme.duty_cycle,
+            estimate=float(tot_mean),
+            std_error=float(np.sqrt(var / tot_n)),
+            n_samples=n_samples,
+            seed=int(seed),
+        ))
+    return estimates
 
 
 def _as_points(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

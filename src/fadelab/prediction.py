@@ -16,6 +16,7 @@ eps2(1/rho) at rho = 0, which ``phi_via_limit`` extracts numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,9 @@ def noisy_pred_error(model: spectra.FadingModel, delta2: float) -> PredictionRes
 
     Evaluated as delta2 * expm1( integral log1p(f/delta2) ), which is exact
     in the same sense but immune to the cancellation that the literal form
-    suffers at large delta2.
+    suffers at large delta2.  Where expm1 overflows (delta2 below about
+    1e-308), delta2 is negligible beside the error, which is then
+    exp(integral + log delta2).
     """
     delta2 = float(delta2)
     if delta2 <= 0.0:
@@ -91,7 +94,11 @@ def noisy_pred_error(model: spectra.FadingModel, delta2: float) -> PredictionRes
     _require_pure_density(model)
     if model.white:
         return PredictionResult(1.0, METHOD_CLOSED_FORM, None, delta2)
-    err = float(delta2 * np.expm1(model.log_integral(delta2)))
+    log_int = model.log_integral(delta2)
+    with np.errstate(over="ignore"):
+        err = float(delta2 * np.expm1(log_int))
+    if err == math.inf:
+        err = math.exp(log_int + math.log(delta2))
     return PredictionResult(min(max(err, 0.0), 1.0), METHOD_CLOSED_FORM, None, delta2)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import spectra
 from .errors import DomainError
-from .spectra import _cn
+from .spectra import _SYNTH_CHUNK, _cn
 
 STREAM_LABELS = {
     "fading": 1,
@@ -94,7 +95,10 @@ def gen_inputs(scheme: BlockScheme, n: int, seed: int) -> np.ndarray:
     """Input path x_k = U_{floor(k/b)} * D_k of length n.
 
     U are IID on-off block amplitudes, D are IID +-1 signs, independent of
-    each other; the peak constraint holds surely.
+    each other; the peak constraint holds surely.  Built with two
+    temporaries of n values, the sign draw (scaled in place) and the
+    repeated amplitudes, where ``(u[k // b] * d).astype(complex)`` made
+    seven: fewer blocks for the heap to keep beside ``simulate``'s noise.
     """
     n = int(n)
     if n < 1:
@@ -104,34 +108,39 @@ def gen_inputs(scheme: BlockScheme, n: int, seed: int) -> np.ndarray:
     rng_u = rng_stream(seed, "amplitude")
     rng_d = rng_stream(seed, "sign")
     u = scheme.amplitude * (rng_u.random(n_blocks) < scheme.duty_cycle)
-    d = rng_d.integers(0, 2, size=n) * 2 - 1
-    x = u[np.arange(n) // b] * d
-    return x.astype(complex)
+    d = rng_d.integers(0, 2, size=n)
+    d *= 2
+    d -= 1
+    x = np.zeros(n, dtype=complex)
+    np.multiply(np.repeat(u, b)[:n], d, out=x.real)
+    return x
 
 
 def apply_channel(x: np.ndarray, model: spectra.FadingModel, sigma2: float,
                   seed: int) -> ChannelTrace:
     """Pass inputs through the channel with freshly drawn fading and noise.
 
-    The fading path is synthesized while x (16 B per sample) is held.  The
-    CLI's ``simulate`` draws the fading before the inputs instead, and
-    holds only the synthesis buffers while the path is built; its trace is
-    this one, since each stream has its own seed label.
+    The fading path is synthesized while x (16 B per sample) is held, and
+    the noise is drawn after it.  The CLI's ``simulate`` draws the fading
+    before the inputs instead, holding only the synthesis buffers while the
+    path is built, and the noise beside the inputs; its trace is this one,
+    since each stream has its own seed label.
     """
     sigma2 = float(sigma2)
     if sigma2 <= 0.0:
         raise DomainError("noise variance must be > 0")
     x = np.asarray(x, dtype=complex)
-    return _channel_trace(x, gen_fading(model, x.size, seed), model, sigma2, seed)
+    h = gen_fading(model, x.size, seed)
+    return _channel_trace(x, h, _cn(rng_stream(seed, "noise"), x.size), model, sigma2, seed)
 
 
-def _channel_trace(x: np.ndarray, h: np.ndarray, model: spectra.FadingModel,
+def _channel_trace(x: np.ndarray, h: np.ndarray, z: np.ndarray, model: spectra.FadingModel,
                    sigma2: float, seed: int) -> ChannelTrace:
     """The trace y = h * x + z of complex inputs x through the fading path h
-    of the same length, with the noise z drawn from the seed's noise stream
-    at the variance sigma2, which the caller has checked is > 0."""
+    of the same length, with z the seed's noise stream drawn by ``_cn``,
+    scaled here in place to the variance sigma2, which the caller has
+    checked is > 0."""
     n = x.size
-    z = _cn(rng_stream(seed, "noise"), n)
     z *= np.sqrt(sigma2)
     y = h * x
     y += z
@@ -426,6 +435,41 @@ def _usable_cpus() -> int:
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _cn_beside(rng: np.random.Generator, size: int, work):
+    """(``_cn(rng, size)``, ``work()``), the draws made on a helper thread
+    while the calling thread runs ``work``, which must not use ``rng``.
+
+    The result and ``_cn``'s scratch are allocated here, by the calling
+    thread, so the helper allocates nothing of the draw's size: glibc gives
+    each thread its own malloc arena and keeps what a thread frees there
+    resident.  With one usable CPU no helper starts, and the draw runs here
+    after ``work``.  The helper is joined before this returns or raises;
+    an error it raises is raised here, unless ``work`` raised first.
+    """
+    out = np.empty(size, dtype=complex)
+    scratch = np.empty(min(size, _SYNTH_CHUNK))
+    if _usable_cpus() < 2:
+        result = work()
+        return _cn(rng, size, out, scratch), result
+    errors = []
+
+    def draw():
+        try:
+            _cn(rng, size, out, scratch)
+        except BaseException as exc:    # handed to the calling thread
+            errors.append(exc)
+
+    helper = threading.Thread(target=draw)
+    helper.start()
+    try:
+        result = work()
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return out, result
 
 
 def _n_workers(n: int) -> int:

@@ -77,7 +77,7 @@ _SYNTH_CHUNK = 1 << 15
 _AR1_BLOCK = 32
 
 
-def _cn(rng: np.random.Generator, size) -> np.ndarray:
+def _cn(rng: np.random.Generator, size, out=None, scratch=None) -> np.ndarray:
     """IID standard circularly symmetric complex Gaussians of shape ``size``.
 
     The draw order is a contract that ``mi._CHUNK`` relies on: all real
@@ -85,11 +85,16 @@ def _cn(rng: np.random.Generator, size) -> np.ndarray:
     ``(re + 1j * im) * sqrt(0.5)`` for ``re = rng.standard_normal(size)``
     drawn before ``im``.  Draws pass through a scratch of ``_SYNTH_CHUNK``
     doubles (draws in slices equal one draw), so the result, 16 B per
-    point, is the only full-size allocation.
+    point, is the only full-size allocation.  The result is ``out`` when
+    the caller passes one (complex, of shape ``size``), and the scratch is
+    ``scratch`` when passed (at least min(points, ``_SYNTH_CHUNK``)
+    doubles): given both, the draw allocates nothing, as a helper thread's
+    draw must (``simulate._cn_beside``).
     """
-    out = np.empty(size, dtype=complex)
+    out = np.empty(size, dtype=complex) if out is None else out
     flat = out.reshape(-1)
-    scratch = np.empty(min(flat.size, _SYNTH_CHUNK))
+    if scratch is None:
+        scratch = np.empty(min(flat.size, _SYNTH_CHUNK))
     for part in (flat.real, flat.imag):
         for start in range(0, flat.size, _SYNTH_CHUNK):
             draw = scratch[:min(_SYNTH_CHUNK, flat.size - start)]
@@ -252,7 +257,11 @@ class FadingModel:
         recent ones seen in noise of variance delta2 >= 0, and whether it is
         clipped, by Durbin's recursion: the noisy lags R(0) + delta2, R(1), ...,
         R(n) have order-n error E_n for the next noisy sample, so the fading
-        error is E_n - delta2 = 1 - r^H (T_n + delta2 I)^{-1} r.
+        error is E_n - delta2 = 1 - r^H (T_n + delta2 I)^{-1} r.  Where E_n
+        is within a factor e of delta2 that difference cancels (at delta2 =
+        1e20, E_n and delta2 are the same double while the error is 1), so
+        there it is taken from the reflection coefficients as
+        delta2 expm1(log1p(R(0)/delta2) + sum log1p(-|kappa_k|^2)).
         Where the recursion breaks down at order k with delta2 at most the
         rounding floor k^2 eps sum_{j <= k} |c(j)| of the noisy lags c (each of
         the k orders rounds an inner product over up to k of them; an empirical
@@ -263,8 +272,10 @@ class FadingModel:
         breakdown is refused with :class:`DomainError`: a covariance keeps
         every order's error at or above delta2, so the lags are not one."""
         noisy = autocorr_lags(self, n)
+        r0 = float(noisy[0].real)
         noisy[0] += delta2
-        e_n, order = _durbin_error(noisy)
+        reflections = np.empty(n)
+        e_n, order = _durbin_error(noisy, reflections)
         if e_n is None:
             floor = order * order * np.finfo(float).eps * float(np.abs(noisy[:order + 1]).sum())
             if delta2 > floor:
@@ -272,7 +283,12 @@ class FadingModel:
                     f"Durbin's recursion broke down at order {order} with delta2 = {delta2:g} "
                     f"above the rounding floor {floor:.3g}: the lags are not a covariance")
             return 0.0, True
-        return min(max(e_n - delta2, 0.0), 1.0), False
+        if delta2 > 0.0:
+            # E_n / delta2 = (1 + R(0) / delta2) prod (1 - |kappa_k|^2) = e^x; where
+            # E_n > e delta2 the difference E_n - delta2 keeps its digits
+            x = math.log1p(r0 / delta2) + float(np.sum(np.log1p(-reflections)))
+            e_n = delta2 * math.expm1(x) if x <= 1.0 else e_n - delta2
+        return min(max(e_n, 0.0), 1.0), False
 
     def _circulant_eigenvalues(self, big_n: int) -> np.ndarray:
         """lambda_k = N times the density's mass on the cell
@@ -376,13 +392,24 @@ class AR1(FadingModel):
         return r, u, float(d)
 
     def log_integral(self, delta2):
-        """Jensen's formula, with u and d of ``_jensen``."""
+        """Jensen's formula, with u and d of ``_jensen``: log of a ratio
+        below delta2 = 1, log1p of one above.  Where the ratio overflows
+        (delta2 below about 1e-308) it is a difference of logs, and where
+        the denominator overflows (delta2 above about 1e308) both terms are
+        scaled by delta2."""
         r, u, d = self._jensen(delta2)
         if delta2 == 0.0:
             return float(np.log(u))
         if delta2 < 1.0:
-            return float(np.log((delta2 * (1.0 + r * r) + u + d) / (2.0 * delta2)))
-        return float(np.log1p(2.0 * u / (d + u * (delta2 - 1.0))))
+            num = delta2 * (1.0 + r * r) + u + d
+            ratio = num / (2.0 * delta2)
+            if ratio < math.inf:
+                return float(np.log(ratio))
+            return math.log(num) - math.log(2.0 * delta2)
+        den = d + u * (delta2 - 1.0)
+        if den < math.inf:
+            return float(np.log1p(2.0 * u / den))
+        return float(np.log1p(2.0 * u / (d / delta2 + u * (1.0 - 1.0 / delta2)) / delta2))
 
     def series(self, tol):
         """The sum of r2^m for m = 1..N, r2 = |a|^2, N the fewest terms whose
@@ -972,11 +999,13 @@ def _toeplitz(r: np.ndarray) -> np.ndarray:
     return sliding_window_view(vals, r.size)[::-1].copy()
 
 
-def _durbin_error(c: np.ndarray) -> tuple[float | None, int]:
+def _durbin_error(c: np.ndarray, reflections: np.ndarray | None = None) -> tuple[float | None, int]:
     """Durbin's recursion on the lags c(0), ..., c(n): the order-n one-step
     prediction error and n, or None and the order at which the recursion
     breaks down (that order's error is not positive and finite, or its
-    reflection coefficient has modulus >= 1)."""
+    reflection coefficient has modulus >= 1).  Where ``reflections`` is
+    given, its entry k - 1 gets |kappa_k|^2 of each order k reached, so
+    that the order-n error is c(0) prod (1 - |kappa_k|^2)."""
     err = float(c[0].real)
     coeffs = np.zeros(c.size - 1, dtype=complex)
     for k in range(1, c.size):
@@ -985,6 +1014,8 @@ def _durbin_error(c: np.ndarray) -> tuple[float | None, int]:
         err *= 1.0 - abs(kappa) ** 2
         if not (0.0 < err < np.inf) or abs(kappa) >= 1.0:
             return None, k
+        if reflections is not None:
+            reflections[k - 1] = abs(kappa) ** 2
         a -= kappa * np.conj(a[::-1])
         coeffs[k - 1] = kappa
     return float(err), c.size - 1

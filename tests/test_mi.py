@@ -273,7 +273,7 @@ def reference_estimate(scheme, model, sigma2, n, seed):
     ``reference.batch_moments``, one after another, and merged in order."""
     mix = _Mixture(scheme, model, sigma2)
     tot = (0, 0.0, 0.0)
-    for ci, y in mi._batches(rng_stream(seed, "mi"), mix, n):
+    for _, ci, y in mi._batches(rng_stream(seed, "mi"), [mix], n):
         tot = mi._merge_moments(*tot, *batch_moments(mix, ci, y))
     count, mean, m2 = tot
     return mean, float(np.sqrt(m2 / (count - 1) / count))
@@ -335,9 +335,9 @@ class TestThreads:
         # its malloc arena
         mix = _Mixture(fl.BlockScheme(amplitude=1.0, duty_cycle=5 / 6, block_length=b),
                        fl.ar1(0.8), 10.0)
-        ci, y = next(mi._batches(np.random.default_rng(1), mix, 2 * mix.batch_rows))
+        _, ci, y = next(mi._batches(np.random.default_rng(1), [mix], 2 * mix.batch_rows))
         assert ci.size == mix.batch_rows == rows
-        work = mi._Work(mix, mix.batch_rows)
+        work = mi._Work([mix], mix.batch_rows)
         want = batch_moments(mix, ci, y)
         assert mi._batch_moments(mix, work, ci, y) == want
         tracemalloc.start()

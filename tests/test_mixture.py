@@ -165,7 +165,7 @@ def test_batches_match_the_per_class_route(b, alpha, amp, n, chunk, spec, seed):
         mp.setattr(mi, "_CHUNK", chunk)
         scheme = fl.BlockScheme(amplitude=amp, duty_cycle=alpha, block_length=b)
         mix = _Mixture(scheme, build(spec), 0.7)
-        got = list(mi._batches(np.random.default_rng(seed), mix, n))
+        got = [(c, y) for _, c, y in mi._batches(np.random.default_rng(seed), [mix], n)]
         want = class_draws(np.random.default_rng(seed), mix, n)
     assert len(got) == len(want)
     for (got_c, got_y), (want_c, want_y) in zip(got, want):

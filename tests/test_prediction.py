@@ -376,3 +376,76 @@ class TestPhiLimit:
                 continue
             assert gap < 1e-2
             assert abs(g(5e-4) - phi) == pytest.approx(gap / 2, rel=0.25)
+
+
+def mp_ar1_noisy_error(a, delta2):
+    """E_inf = c - delta2 of the factorization in
+    ``test_ar1_log_integral_against_mpmath``, to 40 digits: worked at 700,
+    since near delta2 = 1e308 the error lies 308 digits below delta2."""
+    with mp.workdps(700):
+        r2, d2 = abs(mp.mpc(a)) ** 2, mp.mpf(delta2)
+        big_b = d2 * (1 + r2) + 1 - r2
+        return float((big_b + mp.sqrt(big_b ** 2 - 4 * d2 ** 2 * r2)) / 2 - d2)
+
+
+class TestDoubleRangeEnds:
+    """AR(1)'s infinite past keeps its digits at both ends of the double
+    range: below delta2 of about 1e-308 its log integral is a difference of
+    logs and the error exp(I + log delta2), above about 1e308 the log1p's
+    terms are scaled by delta2.  Durbin's finite past takes its error from
+    the reflection coefficients where E_n - delta2 would cancel."""
+
+    @pytest.mark.parametrize("delta2", [5e-324, 1e-310, 1e-300, 1e300, 1.7e308])
+    @pytest.mark.parametrize("a", [0.5, -0.9, 0.3 + 0.6j, 0.999])
+    def test_ar1_infinite_past_against_mpmath(self, a, delta2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fl.noisy_pred_error(fl.ar1(a), delta2).error
+        assert got == pytest.approx(mp_ar1_noisy_error(a, delta2), rel=1e-12)
+
+    @PROPS
+    @given(st.floats(0.0, 0.999), st.sampled_from([0.0, 0.5, 1.0, 2.3]),
+           st.floats(-323.3, 308.2).map(lambda e: 10.0 ** e))
+    def test_ar1_infinite_past_over_the_double_range(self, r, turn, delta2):
+        a = r * np.exp(1j * np.pi * turn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fl.noisy_pred_error(fl.ar1(a), delta2).error
+        assert got == pytest.approx(mp_ar1_noisy_error(a, delta2), rel=1e-12)
+
+    @pytest.mark.parametrize("delta2,want", [("1e-310", 0.75), ("5e-324", 0.75), ("1.7e308", 1.0)])
+    def test_predict_command_at_the_ends(self, capsys, delta2, want):
+        errors = []
+        for past in ([], ["--past", "4"]):
+            assert run(["predict", "--model", "ar1", "--a", "0.5", "--delta2", delta2, *past]) == 0
+            errors.append(json.loads(capsys.readouterr().out)["error"])
+        assert errors == pytest.approx([want, want], rel=1e-12)
+
+    @pytest.mark.parametrize("delta2", [1e-3, 0.1, 1.0, 1e4, 1e10, 1e16, 1e20, 1e100, 1e300])
+    @pytest.mark.parametrize("model", [
+        fl.bandlimited(0.25), fl.bandlimited(0.02),
+        fl.tabulated_density(np.linspace(-0.5, 0.5, 2001),
+                             fl.density(fl.ar1(0.6), np.linspace(-0.5, 0.5, 2001))),
+        fl.line_plus_residual([(0.1, 0.3)], fl.ar1(0.5)),
+        fl.line_plus_residual([(0.1, 1.0)], None),
+    ], ids=lambda m: m.label())
+    def test_finite_past_between_its_bounds(self, model, delta2):
+        # (T_n + delta2 I)^{-1} <= I / delta2 and |R(k)| <= 1, so
+        # E_n >= 1 - n / delta2; a density law also has E_n >= E_inf
+        for n in (1, 4, 64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                e_n = fl.finite_past_pred_error(model, delta2, n).error
+            lower = 1.0 - n / delta2
+            if not model.jumps:
+                lower = max(lower, fl.noisy_pred_error(model, delta2).error)
+            assert lower <= e_n + 1e-12 and e_n <= 1.0, n
+
+    @PROPS
+    @given(st.sampled_from([0.02, 0.25, 0.4]), st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
+           st.integers(1, 128))
+    def test_bandlimited_finite_past_over_the_noise_range(self, lambda_c, delta2, n):
+        model = fl.bandlimited(lambda_c)
+        e_n = fl.finite_past_pred_error(model, delta2, n).error
+        e_inf = fl.noisy_pred_error(model, delta2).error
+        assert max(e_inf, 1.0 - n / delta2) <= e_n + 1e-12 and e_n <= 1.0
