@@ -13,8 +13,10 @@ scheme it is (b(alpha - alpha^2) + alpha S(b)) / 2, b times
 p(y) the exact finite Gaussian mixture.  Its classes come from the sign
 structure, the zero block and the sign patterns up to a global flip, with
 one Cholesky factor for the off block and one, chol(A^2 T_b + sigma2 I),
-for every on class up to its signs (see ``_Mixture``).
-Each batch of outputs (``_batches``) costs real products for its features,
+for every on class up to its signs (see ``_Mixture``).  The outputs are
+drawn a span of class pieces at a time (``_batches``), with one GEMM per
+factor and each row's signs flipped before and after it, not one product
+per class.  Each batch of outputs costs real products for its features,
 one GEMM for the log densities of every class and a log-sum-exp in place.
 The calling thread draws every batch from the one "mi" stream and hands
 them to min(usable CPUs, batches) evaluators, itself and helper threads
@@ -25,8 +27,9 @@ merged in batch order, so the thread count changes no bit of an estimate.
 The draws do not depend on the noise variance: the class weights come
 from the scheme alone, and an output is a fixed normal vector times its
 class's factor.  ``mi_monte_carlo_many`` therefore estimates at k noise
-variances from one draw of the stream, forming each batch k times, once
-per variance's factors; each estimate is bitwise ``mi_monte_carlo``'s.
+variances from one draw of the stream, de-interleaved and sign-flipped
+once, forming each batch k times, once per variance's factors; each
+estimate is bitwise ``mi_monte_carlo``'s.
 """
 
 from __future__ import annotations
@@ -221,12 +224,6 @@ class _Mixture:
     def n_classes(self) -> int:
         return self.weights.size
 
-    def factors(self) -> np.ndarray:
-        """(n_classes, b, b) Cholesky factors D_s L D_s of the class
-        covariances, bitwise those of the covariances."""
-        s = self.signs
-        return self.chols[self.group_of_class] * (s[:, :, None] * s[:, None, :])
-
     def class_logpdfs(self, y: np.ndarray, work: _Work | None = None) -> np.ndarray:
         """(n_classes, m) conditional log densities for a batch of m outputs,
         computed in ``work``'s buffers (a new set for m rows if None)."""
@@ -315,13 +312,19 @@ def _batches(rng: np.random.Generator, mixes: list[_Mixture], n: int):
     across class boundaries.
 
     Multinomial class counts, then each class's outputs in pieces of at most
-    _CHUNK rows: a piece of m rows is ``_cn(rng, (m, b)) @ factor.T``.  The
-    pieces that start in one batch form a span: one ``standard_normal``
-    call draws each piece's real parts, then its imaginary parts, in
-    ``_cn``'s order, and each piece is one GEMM into the span's outputs,
-    per mixture with its own factor.  The weights, and so the draws, are
-    the scheme's alone: every mixture's batches are those of a call with
-    that mixture alone.
+    _CHUNK rows: a piece of m rows is ``_cn(rng, (m, b)) @ factor.T`` with
+    factor = D_s L D_s.  The pieces that start in one batch form a span:
+    one ``standard_normal`` call draws each piece's real parts, then its
+    imaginary parts, in ``_cn``'s order; they are de-interleaved into rows
+    g, and g D_s formed, once for all mixtures.  Per mixture, the span's
+    outputs are ((g D_s) L^T) D_s, one GEMM per factor L of ``chols``, the
+    signs flipped in place: a sign flip commutes with rounding, so each row
+    is bitwise its piece's own product.  numpy takes a one-row product by
+    its matrix-vector route, whose rounding differs, so the rows of
+    one-row pieces are formed again as one stack of one-row products,
+    which numpy takes by that route too.  The weights, and so the draws,
+    are the scheme's alone: every mixture's batches are those of a call
+    with that mixture alone.
     """
     mix = mixes[0]
     b, rows = mix.b, mix.batch_rows
@@ -329,22 +332,42 @@ def _batches(rng: np.random.Generator, mixes: list[_Mixture], n: int):
     pieces = np.array([(ci, min(c - s, _CHUNK)) for ci, c in enumerate(counts)
                        for s in range(0, c, _CHUNK)])
     starts = np.cumsum(pieces[:, 1]) - pieces[:, 1]
-    factors_t = [np.swapaxes(m.factors(), 1, 2) for m in mixes]
+    chols_t = [np.swapaxes(m.chols, 1, 2) for m in mixes]
+    signs = np.repeat(mix.signs, 2, axis=1).astype(np.int8)    # one per float of a row
     held_c, held_y = np.empty(0, dtype=int), [np.empty((0, b), dtype=complex)] * len(mixes)
     for span in np.split(pieces, np.flatnonzero(np.diff(starts // rows)) + 1):
-        drawn = rng.standard_normal(2 * b * span[:, 1].sum())
+        k, m = span.T
+        new = int(m.sum())
+        drawn = rng.standard_normal(2 * b * new)
         drawn *= np.sqrt(0.5)
-        c = np.concatenate([held_c, np.repeat(*span.T)])
+        cuts = (b * np.cumsum(np.repeat(m, 2))).tolist()
+        parts = [drawn[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
+        g = np.empty((new, b), dtype=complex)
+        np.concatenate(parts[0::2], out=g.real.reshape(-1))
+        np.concatenate(parts[1::2], out=g.imag.reshape(-1))
+        del drawn, parts    # before the outputs are allocated, which may take its place
+        c = np.concatenate([held_c, np.repeat(k, m)])
         full = c.size - c.size % rows
-        g = np.empty((span[:, 1].max(), b), dtype=complex)
-        for j, factors in enumerate(factors_t):
+        flip = np.take(signs, c[held_c.size:], axis=0) if np.any(signs[k] < 0) else None
+        if flip is not None:
+            gf = g.view(float)
+            gf *= flip
+        # the rows of each factor's classes, and the one-row pieces among them
+        ends = np.cumsum(np.bincount(mix.group_of_class[k], m, len(mix.chols))).astype(int)
+        one = (np.cumsum(m) - 1)[m == 1]
+        for j, lt in enumerate(chols_t):
             y = np.empty((c.size, b), dtype=complex)
             y[:held_c.size] = held_y[j]
-            z, at = drawn, held_c.size
-            for k, m in span.tolist():
-                g[:m].real, g[:m].imag = z[:2 * b * m].reshape(2, m, b)
-                np.matmul(g[:m], factors[k], out=y[at:at + m])
-                z, at = z[2 * b * m:], at + m
+            out = y[held_c.size:]
+            for f, (lo, hi) in enumerate(zip([0, *ends], ends)):
+                if hi > lo:
+                    np.matmul(g[lo:hi], lt[f], out=out[lo:hi])
+                at = one[(lo <= one) & (one < hi)]
+                if at.size:
+                    out[at] = np.matmul(g[at, None], lt[f])[:, 0]
+            if flip is not None:
+                of = out.view(float)
+                of *= flip
             for s in range(0, full, rows):
                 yield j, c[s:s + rows], y[s:s + rows]
             held_y[j] = y[full:]

@@ -71,41 +71,48 @@ _PSI_SERIES_BELOW = 0.5
 _PSI_SERIES = np.array([(-1) ** (k + 1) / (k * (k + 1)) for k in range(48, 0, -1)])
 
 
-def _log_linear_piece(u0: np.ndarray, u1: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact ``\\int_0^w log(u0 + (u1-u0) t/w) dt`` element-wise, as
-    w (log hi + psi(r)) with hi = max(u0, u1), r = (lo - hi)/hi in [-1, 0] and
-    psi(r) = ((1 + r) log1p(r) - r)/r the mean of log1p(r t) over t in [0, 1],
-    taken from its series below |r| = 1/2, where that form cancels.  A zero
-    endpoint gives psi = -1, the integrable ``u log u`` limit; the caller
-    rejects negative values and intervals that are identically zero.
+def _log_linear_piece(u0: np.ndarray, u1: np.ndarray, w: np.ndarray, c: float) -> np.ndarray:
+    """Exact ``\\int_0^w log(c + u0 + (u1-u0) t/w) dt`` element-wise for c = 0
+    or 1, as w (log(c + hi) + psi(r)) with hi = max(u0, u1),
+    r = (lo - hi)/(c + hi) in [-1, 0] and psi(r) = ((1 + r) log1p(r) - r)/r
+    the mean of log1p(r t) over t in [0, 1], taken from its series below
+    |r| = 1/2, where that form cancels.  At c = 1, log(1 + hi) is log1p(hi)
+    and neither term rounds u against 1.  A zero endpoint at c = 0 gives
+    psi = -1, the integrable ``u log u`` limit; the caller rejects negative
+    values and intervals that are identically zero.
     """
     lo, hi = np.minimum(u0, u1), np.maximum(u0, u1)
-    r = (lo - hi) / hi
+    r = (lo - hi) / (c + hi)
     psi = np.empty_like(r)
     near = r > -_PSI_SERIES_BELOW
     rs = r[near]
     acc = np.zeros_like(rs)
-    for c in _PSI_SERIES:
-        acc = acc * rs + c
+    for coef in _PSI_SERIES:
+        acc = acc * rs + coef
     psi[near] = acc * rs
-    q, rb = lo[~near] / hi[~near], r[~near]  # 1 + r as the exact ratio
+    q, rb = (c + lo[~near]) / (c + hi[~near]), r[~near]  # 1 + r as the exact ratio
     with np.errstate(divide="ignore", invalid="ignore"):
         psi[~near] = np.where(q > 0.0, (q * np.log(q) - rb) / rb, -1.0)
-    return w * (np.log(hi) + psi)
+    return w * ((np.log1p(hi) if c else np.log(hi)) + psi)
 
 
-def pl_log_integral(grid: np.ndarray, vals: np.ndarray) -> float:
-    """Exact ``\\int log(f)`` for the piecewise-linear interpolant ``f``.
+def pl_log_integral(grid: np.ndarray, vals: np.ndarray, delta2: float = 0.0) -> float:
+    """Exact ``\\int log(f)`` for the piecewise-linear interpolant ``f`` at
+    delta2 = 0, else ``\\int log1p(f / delta2)``, per piece of the
+    interpolant f / delta2 (``_log_linear_piece``).
 
-    Returns ``-inf`` when ``f`` vanishes on an interval of positive length.
+    Returns ``-inf`` when ``f`` vanishes on an interval of positive length
+    and delta2 = 0.
     """
     vals = np.asarray(vals, dtype=float)
     if np.any(vals < 0):
         raise QuadratureFailure("negative value under a logarithm")
+    if delta2:
+        vals = vals / delta2
     u0, u1 = vals[:-1], vals[1:]
-    if np.any((u0 <= 0.0) & (u1 <= 0.0)):
+    if not delta2 and np.any((u0 <= 0.0) & (u1 <= 0.0)):
         return -np.inf
-    return float(np.sum(_log_linear_piece(u0, u1, np.diff(grid))))
+    return float(np.sum(_log_linear_piece(u0, u1, np.diff(grid), 1.0 if delta2 else 0.0)))
 
 
 #: Taylor coefficients of g2(z) = (e^z (z - 1) + 1)/z^2, highest order first;

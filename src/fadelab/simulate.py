@@ -185,7 +185,7 @@ def trace_to_csv(trace: ChannelTrace, fh) -> None:
     _write_ranges(trace.x.size, partial(_csv_slice, trace), fh)
 
 
-def _csv_slice(trace: ChannelTrace, lo: int, hi: int) -> bytearray:
+def _csv_slice(trace: ChannelTrace, lo: int, hi: int) -> bytes:
     """The CSV bytes of rows lo..hi-1 (indices below 10^12).
 
     Each row is laid out in 7 fields of four uint64 words at fixed byte
@@ -193,7 +193,9 @@ def _csv_slice(trace: ChannelTrace, lo: int, hi: int) -> bytearray:
     once): the index, whose "%.12g" is its "%d" below 10^12, without its
     leading ",", then the 6 values, with a newline in the last word's last
     byte.  Every byte the text does not have is NUL, and one ``translate``
-    of the words' own buffer deletes them all.
+    deletes them all, of a ``bytes`` copy of the words' buffer: formatting
+    1024-row slices in a loop, that took 0.55 ms a slice against 0.59 ms
+    for the ``bytearray``'s own ``translate`` (2-CPU x86_64, Python 3.11).
     """
     n = hi - lo
     values = np.empty((n, 7))
@@ -204,7 +206,7 @@ def _csv_slice(trace: ChannelTrace, lo: int, hi: int) -> bytearray:
     _value_words(values.reshape(-1), words.reshape(-1, 4))
     words[:, 0] = 0  # the index's "," (its only byte in word 0)
     words[:, -1] |= _U64(ord("\n") << 56)
-    return text.translate(None, b"\0")
+    return bytes(text).translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------

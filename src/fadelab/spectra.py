@@ -21,8 +21,8 @@ construction, from blind estimates of its squared integral on nested grids.
 
 from __future__ import annotations
 
-import io
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -562,8 +562,12 @@ class TabulatedDensity(FadingModel):
         return quadrature.pl_square_integral(self.grid, self.values)
 
     def log_integral(self, delta2):
-        return quadrature.pl_log_integral(
-            self.grid, self.values if delta2 == 0.0 else 1.0 + self.values / delta2)
+        """Per piece (``quadrature.pl_log_integral``); where f / delta2
+        overflows (delta2 below about 1e-308 of the peak value), as
+        integral log(f + delta2) - log delta2."""
+        if 0.0 < delta2 and delta2 * sys.float_info.max < self.values.max():
+            return quadrature.pl_log_integral(self.grid, self.values + delta2) - math.log(delta2)
+        return quadrature.pl_log_integral(self.grid, self.values, delta2)
 
     def series(self, tol):
         """sum_{nu >= 1} |R(nu)|^2 term by term, stopped after
@@ -904,21 +908,34 @@ def load_tabulated_density(path) -> FadingModel:
 
     The file must start with a header row naming the two columns, and every
     row must have exactly two; the grid must be strictly increasing and
-    cover [-1/2, 1/2].
+    cover [-1/2, 1/2].  Blank rows and rows starting with "#" are skipped.
     """
     if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    lines = [ln.strip() for ln in io.StringIO(text) if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and not ln.startswith("#")]
     if not lines:
         raise ParamOutOfRange("empty density table")
     header = [c.strip().lower() for c in lines[0].split(",")]
     if header != ["lambda", "value"]:
         raise ParamOutOfRange("density table must start with a 'lambda,value' header row")
+    rows = lines[1:]
+    # printable ASCII rows go through one np.loadtxt call, in C and with no
+    # object per cell: on such text it accepts no row that float() refuses
+    # and gives the same doubles; what it refuses (a cell such as "1_0",
+    # which float() reads, or a row without two cells) goes through the
+    # loop, which names the first bad row
+    if rows and _PLAIN_ROWS.fullmatch("".join(rows)):
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is not None and table.shape == (len(rows), 2):
+            return tabulated_density(table[:, 0], table[:, 1])
     grid, vals = [], []
-    for ln in lines[1:]:
+    for ln in rows:
         try:
             lam, val = map(float, ln.split(","))
         except ValueError:
@@ -926,6 +943,10 @@ def load_tabulated_density(path) -> FadingModel:
         grid.append(lam)
         vals.append(val)
     return tabulated_density(grid, vals)
+
+
+#: tabs and printable ASCII, the rows that ``np.loadtxt`` reads as ``float()``
+_PLAIN_ROWS = re.compile(r"[\t\x20-\x7e]*")
 
 
 def catalog() -> dict[str, FadingModel]:

@@ -10,24 +10,29 @@ otherwise:
   SNR^2 coefficient for any finite-support input law, of which
   ``asymptotics.scheme_coefficients(...).block_coeff`` is the on-off
   collapse (b(alpha - alpha^2) + alpha S(b)) / (2 b);
+- ``factors`` gives each class of a mixture its own Cholesky factor
+  D_s L D_s, which the estimator applies as sign flips about L;
 - ``class_draws`` is the Monte Carlo estimator's draw route one class at a
   time: a factor and a ``_cn`` draw per piece, then the pieces regrouped
   into batches;
 - ``batch_moments`` is one batch's evaluation with a fresh array for every
   intermediate, the arithmetic the buffered, threaded route must keep bit
   for bit;
+- ``density_table_by_rows`` reads a density table one row at a time with
+  ``float()``, the parse that the package's one ``np.loadtxt`` call keeps;
 - ``breakpoints`` gives the quadrature oracles of the lags and the circulant
   cells the density's jumps to split at.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from fadelab import mi, spectra
-from fadelab.errors import DomainError, FadingLabError
+from fadelab.errors import DomainError, FadingLabError, ParamOutOfRange
 from fadelab.mi import DiscreteInputLaw
 from fadelab.spectra import _cn
 
@@ -117,6 +122,13 @@ def second_order_coeff_exact(law: DiscreteInputLaw, model: spectra.FadingModel) 
     return (first - second) / (2.0 * a4)
 
 
+def factors(mix: mi._Mixture) -> np.ndarray:
+    """(n_classes, b, b) Cholesky factors D_s L D_s of the class covariances
+    of ``mix``, bitwise those of the covariances."""
+    s = mix.signs
+    return mix.chols[mix.group_of_class] * (s[:, :, None] * s[:, None, :])
+
+
 def class_draws(rng: np.random.Generator, mix: mi._Mixture, n: int):
     """n outputs of the mixture as (class indices, outputs) batches of
     ``mix.batch_rows`` rows (the last one may be shorter): multinomial class
@@ -157,6 +169,27 @@ def batch_moments(mix: mi._Mixture, ci: np.ndarray, y: np.ndarray) -> tuple[int,
     ratio = own - (top + np.log(np.sum(np.exp(lp, out=lp), axis=0)))
     c_mean = float(ratio.mean())
     return ratio.size, c_mean, float(np.sum((ratio - c_mean) ** 2))
+
+
+def density_table_by_rows(text: str) -> spectra.FadingModel:
+    """``spectra.load_tabulated_density`` of the text, each row read by
+    ``float()`` in a loop: the same skipped rows, header and messages."""
+    lines = [ln.strip() for ln in io.StringIO(text)
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ParamOutOfRange("empty density table")
+    header = [c.strip().lower() for c in lines[0].split(",")]
+    if header != ["lambda", "value"]:
+        raise ParamOutOfRange("density table must start with a 'lambda,value' header row")
+    grid, vals = [], []
+    for ln in lines[1:]:
+        try:
+            lam, val = map(float, ln.split(","))
+        except ValueError:
+            raise ParamOutOfRange(f"malformed table row: {ln!r}") from None
+        grid.append(lam)
+        vals.append(val)
+    return spectra.tabulated_density(grid, vals)
 
 
 def breakpoints(model: spectra.FadingModel) -> tuple[float, ...]:

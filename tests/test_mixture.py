@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 import fadelab as fl
 from fadelab import mi
 from fadelab.mi import _Mixture
-from reference import class_draws
+from reference import class_draws, factors
 
 SEED = 314159
 
@@ -104,11 +104,12 @@ class TestFactors:
             scheme = fl.BlockScheme(amplitude=1.3, duty_cycle=0.5, block_length=b)
             law = fl.scheme_to_law(scheme)
             mix = _Mixture(scheme, model, 0.7)
-            factors = mix.factors()
+            class_factors = factors(mix)
             class_of_row = []
             for row in law.support:
                 want = np.linalg.cholesky(fl.cond_covariance(row, model, 0.7))
-                class_of_row.append([ci for ci, f in enumerate(factors) if np.array_equal(f, want)
+                class_of_row.append([ci for ci, f in enumerate(class_factors)
+                                     if np.array_equal(f, want)
                                      and np.all(mix.signs[ci] * row.real * row[0].real >= 0.0)])
             assert all(len(c) == 1 for c in class_of_row)
             class_of_row = np.concatenate(class_of_row)
@@ -171,6 +172,35 @@ def test_batches_match_the_per_class_route(b, alpha, amp, n, chunk, spec, seed):
     for (got_c, got_y), (want_c, want_y) in zip(got, want):
         assert np.array_equal(got_c, want_c)
         assert got_y.tobytes() == want_y.tobytes()
+
+
+#: (b, _CHUNK, outputs): about 5 outputs a class below b = 12 and 10^4 at
+#: b = 12 leave classes of one row; a patched _CHUNK cuts classes into
+#: pieces that end in one row and batches into a few rows
+LONG_BLOCK_DRAWS = [(b, mi._CHUNK, 10_000 if b == 12 else 5 * 2 ** (b - 1) + b)
+                    for b in range(7, 13)] + [
+    (7, 3, 400), (7, 130, 10_000), (9, 1686, 10_000), (12, 3265, 20_000)]
+
+
+@pytest.mark.parametrize("b,chunk,n", LONG_BLOCK_DRAWS)
+@pytest.mark.parametrize("alpha", [0.0, 0.8333, 1.0])
+@pytest.mark.parametrize("model", [fl.ar1(0.5), fl.ar1(0.5 + 0.3j)], ids=["real", "complex"])
+def test_batches_match_the_per_class_route_at_long_blocks(b, chunk, n, alpha, model):
+    # every mixture of one call, at 1 to 3 noise variances, draws each
+    # batch bitwise as the per-class route draws it for that mixture alone
+    sigma2s = [10.0, 0.7, 1e3][:1 + (b + round(3 * alpha)) % 3]
+    scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=alpha, block_length=b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mi, "_CHUNK", chunk)
+        mixes = [_Mixture(scheme, model, sigma2) for sigma2 in sigma2s]
+        got = list(mi._batches(np.random.default_rng(b), mixes, n))
+        wants = [class_draws(np.random.default_rng(b), mix, n) for mix in mixes]
+    for j, want in enumerate(wants):
+        mine = [(c, y) for i, c, y in got if i == j]
+        assert len(mine) == len(want)
+        for (got_c, got_y), (want_c, want_y) in zip(mine, want):
+            assert np.array_equal(got_c, want_c)
+            assert got_y.tobytes() == want_y.tobytes()
 
 
 @pytest.mark.parametrize("scheme,spec,sigma2,samples,want", GOLDEN)

@@ -388,6 +388,69 @@ def mp_ar1_noisy_error(a, delta2):
         return float((big_b + mp.sqrt(big_b ** 2 - 4 * d2 ** 2 * r2)) / 2 - d2)
 
 
+def mp_log1p_integral(grid, vals, delta2):
+    """The integral of log1p(f / delta2) over the piecewise-linear f, to 40
+    digits: per piece, w times the mean of log1p over [a, b], the piece's
+    ends of f / delta2.  Where b < 1e-3 the mean is the series
+    sum_k (-1)^(k+1) h_k / (k (k+1)), h_k = sum_j a^j b^(k-j), free of
+    cancellation; elsewhere it comes from the primitive
+    (1 + x) log1p(x) - x at 60 digits."""
+    with mp.workdps(60):
+        d2 = mp.mpf(delta2)
+        prim = lambda x: (1 + x) * mp.log1p(x) - x
+        total = mp.mpf(0)
+        for x0, x1, f0, f1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+            a, b = sorted([mp.mpf(f0) / d2, mp.mpf(f1) / d2])
+            if b < 1e-3:
+                mean, h, a_k = mp.mpf(0), mp.mpf(1), mp.mpf(1)
+                for k in range(1, 25):
+                    a_k *= a
+                    h = b * h + a_k
+                    mean += (-1) ** (k + 1) * h / (k * (k + 1))
+            elif a == b:
+                mean = mp.log1p(a)
+            else:
+                mean = (prim(b) - prim(a)) / (b - a)
+            total += (mp.mpf(x1) - mp.mpf(x0)) * mean
+        return total
+
+
+@PROPS
+@given(st.floats(-6.0, 6.0), st.one_of(st.just(np.inf), st.floats(-16.0, 2.0)),
+       st.booleans(), st.floats(-3.0, 0.0), st.floats(-3.0, 300.0))
+@example(0.0, np.inf, True, 0.0, -3.0)  # a zero end far below 1 + hi
+@example(0.0, -2.0, False, 0.0, 0.0)  # where the closed form of psi cancels
+def test_log1p_of_a_linear_piece_against_mpmath(log_hi, log_slope, rising, log_w, log_delta2):
+    """One piece of f from hi down to hi / (1 + slope), a zero endpoint at
+    an infinite slope, under log1p(f / delta2): within 1e-14 relative."""
+    hi = 10.0 ** log_hi
+    ends = [hi / (1.0 + 10.0 ** log_slope), hi]
+    grid = np.array([0.0, 10.0 ** log_w])
+    vals = np.array(ends if rising else ends[::-1])
+    delta2 = 10.0 ** log_delta2
+    want = mp_log1p_integral(grid, vals, delta2)
+    assert abs(quadrature.pl_log_integral(grid, vals, delta2) - want) <= 1e-14 * want
+
+
+#: the 2001-node ar1(0.6) table of ``TestDoubleRangeEnds``
+TABLE_AR1_06 = fl.tabulated_density(np.linspace(-0.5, 0.5, 2001),
+                                    fl.density(fl.ar1(0.6), np.linspace(-0.5, 0.5, 2001)))
+
+
+@pytest.mark.parametrize("delta2", [5e-324, 1e-310, 0.1, 1.0, 1e6, 1e10, 1e16, 1e20, 1e300])
+def test_table_infinite_past_against_mpmath(delta2):
+    # each piece is w (log1p(u_hi) + psi(r)) of u = f / delta2, never
+    # rounding u against 1, and where u overflows the integral is that of
+    # log(f + delta2) less log delta2: the exact error is 1 to rounding from
+    # delta2 = 1e16 up and about 0.64 below 1e-308
+    want = mp_log1p_integral(TABLE_AR1_06.grid, TABLE_AR1_06.values, delta2)
+    got = TABLE_AR1_06.log_integral(delta2)
+    assert abs(got - want) <= 1e-14 * want
+    e_inf = fl.noisy_pred_error(TABLE_AR1_06, delta2).error
+    assert e_inf == pytest.approx(float(delta2 * mp.expm1(want)), rel=1e-12)
+    assert e_inf <= fl.finite_past_pred_error(TABLE_AR1_06, delta2, 64).error
+
+
 class TestDoubleRangeEnds:
     """AR(1)'s infinite past keeps its digits at both ends of the double
     range: below delta2 of about 1e-308 its log integral is a difference of
@@ -424,8 +487,7 @@ class TestDoubleRangeEnds:
     @pytest.mark.parametrize("delta2", [1e-3, 0.1, 1.0, 1e4, 1e10, 1e16, 1e20, 1e100, 1e300])
     @pytest.mark.parametrize("model", [
         fl.bandlimited(0.25), fl.bandlimited(0.02),
-        fl.tabulated_density(np.linspace(-0.5, 0.5, 2001),
-                             fl.density(fl.ar1(0.6), np.linspace(-0.5, 0.5, 2001))),
+        TABLE_AR1_06,
         fl.line_plus_residual([(0.1, 0.3)], fl.ar1(0.5)),
         fl.line_plus_residual([(0.1, 1.0)], None),
     ], ids=lambda m: m.label())

@@ -1,21 +1,23 @@
 import cmath
+import io
 import re
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fadelab as fl
 from fadelab.errors import (
     DimensionTooLarge,
     DomainError,
+    FadingLabError,
     NoDensity,
     NotNormalized,
     ParamOutOfRange,
 )
 from conftest import write_density_table
-from reference import breakpoints
+from reference import breakpoints, density_table_by_rows
 from test_laws import PROPS
 
 
@@ -254,6 +256,59 @@ class TestTableIO:
         p.write_text("lambda,value\n-0.5,1.0\n0.0,1.0\n0.0,1.0\n0.5,1.0\n")
         with pytest.raises(ParamOutOfRange):
             fl.load_tabulated_density(p)
+
+
+#: cells that float() and np.loadtxt may read differently, or not at all
+ODD_CELLS = ["1_0", "\u0661", "1\x1c", "1\xa0", "nan", "inf", "-Infinity", "", " ", "1 2",
+             "0x1p0", "1e400", "1e-400", "--1", "+.5", "5.", "1,2", "\t1", "'1'", '"1"', "1#",
+             "1d0", "1\r2", "\x0b1", "1\x85", "1\u20282"]
+
+
+@st.composite
+def density_texts(draw):
+    """A density table's text: a grid over [-1/2, 1/2] with values near 1,
+    each number in one of several formats, with blank and comment rows, and
+    in three tables of seven an odd cell, a missing or a third cell."""
+    n = draw(st.integers(2, 40))
+    inner = sorted(draw(st.lists(st.floats(-0.499, 0.499), min_size=n - 2, max_size=n - 2,
+                                 unique=True)))
+    grid = [-0.5, *inner, 0.5]
+    vals = draw(st.lists(st.floats(0.995, 1.005), min_size=n, max_size=n))
+    fmt = st.sampled_from(["{!r}", "{:.17g}", "{:.6e}", " {!r} ", "{:+}", "\t{:.17g}", "{:.3f}"])
+    table = [[draw(fmt).format(g), draw(fmt).format(v)] for g, v in zip(grid, vals)]
+    cells = table[draw(st.integers(0, n - 1))]
+    mutation = draw(st.sampled_from(["none"] * 4 + ["odd", "drop", "extra"]))
+    if mutation == "odd":
+        cells[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_CELLS))
+    elif mutation == "drop":
+        cells.pop()
+    elif mutation == "extra":
+        cells.append("1")
+    rows = ["lambda,value"]
+    for row in table:
+        if draw(st.integers(0, 7)) == 0:
+            rows.append(draw(st.sampled_from(["", "  ", "# note", "\t# 1,2"])))
+        rows.append(",".join(row))
+    return "\n".join(rows) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=density_texts())
+@example(text="lambda,value\n-0.5\x1c,1\n0.5,1\n")  # np.loadtxt reads it, float() does not
+@example(text="lambda,value\n-0.5,1_0e-1\n0.5,1\n")  # float() reads it, np.loadtxt does not
+def test_table_load_matches_the_row_parse(text):
+    # one np.loadtxt call accepts the tables, values and messages of a
+    # float() per cell, and no others
+    try:
+        want = density_table_by_rows(text)
+    except FadingLabError as exc:
+        with pytest.raises(type(exc)) as got:
+            fl.load_tabulated_density(io.StringIO(text))
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = fl.load_tabulated_density(io.StringIO(text))
+    assert got.grid.tobytes() == want.grid.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestTabulatedAutocorr:
