@@ -68,8 +68,10 @@ SERIES_CEILING = 1e4
 #: consecutive negligible terms required to stop a tabulated density's lag series
 _STAGNATION_RUN = 20
 
-#: points per slice of ``_cn``'s scratch, of a law's circulant cell edges
-#: and of ``_ar1_scan``'s GEMM; no value changes a result
+#: points per slice of ``_cn``'s scratch, of a law's circulant cell edges,
+#: of ``_circulant_path``'s twiddle tables and of ``_ar1_scan``'s GEMM; its
+#: value moves a circulant path only at rounding level (the twiddles), and
+#: no other result
 _SYNTH_CHUNK = 1 << 15
 
 #: block length of ``_ar1_scan``'s GEMM; its value moves a path only at
@@ -86,20 +88,24 @@ def _cn(rng: np.random.Generator, size, out=None, scratch=None) -> np.ndarray:
     drawn before ``im``.  Draws pass through a scratch of ``_SYNTH_CHUNK``
     doubles (draws in slices equal one draw), so the result, 16 B per
     point, is the only full-size allocation.  The result is ``out`` when
-    the caller passes one (complex, of shape ``size``), and the scratch is
+    the caller passes one (complex, of shape ``size``: C-contiguous, or a
+    2-d view such as the transposed parts of ``_circulant_path``, filled
+    by row slices in C order without a copy), and the scratch is
     ``scratch`` when passed (at least min(points, ``_SYNTH_CHUNK``)
     doubles): given both, the draw allocates nothing, as a helper thread's
     draw must (``simulate._cn_beside``).
     """
     out = np.empty(size, dtype=complex) if out is None else out
-    flat = out.reshape(-1)
+    grid = out.reshape(-1, 1) if out.flags.c_contiguous else out
+    rows = max(1, _SYNTH_CHUNK // grid.shape[1])
     if scratch is None:
-        scratch = np.empty(min(flat.size, _SYNTH_CHUNK))
-    for part in (flat.real, flat.imag):
-        for start in range(0, flat.size, _SYNTH_CHUNK):
-            draw = scratch[:min(_SYNTH_CHUNK, flat.size - start)]
+        scratch = np.empty(min(grid.size, rows * grid.shape[1]))
+    for part in (grid.real, grid.imag):
+        for lo in range(0, grid.shape[0], rows):
+            block = part[lo:lo + rows]
+            draw = scratch[:block.size]
             rng.standard_normal(out=draw)
-            part[start:start + draw.size] = draw
+            block[...] = draw.reshape(block.shape)
     out *= np.sqrt(0.5)
     return out
 
@@ -150,6 +156,32 @@ def _next_fast_len(target: int) -> int:
     return min(q << (-(-target // q) - 1).bit_length() for q in odd)
 
 
+def _split(big_n: int) -> tuple[int, int]:
+    """(p, N / p) for N's least prime factor p; N is 11-smooth."""
+    p = next(q for q in (2, 3, 5, 7, 11) if big_n % q == 0)
+    return p, big_n // p
+
+
+def _circulant_lags(eig: np.ndarray, count: int) -> np.ndarray:
+    """R~(m) = (1/N) sum_k lambda_k e^{i 2 pi k m / N} for m < count <= N / 2,
+    the conjugate of the eigenvalues' real FFT, from p real FFTs of length
+    M = N / p (``_split``): the part lambda[r::p] has the FFT G_r, and
+    R~(m) = (1/N) sum_r e^{i 2 pi r m / N} conj(G_r[m mod M]), with
+    G_r[M - t] = conj(G_r[t]) past M / 2.  One part's FFT is held at a time."""
+    big_n = eig.size
+    p, m = _split(big_n)
+    ms = np.arange(count)
+    t = ms % m
+    mirror = t > m // 2
+    t[mirror] = m - t[mirror]
+    total = np.zeros(count, dtype=complex)
+    for r in range(p):
+        g = np.fft.rfft(eig[r::p])[t]
+        g.imag[~mirror] *= -1.0
+        total += np.exp(2j * np.pi * (r * ms % big_n / big_n)) * g
+    return total / big_n
+
+
 def checked_circulant(model: "FadingModel", n: int) -> tuple[np.ndarray, float]:
     """Eigenvalues ``model._circulant_eigenvalues(N)`` at the shortest
     checked circulant length N for a path of n samples, and its covariance
@@ -157,7 +189,8 @@ def checked_circulant(model: "FadingModel", n: int) -> tuple[np.ndarray, float]:
 
     N runs through ``_next_fast_len(2^j n)``, j = 1, 2, ...  The path's
     covariance is exactly R~(m) = (1/N) sum_k lambda_k e^{i 2 pi k m / N},
-    the conjugate of one real FFT of the eigenvalues over N; its error is
+    taken by ``_circulant_lags`` from p real FFTs of length N / p, p the
+    least prime factor of N (no length-N transform); its error is
     max |R~(m) - R(m)| over m < min(n, ``TOEPLITZ_DIM_CAP``), against the
     law's own lags, fetched once.  The first N whose error is at most
     0.1 / sqrt(n) is kept: a tenth of the smallest standard error with which
@@ -172,9 +205,7 @@ def checked_circulant(model: "FadingModel", n: int) -> tuple[np.ndarray, float]:
     while True:
         big_n = _next_fast_len(scale * n)
         eig = model._circulant_eigenvalues(big_n)
-        # the FFT's output is freed at once, before any draw
-        error = float(np.max(np.abs(
-            np.fft.rfft(eig)[:lags.size].conj() / big_n - lags)))
+        error = float(np.max(np.abs(_circulant_lags(eig, lags.size) - lags)))
         if error <= bound:
             return eig, error
         del eig
@@ -183,6 +214,59 @@ def checked_circulant(model: "FadingModel", n: int) -> tuple[np.ndarray, float]:
             raise EmbeddingFailure(
                 f"circulant covariance error {error:.3e} exceeds the bound "
                 f"0.1/sqrt(n) = {bound:.3e} at the longest length N = {big_n}")
+
+
+def _circulant_path(eig: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The first n <= N / 2 points of sqrt(N) ifft(sqrt(lambda) xi), xi =
+    ``_cn(rng, N)``, by one Cooley-Tukey split at N's least prime factor p
+    (``_split``), M = N / p; ``eig`` is consumed.
+
+    The draws land in p contiguous parts, part r holding the coefficients
+    k = r mod p, and each part is scaled by its sqrt(lambda) and inverse
+    transformed in place, one after the other: E_r = ifft_M(part r).  Then
+    h[j] = (sqrt(N) / p) sum_r w^r E_r[j mod M], w = e^{i 2 pi j / N}, is
+    summed by Horner's rule over r, ``_SYNTH_CHUNK`` points at a time.  The
+    twiddle w is the product of two tables, e^{i 2 pi s / N} at the chunk
+    starts s and e^{i 2 pi i / N} for i < ``_SYNTH_CHUNK``: each turn
+    s / N or i / N is below 1/2 and one correctly rounded quotient.  The
+    buffer is 16 B per circulant point and the eigenvalues 8 B while both
+    live; then one part's transform adds its own scratch (about 31 B per
+    point of the part, so 16 B per circulant point at p = 2), and the path,
+    at most 8 B per circulant point, is allocated after the transforms."""
+    big_n = eig.size
+    p, m = _split(big_n)
+    coef = np.empty((p, m), dtype=complex)
+    _cn(rng, (m, p), out=coef.T)
+    np.sqrt(eig, out=eig)
+    for r, part in enumerate(coef):
+        part *= eig[r::p]
+    del eig  # freed before the transforms allocate their scratch
+    for part in coef:
+        np.fft.ifft(part, out=part)
+    chunk = _SYNTH_CHUNK
+    starts = np.exp(2j * np.pi * (np.arange(0, n, chunk) / big_n))
+    steps = np.exp(2j * np.pi * (np.arange(min(n, chunk)) / big_n))
+    w = np.empty_like(steps)
+    # each product is written where no operand lies: numpy rounds an
+    # in-place complex product of one element without the fused multiply-add
+    prod = np.empty_like(steps) if p > 2 else None
+    scale = np.sqrt(big_n) / p
+    h = np.empty(n, dtype=complex)
+    # segments that cross no multiple of the chunk or of M
+    edges = sorted({*range(0, n, chunk), *range(0, n, m), n})
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        size = hi - lo
+        np.multiply(starts[lo // chunk], steps[lo % chunk:lo % chunk + size], out=w[:size])
+        e = coef[:, lo % m:lo % m + size]
+        seg = h[lo:hi]
+        np.multiply(e[-1], w[:size], out=seg)
+        for r in range(p - 2, -1, -1):
+            seg += e[r]
+            if r:
+                np.multiply(seg, w[:size], out=prod[:size])
+                seg[...] = prod[:size]
+        seg *= scale
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +322,12 @@ class FadingModel:
         return bool(np.min(self.density(np.linspace(-0.5, 0.5, 4097))) >= _DENSITY_FLOOR)
 
     def synthesize(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Path of length n: the first n points of a circulant Gaussian path
-        with the eigenvalues of ``checked_circulant``, which are consumed.
-        One complex buffer runs from the draws to the inverse FFT, both
-        scaled and transformed in place: 24 B per circulant point while the
-        eigenvalues live, then 16 B plus the transform's own scratch (about
-        31 B per point at N = 2 * 10^6), which it frees on return."""
-        eig, _ = checked_circulant(self, n)
-        big_n = eig.size
-        coef = _cn(rng, big_n)
-        coef *= np.sqrt(eig, out=eig)
-        del eig  # freed before the FFT allocates its scratch
-        np.fft.ifft(coef, out=coef)
-        return coef[:n] * np.sqrt(big_n)
+        """Path of length n: ``_circulant_path`` with the eigenvalues of
+        ``checked_circulant``, from p inverse FFTs of length N / p, p the
+        least prime factor of N.  Its peak, the transform's own scratch
+        counted, is about 32 B per circulant point at p = 2 (56 B with one
+        length-N transform)."""
+        return _circulant_path(checked_circulant(self, n)[0], n, rng)
 
     def finite_past_error(self, delta2: float, n: int) -> tuple[float, bool]:
         """The error of predicting the next fading sample from the n most
@@ -294,21 +371,22 @@ class FadingModel:
         """lambda_k = N times the density's mass on the cell
         [(k - 1/2)/N, (k + 1/2)/N), cells wrapping round the circle, from the
         kind's exact CDF ``_cdf`` at the N + 1 cell edges, taken in slices of
-        ``_SYNTH_CHUNK``.  The eigenvalues keep the law's mass without
-        renormalizing, and damp each alias R(m + jN) of the covariance by
-        sinc((m + jN)/N).  Rounding below zero is clipped."""
+        ``_SYNTH_CHUNK`` cells and differenced per slice, so that nothing but
+        the eigenvalues is of size N.  The eigenvalues keep the law's mass
+        without renormalizing, and damp each alias R(m + jN) of the
+        covariance by sinc((m + jN)/N).  Rounding below zero is clipped."""
         half = big_n // 2
-        # centred cell j, of frequency (j - half)/N, has the edges j and j + 1
-        cdf = np.empty(big_n + 1)  # at the edges (j - half - 1/2)/N, j = 0..N
-        for start in range(1, big_n + 1, _SYNTH_CHUNK):
-            stop = min(start + _SYNTH_CHUNK, big_n + 1)
-            cdf[start:stop] = self._cdf((np.arange(start, stop) - (half + 0.5)) / big_n)
-        # edge 0 lies below -1/2 for even N: the periodic CDF one turn down
-        cdf[0] = cdf[big_n] - self._cdf(np.array([0.5]))[0]
-        eig = np.empty(big_n)  # in FFT order: cell j goes to (j - half) mod N
-        np.subtract(cdf[half + 1:], cdf[half:big_n], out=eig[:big_n - half])
-        np.subtract(cdf[1:half + 1], cdf[:half], out=eig[big_n - half:])
-        del cdf
+        # centred cell j, of frequency (j - half)/N, has the edges j and j + 1,
+        # at (j - half - 1/2)/N, and goes to (j - half) mod N in FFT order
+        eig = np.empty(big_n)
+        edges = sorted({*range(0, big_n, _SYNTH_CHUNK), half, big_n})
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            cdf = self._cdf((np.arange(lo, hi + 1) - (half + 0.5)) / big_n)
+            if lo == 0:  # edge 0 lies below -1/2 for even N: the periodic CDF one turn down
+                top = self._cdf(np.array([(big_n - half - 0.5) / big_n]))[0]
+                cdf[0] = top - self._cdf(np.array([0.5]))[0]
+            k = (lo - half) % big_n
+            np.subtract(cdf[1:], cdf[:-1], out=eig[k:k + hi - lo])
         eig *= big_n
         return np.maximum(eig, 0.0, out=eig)
 
@@ -453,7 +531,7 @@ class AR1(FadingModel):
         a = self.a
         h = np.empty(n, dtype=complex)
         h[0] = _cn(rng, 1)[0]
-        h[1:] = _cn(rng, n - 1)
+        _cn(rng, n - 1, out=h[1:])
         h[1:] *= np.sqrt(1.0 - abs(a) ** 2)
         _ar1_scan(a, h[0], h[1:])
         return h

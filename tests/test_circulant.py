@@ -1,17 +1,27 @@
-"""Circulant synthesis in one complex buffer: the draws, every circulant route
-and the channel noise are bitwise equal to the plain formulas kept below
-(scipy.fft standing in for the numpy.fft the code uses), the circulant
-lengths are scipy's, pinned traces keep their bytes, and a path holds at
-most 28 B per circulant point while it is built.  The
-eigenvalues are the cell integrals of the density, checked against adaptive
+"""Circulant synthesis by one Cooley-Tukey split: the draws, every circulant
+route and the channel noise are bitwise equal to the plain formulas kept
+below (scipy.fft standing in for the numpy.fft the code uses), and the split
+path is the full-length formula (one inverse FFT of length N) to 1e-14 of
+its largest value, at circulant lengths whose least prime factor is each of
+2, 3, 5, 7 and 11.  The circulant lengths are scipy's and pinned traces keep
+their bytes.  A path holds at most 28 B per circulant point while it is
+built, by tracemalloc, and at most 36 B with the transforms' own scratch,
+read from /proc in a fresh process (32 B at p = 2; 56 B with one length-N
+transform); an AR(1) path holds at most 24 B per sample.  The eigenvalues
+are the cell integrals of the density, checked against adaptive
 quadrature, and the covariance error that picks the circulant length is
 checked against a direct sum and independent lags."""
 
 import hashlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,12 +46,38 @@ def plain_cn(rng, size):
     return (re + 1j * im) * np.sqrt(0.5)
 
 
+def least_factor(big_n):
+    return min(p for p in (2, 3, 5, 7, 11) if big_n % p == 0)
+
+
 def plain_circulant_path(eig, n, rng):
+    """The split route: p the least prime factor of N, the inverse FFTs E_r
+    of the parts r = k mod p of sqrt(lambda) xi, and Horner's rule over r
+    for (sqrt(N) / p) sum_r w^r E_r[j mod M], with the twiddle w =
+    e^{i 2 pi j / N} the product of the chunk starts' and offsets' tables."""
     big_n = eig.size
+    p = least_factor(big_n)
+    m = big_n // p
     xi = plain_cn(rng, big_n)
-    coef = np.sqrt(eig) * xi
-    path = scipy.fft.ifft(coef) * np.sqrt(big_n)
-    return np.ascontiguousarray(path[:n])
+    parts = [scipy.fft.ifft(np.sqrt(eig[r::p]) * xi[r::p]) for r in range(p)]
+    j = np.arange(n)
+    starts = np.exp(2j * np.pi * (np.arange(0, n, CHUNK) / big_n))
+    steps = np.exp(2j * np.pi * (np.arange(min(n, CHUNK)) / big_n))
+    w = starts[j // CHUNK] * steps[j % CHUNK]
+    e = [part[j % m] for part in parts]
+    acc = e[-1] * w
+    for part in e[-2:0:-1]:
+        acc = (acc + part) * w
+    path = acc + e[0]
+    path *= np.sqrt(big_n) / p
+    return path
+
+
+def full_length_path(eig, n, rng):
+    """The formula before the split: one inverse FFT of length N."""
+    big_n = eig.size
+    coef = np.sqrt(eig) * plain_cn(rng, big_n)
+    return (scipy.fft.ifft(coef) * np.sqrt(big_n))[:n]
 
 
 def plain_cell_eigenvalues(model, big_n):
@@ -116,7 +152,8 @@ def test_cn_is_the_plain_formula(size, seed):
 
 
 @pytest.mark.parametrize("model", CIRCULANT_LAWS, ids=lambda m: m.label())
-@pytest.mark.parametrize("n", [1, 7, CHUNK // 8 - 1, CHUNK // 8, CHUNK // 8 + 1, 20_000])
+@pytest.mark.parametrize("n", [1, 7, CHUNK // 8 - 1, CHUNK // 8, CHUNK // 8 + 1, 20_000,
+                               662, 39_062])  # N = 11^3 for bandlimited(0.1); 5^7, past CHUNK
 def test_every_circulant_route_is_the_plain_formula(model, n):
     new = simulate.gen_fading(model, n, 11)
     old = plain_path(model, n, stream(11))
@@ -138,13 +175,15 @@ def test_next_fast_len_is_scipys():
         scipy.fft.next_fast_len(t) for t in targets]
 
 
-#: sha256 of 10^5-row traces (seed 7), recorded before synthesis moved from
-#: scipy.fft to numpy.fft; ``simulate --out`` unless the law has no CLI form
+#: sha256 of 10^5-row traces (seed 7), re-recorded when synthesis moved to p
+#: inverse FFTs of length N / p (227, 344 and 391 of the 400,000 h and y
+#: cells moved, each in its last printed digit); ``simulate --out`` unless
+#: the law has no CLI form
 PINNED_TRACES = {
     "line_0.3_bandlimited_0.1":
-        "32e9123b44455c9fa9198636fbe7a21177a5d5b2e027befb7a47b048e5ffd8cb",
-    "jakes_table": "9eee3efed7f54840f5f9f56a6807cb0575c6242d86c2d4934fca65517b862518",
-    "autocorr_1_0.5_0.2": "f18e6477a8017c30b1e1057b6afa351cd41753090fa937e277216720b2ea49c9",
+        "f3b5d30354432c10376e5ec9c93473ce8c7ccc45e5ca29890857f210c8277720",
+    "jakes_table": "3e3122e6f769f3d30c60f8d2a4c2ca7f4383ce9b42365a8f213849e54dc95028",
+    "autocorr_1_0.5_0.2": "75ef42434f70d0febe0b77729d93a94c78f129f2385a37b9c092a7e6ffb4db22",
 }
 
 
@@ -208,12 +247,82 @@ def test_simulate_command_memory_per_sample(tmp_path):
     assert peak <= 76 * n
 
 
+def test_ar1_memory_per_sample():
+    # the n - 1 innovations are drawn straight into the path (about 20 B per
+    # sample traced); drawn into a temporary and copied, 33 B
+    n = 1 << 18
+    model = fl.ar1(0.9)
+    simulate.gen_fading(model, 64, 1)  # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        simulate.gen_fading(model, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_peak_rss_per_circulant_point():
+    """The peak that tracemalloc cannot see, pocketfft's scratch counted:
+    VmHWM after a 2^20-sample band-limited synthesis less VmRSS before it,
+    in a fresh interpreter warmed up by a 64-sample synthesis."""
+    n = 1 << 20
+    big_n = spectra.checked_circulant(fl.bandlimited(0.1), n)[0].size
+    assert big_n == 2 * n
+    script = textwrap.dedent(f"""
+        import fadelab as fl
+        from fadelab import simulate
+
+        def status(key):
+            with open("/proc/self/status") as fh:
+                return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith(key + ":"))
+
+        simulate.gen_fading(fl.bandlimited(0.1), 64, 1)
+        before = status("VmRSS")
+        simulate.gen_fading(fl.bandlimited(0.1), {n}, 1)
+        print(status("VmHWM") - before)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(proc.stdout) <= 36 * big_n
+
+
 CELL_KINDS = (spectra.BandLimited, spectra.TabulatedDensity)
 
 #: the laws of ``every_law`` that take the circulant route, a line law's
 #: residual in its place
 circulant_laws = every_law.map(lambda m: m.residual if m.jumps else m).filter(
     lambda m: isinstance(m, (*CELL_KINDS, spectra.TabulatedAutocorr)))
+
+
+#: circulant lengths whose least prime factor is 2, 3, 5, 7 and 11
+SPLIT_LENGTHS = [1024, 729, 625, 343, 1331]
+
+
+@pytest.mark.parametrize("big_n", SPLIT_LENGTHS)
+@PROPS
+@given(circulant_laws, st.floats(0.0, 1.0), st.integers(0, 2 ** 32))
+def test_split_path_is_the_full_length_formula(big_n, model, frac, seed):
+    """Within 1e-14 max |h| of one inverse FFT of length N (at most 2.4e-15
+    seen), for every circulant kind and every n <= N / 2."""
+    n = max(1, round(frac * (big_n // 2)))
+    eig = model._circulant_eigenvalues(big_n)
+    old = full_length_path(eig, n, stream(seed))
+    new = spectra._circulant_path(eig, n, stream(seed))
+    assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("big_n", [78_125, 200_000])
+def test_split_path_past_one_chunk(big_n):
+    """Paths longer than ``_SYNTH_CHUNK``, at p = 5 (wrapping past M = N / 5
+    twice) and at p = 2."""
+    eig = fl.bandlimited(0.1)._circulant_eigenvalues(big_n)
+    n = big_n // 2
+    old = full_length_path(eig, n, stream(3))
+    new = spectra._circulant_path(eig, n, stream(3))
+    assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
 
 
 def cell_mass(model, a, b):
