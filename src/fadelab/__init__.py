@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     EmbeddingFailure,
     FadingLabError,
-    IllConditioned,
     NoDensity,
     NotNormalized,
     ParamOutOfRange,
@@ -77,10 +76,8 @@ from .simulate import (
 )
 from .mi import (
     DiscreteInputLaw,
-    FitResult,
     MIEstimate,
     cond_covariance,
-    fit_coefficient,
     mi_monte_carlo,
     mi_monte_carlo_many,
     scheme_to_law,

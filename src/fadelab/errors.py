@@ -51,9 +51,5 @@ class DomainError(FadingLabError):
     """Scalar argument outside its documented domain."""
 
 
-class IllConditioned(FadingLabError):
-    """Fit abscissas span too narrow a range to separate the model terms."""
-
-
 class UsageError(FadingLabError):
     """Bad command line or configuration input."""

@@ -18,11 +18,11 @@ drawn a span of class pieces at a time (``_batches``), with one GEMM per
 factor and each row's signs flipped before and after it, not one product
 per class.  Each batch of outputs costs real products for its features,
 one GEMM for the log densities of every class and a log-sum-exp in place.
-The calling thread draws every batch from the one "mi" stream and hands
-them to min(usable CPUs, batches) evaluators, itself and helper threads
-(``_moments``).  Each evaluates in a buffer set (``_Work``) that the
-calling thread allocates once per call, and the per-batch moments are
-merged in batch order, so the thread count changes no bit of an estimate.
+The calling thread draws every batch from the one "mi" stream, and
+``simulate._run`` evaluates them on min(usable CPUs, batches) threads,
+itself and helpers, each in its own buffer set (``_Work``) that the
+calling thread allocates once per call.  The per-batch moments are merged
+in batch order, so the thread count changes no bit of an estimate.
 
 The draws do not depend on the noise variance: the class weights come
 from the scheme alone, and an output is a fixed normal vector times its
@@ -34,16 +34,14 @@ estimate is bitwise ``mi_monte_carlo``'s.
 
 from __future__ import annotations
 
-import collections
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectra
-from .errors import BlockTooLarge, DomainError, IllConditioned
-from .simulate import BlockScheme, _usable_cpus, rng_stream
+from .errors import BlockTooLarge, DomainError
+from .simulate import BlockScheme, _run, rng_stream
 
 #: mixture enumeration cap on the block length
 BLOCK_CAP = 12
@@ -96,16 +94,6 @@ class MIEstimate:
     std_error: float
     n_samples: int
     seed: int
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Weighted least-squares extraction of the SNR^2 coefficient."""
-
-    coefficient: float
-    std_error: float
-    cubic_coefficient: float
-    n_points: int
 
 
 def _sign_patterns(b: int) -> np.ndarray:
@@ -263,19 +251,14 @@ class _Mixture:
         total += top
         return total
 
-    def mixture_logpdf(self, y: np.ndarray) -> np.ndarray:
-        """Mixture log density at each row of y, as one batch."""
-        work = _Work([self], np.atleast_2d(y).shape[0])
-        return self.log_mixture(self.class_logpdfs(y, work), work)
-
 
 class _Work:
     """The buffers one thread evaluates batches of up to ``rows`` outputs
     of any of ``mixes`` (one scheme's mixtures) in: the features u and f,
     the run products, the class log densities and the row vectors, all
-    slices of one allocation.  It is made by the thread that builds the
-    set, so that a helper thread allocates nothing of a batch's size (see
-    ``_moments``)."""
+    slices of one allocation.  ``simulate._run`` makes one per thread, on
+    the calling thread, so that a helper allocates nothing of a batch's
+    size."""
 
     def __init__(self, mixes: list[_Mixture], rows: int):
         mix = mixes[0]
@@ -401,71 +384,6 @@ def _batch_moments(mix: _Mixture, work: _Work, ci: np.ndarray, y: np.ndarray):
         np.setbufsize(old)
 
 
-def _moments(mixes: list[_Mixture], batches, w: int) -> list[list]:
-    """``_batch_moments`` of every (mixture index, classes, outputs) batch,
-    per mixture in batch order, evaluated by the calling thread and w - 1
-    helper threads, one ``_Work`` set each.
-
-    The calling thread draws the batches and queues each; a helper takes
-    the oldest queued batch, and the calling thread evaluates the newest
-    itself whenever w are queued, so at most w - 1 wait.  Which thread
-    evaluates a batch does not change its arithmetic.  Every set is
-    allocated here: glibc gives each thread its own malloc arena and keeps
-    what a helper frees in it resident, under whatever this process runs
-    next.  The helpers finish the queue and are joined before the call
-    returns or raises; the first error a helper raises is raised here.
-    """
-    works = [_Work(mixes, mixes[0].batch_rows) for _ in range(w)]
-    results = [[] for _ in mixes]
-    queued = collections.deque()    # (results, index, batch); None stops a helper
-    ready = threading.Condition()
-    errors = []
-
-    def evaluate(work, item):
-        slot, i, (j, ci, y) = item
-        slot[i] = _batch_moments(mixes[j], work, ci, y)
-
-    def helper(work):
-        while True:
-            with ready:
-                while not queued:
-                    ready.wait()
-                item = queued.popleft()
-            if item is None:
-                return
-            try:
-                evaluate(work, item)
-            except BaseException as exc:    # handed to the calling thread
-                errors.append(exc)
-                return
-
-    threads = []
-    try:
-        for work in works[1:]:
-            threads.append(threading.Thread(target=helper, args=(work,)))
-            threads[-1].start()
-        for batch in batches:
-            if errors:
-                break
-            slot = results[batch[0]]
-            slot.append(None)
-            with ready:
-                queued.append((slot, len(slot) - 1, batch))
-                ready.notify()
-                item = queued.pop() if len(queued) >= w else None
-            if item is not None:
-                evaluate(works[0], item)
-    finally:
-        with ready:
-            queued.extend([None] * len(threads))
-            ready.notify_all()
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def mi_monte_carlo(scheme: BlockScheme, model: spectra.FadingModel, sigma2: float,
                    n_samples: int, seed: int) -> MIEstimate:
     """Monte Carlo estimate of the per-block mutual information in nats.
@@ -495,13 +413,14 @@ def _estimates(scheme, model, sigma2s, n_samples, seed) -> list[MIEstimate]:
     if n_samples < 10_000:
         raise DomainError("need at least 1e4 samples for a meaningful standard error")
     mixes = [_Mixture(scheme, model, sigma2) for sigma2 in sigma2s]
-    w = min(_usable_cpus(), len(mixes) * -(-n_samples // mixes[0].batch_rows))
-    per_mix = _moments(mixes, _batches(rng_stream(seed, "mi"), mixes, n_samples), w)
+    rows = mixes[0].batch_rows
+    tasks = (lambda work, j=j, ci=ci, y=y: (j, _batch_moments(mixes[j], work, ci, y))
+             for j, ci, y in _batches(rng_stream(seed, "mi"), mixes, n_samples))
+    totals = [(0, 0.0, 0.0)] * len(mixes)    # merged per mixture in batch order
+    for j, moments in _run(tasks, len(mixes) * -(-n_samples // rows), lambda: _Work(mixes, rows)):
+        totals[j] = _merge_moments(*totals[j], *moments)
     estimates = []
-    for sigma2, moments in zip(sigma2s, per_mix):
-        tot_n, tot_mean, tot_m2 = 0, 0.0, 0.0
-        for c_n, c_mean, c_m2 in moments:
-            tot_n, tot_mean, tot_m2 = _merge_moments(tot_n, tot_mean, tot_m2, c_n, c_mean, c_m2)
+    for sigma2, (tot_n, tot_mean, tot_m2) in zip(sigma2s, totals):
         var = tot_m2 / (tot_n - 1) if tot_n > 1 else 0.0
         estimates.append(MIEstimate(
             block_length=scheme.block_length,
@@ -514,56 +433,3 @@ def _estimates(scheme, model, sigma2s, n_samples, seed) -> list[MIEstimate]:
         ))
     return estimates
 
-
-def _as_points(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    snrs, ests, errs = [], [], []
-    for p in points:
-        if isinstance(p, MIEstimate):
-            snrs.append(p.snr)
-            ests.append(p.estimate)
-            errs.append(p.std_error)
-        else:
-            s, e, se = p
-            snrs.append(float(s))
-            ests.append(float(e))
-            errs.append(float(se))
-    return np.asarray(snrs), np.asarray(ests), np.asarray(errs)
-
-
-def fit_coefficient(points) -> FitResult:
-    """Extract the SNR^2 coefficient from estimates at several small SNRs.
-
-    Weighted least squares of the estimates against SNR^2 with an SNR^3
-    nuisance term absorbing the leading bias.  Points are MIEstimate objects
-    or (snr, estimate, std_error) triples; zero standard errors fall back to
-    an unweighted fit.
-    """
-    snr, est, err = _as_points(points)
-    if not np.all(snr > 0.0):
-        raise DomainError("SNR values must be > 0")
-    if len(set(snr.tolist())) < 3:
-        raise DomainError("need at least 3 distinct SNR values")
-    if np.any(snr > 0.5):
-        raise DomainError("fit is only meaningful for SNR <= 0.5")
-    if snr.max() / snr.min() < 2.0:
-        raise IllConditioned("SNR values must span at least a factor of 2")
-
-    design = np.column_stack([snr ** 2, snr ** 3])
-    weighted = np.all(err > 0.0)
-    w = 1.0 / err ** 2 if weighted else np.ones_like(snr)
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(design * sw[:, None], est * sw, rcond=None)
-    gram_inv = np.linalg.inv(design.T @ (design * w[:, None]))
-    if weighted:
-        cov = gram_inv
-    else:
-        resid = est - design @ beta
-        dof = snr.size - 2
-        mse = float(resid @ resid) / dof if dof > 0 else 0.0
-        cov = mse * gram_inv
-    return FitResult(
-        coefficient=float(beta[0]),
-        std_error=float(np.sqrt(max(cov[0, 0], 0.0))),
-        cubic_coefficient=float(beta[1]),
-        n_points=int(snr.size),
-    )

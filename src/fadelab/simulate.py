@@ -16,6 +16,7 @@ with a single Gaussian amplitude each.
 
 from __future__ import annotations
 
+import collections
 import os
 import signal
 import threading
@@ -439,39 +440,90 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _cn_beside(rng: np.random.Generator, size: int, work):
-    """(``_cn(rng, size)``, ``work()``), the draws made on a helper thread
-    while the calling thread runs ``work``, which must not use ``rng``.
+def _run(tasks, most: int, new_work) -> list:
+    """``[task(work) for task in tasks]``, in task order, run by w = min(usable
+    CPUs, ``most``) threads: the calling thread and w - 1 helpers, each with
+    its own work set, one ``new_work()`` each.
 
-    The result and ``_cn``'s scratch are allocated here, by the calling
-    thread, so the helper allocates nothing of the draw's size: glibc gives
-    each thread its own malloc arena and keeps what a thread frees there
-    resident.  With one usable CPU no helper starts, and the draw runs here
-    after ``work``.  The helper is joined before this returns or raises;
-    an error it raises is raised here, unless ``work`` raised first.
+    The calling thread takes each task from the iterable ``tasks`` (so what
+    makes a task, a draw say, runs there) and queues it.  A helper takes the
+    oldest queued task; the calling thread runs the newest itself whenever w
+    are queued, so at most w - 1 wait, and whatever is left once ``tasks``
+    ends.  With one usable CPU no thread starts.
+
+    Every work set is made here, by the calling thread, and a task must fill
+    only buffers the calling thread allocated: glibc gives each thread its
+    own malloc arena and keeps what a helper frees there resident, under
+    whatever this process runs next.  Every helper is joined before this
+    returns or raises.  An error on the calling thread is raised, else the
+    first one a helper raised; either way the tasks still queued are
+    dropped.
     """
-    out = np.empty(size, dtype=complex)
-    scratch = np.empty(min(size, _SYNTH_CHUNK))
-    if _usable_cpus() < 2:
-        result = work()
-        return _cn(rng, size, out, scratch), result
-    errors = []
+    w = min(_usable_cpus(), most)
+    works = [new_work() for _ in range(w)]
+    results, errors = [], []
+    queued = collections.deque()    # (index, task); None stops a helper
+    ready = threading.Condition()
 
-    def draw():
-        try:
-            _cn(rng, size, out, scratch)
-        except BaseException as exc:    # handed to the calling thread
-            errors.append(exc)
+    def execute(work, item):
+        i, task = item
+        results[i] = task(work)
 
-    helper = threading.Thread(target=draw)
-    helper.start()
+    def helper(work):
+        while True:
+            with ready:
+                while not queued:
+                    ready.wait()
+                item = queued.popleft()
+            if item is None:
+                return
+            try:
+                execute(work, item)
+            except BaseException as exc:    # handed to the calling thread
+                errors.append(exc)
+                return
+
+    threads = []
     try:
-        result = work()
+        for work in works[1:]:
+            threads.append(threading.Thread(target=helper, args=(work,)))
+            threads[-1].start()
+        for task in tasks:
+            if errors:
+                break
+            results.append(None)
+            with ready:
+                queued.append((len(results) - 1, task))
+                ready.notify()
+                item = queued.pop() if len(queued) >= w else None
+            if item is not None:
+                execute(works[0], item)
+        while not errors:
+            with ready:
+                item = queued.pop() if queued else None
+            if item is None:
+                break
+            execute(works[0], item)
     finally:
-        helper.join()
+        with ready:
+            queued.clear()
+            queued.extend([None] * len(threads))
+            ready.notify_all()
+        for t in threads:
+            t.join()
     if errors:
         raise errors[0]
-    return out, result
+    return results
+
+
+def _cn_beside(rng: np.random.Generator, size: int, work):
+    """(``_cn(rng, size)``, ``work()``), the draw run beside ``work``, which
+    must not use ``rng``, by ``_run`` on at most two threads, into a result
+    and a scratch allocated here."""
+    out = np.empty(size, dtype=complex)
+    scratch = np.empty(min(size, _SYNTH_CHUNK))
+    return tuple(_run([lambda _: _cn(rng, size, out, scratch), lambda _: work()], 2,
+                      lambda: None))
 
 
 def _n_workers(n: int) -> int:

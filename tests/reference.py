@@ -18,6 +18,10 @@ otherwise:
 - ``batch_moments`` is one batch's evaluation with a fresh array for every
   intermediate, the arithmetic the buffered, threaded route must keep bit
   for bit;
+- ``mixture_logpdf`` is a mixture's log density at any outputs, as one
+  batch, which the brute-force density oracles check;
+- ``fit_coefficient`` extracts the SNR^2 coefficient from Monte Carlo
+  estimates at several small SNRs, to compare with the exact one;
 - ``density_table_by_rows`` reads a density table one row at a time with
   ``float()``, the parse that the package's one ``np.loadtxt`` call keeps;
 - ``breakpoints`` gives the quadrature oracles of the lags and the circulant
@@ -33,7 +37,7 @@ import numpy as np
 
 from fadelab import mi, spectra
 from fadelab.errors import DomainError, FadingLabError, ParamOutOfRange
-from fadelab.mi import DiscreteInputLaw
+from fadelab.mi import DiscreteInputLaw, MIEstimate
 from fadelab.spectra import _cn
 
 #: contiguous segments of the delete-one-block jackknife
@@ -42,6 +46,10 @@ JACKKNIFE_BLOCKS = 50
 
 class TooShort(FadingLabError):
     """Sample path too short for the requested number of lags."""
+
+
+class IllConditioned(FadingLabError):
+    """Fit abscissas span too narrow a range to separate the model terms."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +177,76 @@ def batch_moments(mix: mi._Mixture, ci: np.ndarray, y: np.ndarray) -> tuple[int,
     ratio = own - (top + np.log(np.sum(np.exp(lp, out=lp), axis=0)))
     c_mean = float(ratio.mean())
     return ratio.size, c_mean, float(np.sum((ratio - c_mean) ** 2))
+
+
+def mixture_logpdf(mix: mi._Mixture, y: np.ndarray) -> np.ndarray:
+    """Mixture log density at each row of y, as one batch."""
+    work = mi._Work([mix], np.atleast_2d(y).shape[0])
+    return mix.log_mixture(mix.class_logpdfs(y, work), work)
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Weighted least-squares extraction of the SNR^2 coefficient."""
+
+    coefficient: float
+    std_error: float
+    cubic_coefficient: float
+    n_points: int
+
+
+def _as_points(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    snrs, ests, errs = [], [], []
+    for p in points:
+        if isinstance(p, MIEstimate):
+            snrs.append(p.snr)
+            ests.append(p.estimate)
+            errs.append(p.std_error)
+        else:
+            s, e, se = p
+            snrs.append(float(s))
+            ests.append(float(e))
+            errs.append(float(se))
+    return np.asarray(snrs), np.asarray(ests), np.asarray(errs)
+
+
+def fit_coefficient(points) -> FitResult:
+    """Extract the SNR^2 coefficient from estimates at several small SNRs.
+
+    Weighted least squares of the estimates against SNR^2 with an SNR^3
+    nuisance term absorbing the leading bias.  Points are MIEstimate objects
+    or (snr, estimate, std_error) triples; zero standard errors fall back to
+    an unweighted fit.
+    """
+    snr, est, err = _as_points(points)
+    if not np.all(snr > 0.0):
+        raise DomainError("SNR values must be > 0")
+    if len(set(snr.tolist())) < 3:
+        raise DomainError("need at least 3 distinct SNR values")
+    if np.any(snr > 0.5):
+        raise DomainError("fit is only meaningful for SNR <= 0.5")
+    if snr.max() / snr.min() < 2.0:
+        raise IllConditioned("SNR values must span at least a factor of 2")
+
+    design = np.column_stack([snr ** 2, snr ** 3])
+    weighted = np.all(err > 0.0)
+    w = 1.0 / err ** 2 if weighted else np.ones_like(snr)
+    sw = np.sqrt(w)
+    beta, *_ = np.linalg.lstsq(design * sw[:, None], est * sw, rcond=None)
+    gram_inv = np.linalg.inv(design.T @ (design * w[:, None]))
+    if weighted:
+        cov = gram_inv
+    else:
+        resid = est - design @ beta
+        dof = snr.size - 2
+        mse = float(resid @ resid) / dof if dof > 0 else 0.0
+        cov = mse * gram_inv
+    return FitResult(
+        coefficient=float(beta[0]),
+        std_error=float(np.sqrt(max(cov[0, 0], 0.0))),
+        cubic_coefficient=float(beta[1]),
+        n_points=int(snr.size),
+    )
 
 
 def density_table_by_rows(text: str) -> spectra.FadingModel:

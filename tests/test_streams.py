@@ -2,11 +2,15 @@
 no bit moves: ``sweep --mc`` draws the "mi" stream once per (b, alpha) for
 every SNR of its list, and ``simulate`` draws the noise on a helper thread
 while the inputs are drawn.  The helper fills buffers the calling thread
-allocated, and none outlives its call."""
+allocated, and none outlives its call.  Both run on ``simulate._run``, the
+one helper-thread runner, whose order, error and CPU-count rules are
+checked here on their own."""
 
 import functools
 import io
 import json
+import random
+import sys
 import threading
 import tracemalloc
 
@@ -44,7 +48,7 @@ class TestSweep:
                              ids=lambda s: f"{len(s)}snr")
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_rows_are_the_per_point_estimates(self, monkeypatch, capsys, snrs, count):
-        monkeypatch.setattr(mi, "_usable_cpus", lambda: count)
+        pin_cpus(monkeypatch, count)
         b_list, alpha, samples, seed = (1, 3, 12), 0.4, 10_000, 6
         doc = json.loads(report(
             ["sweep", "--model", "ar1", "--a", "0.7", "--mc", "--format", "json",
@@ -141,16 +145,18 @@ class TestHelpers:
     def test_an_error_in_the_helper_reaches_the_caller(self, monkeypatch):
         pin_cpus(monkeypatch, 2)
         cn = simulate._cn
+        started = threading.Event()    # the draw has started on the helper
 
         def fails(rng, size, out=None, scratch=None):
             if threading.current_thread() is not threading.main_thread():
+                started.set()
                 raise RuntimeError("draw failed")
             return cn(rng, size, out, scratch)
 
         monkeypatch.setattr(simulate, "_cn", fails)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
-            simulate._cn_beside(np.random.default_rng(1), 1000, lambda: None)
+            simulate._cn_beside(np.random.default_rng(1), 1000, lambda: started.wait(10))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("count", [1, 2])
@@ -190,3 +196,66 @@ class TestHelpers:
             tracemalloc.stop()
         assert got == want
         assert peak < 64 * 1024
+
+
+class TestRunner:
+    @pytest.mark.parametrize("count", [1, 2, 3, 8])
+    def test_results_come_back_in_task_order(self, monkeypatch, count):
+        pin_cpus(monkeypatch, count)
+        lengths = random.Random(count).choices(range(1, 5000), k=200)
+        made, used = [], {}
+
+        def new_work():
+            made.append(object())
+            return made[-1]
+
+        def task(i, work):
+            used.setdefault(threading.get_ident(), set()).add(id(work))
+            return i, sum(range(lengths[i]))
+
+        got = []
+        run = threading.Thread(target=lambda: got.append(
+            simulate._run((functools.partial(task, i) for i in range(200)), 200, new_work)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run.start()
+            run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive() and len(got) == 1
+        assert got[0] == [(i, sum(range(n))) for i, n in enumerate(lengths)]
+        # one work set per thread, each used by its thread alone
+        assert len(made) == count and len(used) <= count
+        assert all(len(ids) == 1 for ids in used.values())
+        assert len(set().union(*used.values())) == len(used)
+
+    def test_a_failing_task_iterable_raises_at_the_caller(self, monkeypatch):
+        # as a failing ``mi._batches`` would, while both helpers hold a task
+        pin_cpus(monkeypatch, 3)
+        caller = threading.get_ident()
+        held, release = threading.Semaphore(0), threading.Event()
+
+        def task(work):
+            if threading.get_ident() != caller:
+                held.release()
+                release.wait(10)
+
+        def tasks():
+            yield from [task] * 6
+            for _ in range(2):
+                assert held.acquire(timeout=10)
+            release.set()
+            raise RuntimeError("draw failed")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            simulate._run(tasks(), 6, lambda: None)
+        assert threading.active_count() == before
+
+    def test_one_cpu_runs_every_task_on_the_calling_thread(self, monkeypatch):
+        pin_cpus(monkeypatch, 1)
+        before = threading.active_count()
+        idents = simulate._run([lambda work: threading.get_ident()] * 5, 5, lambda: None)
+        assert idents == [threading.get_ident()] * 5
+        assert threading.active_count() == before
