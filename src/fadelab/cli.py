@@ -383,14 +383,16 @@ def _cmd_scheme(cfg, model):
 def _cmd_simulate(cfg, model):
     """The trace of ``apply_channel(gen_inputs(...), ...)``, with the fading
     drawn first: while the path is synthesized, only the law's synthesis
-    buffers are held.  The inputs (16 B per sample) are drawn after it, and
-    the noise beside them, on a helper thread (``simulate._cn_beside``)."""
+    buffers are held.  The inputs are drawn after it, and the noise beside
+    them, on a helper thread (``simulate._cn_beside``), into the buffer
+    that becomes y.  From then on x, h and y (16 B per sample each) are
+    all that is of size n, through the trace's writing."""
     args = cfg.args
     scheme = _scheme(args)
     h = simulate.gen_fading(model, args.n, args.seed)
-    z, x = simulate._cn_beside(simulate.rng_stream(args.seed, "noise"), args.n,
+    y, x = simulate._cn_beside(simulate.rng_stream(args.seed, "noise"), args.n,
                                partial(simulate.gen_inputs, scheme, args.n, args.seed))
-    return None, simulate._channel_trace(x, h, z, model, args.sigma2, args.seed)
+    return None, simulate._channel_trace(x, h, y, model, args.sigma2, args.seed)
 
 
 def _cmd_mi(cfg, model):
@@ -494,22 +496,25 @@ def _emit(cfg: RunConfig, result, trace, fh):
 def _trace_to_json(cfg: RunConfig, trace, fh) -> None:
     """The trace as one JSON object {config, k, re_x, im_x, re_h, im_h, re_y,
     im_y}, written a column at a time by the CSV trace's range writer: the
-    bytes of ``_json_dumps`` on the whole object, without holding its text."""
-    columns = {"k": np.arange(trace.x.size),
+    bytes of ``_json_dumps`` on the whole object, without holding its text.
+    The index column k is formed slice by slice (``col`` None)."""
+    columns = {"k": None,
                "re_x": trace.x.real, "im_x": trace.x.imag,
                "re_h": trace.h.real, "im_h": trace.h.imag,
                "re_y": trace.y.real, "im_y": trace.y.imag}
     fh.write('{"config": ' + _json_dumps(cfg.resolved()))
     for name, col in columns.items():
         fh.write(f', "{name}": [')
-        simulate._write_ranges(col.size, partial(_json_slice, col), fh)
+        simulate._write_ranges(trace.x.size, partial(_json_slice, col), fh)
         fh.write("]")
     fh.write("}\n")
 
 
 def _json_slice(col, lo: int, hi: int) -> bytes:
-    """The JSON text of col[lo:hi], led by the separator unless lo is 0."""
-    return ((", " if lo else "") + ", ".join(map(_json_dumps, col[lo:hi].tolist()))).encode("ascii")
+    """The JSON text of col[lo:hi], or of the indices lo..hi-1 where col is
+    None, led by the separator unless lo is 0."""
+    values = range(lo, hi) if col is None else col[lo:hi].tolist()
+    return ((", " if lo else "") + ", ".join(map(_json_dumps, values))).encode("ascii")
 
 
 def _write_report(cfg: RunConfig, emit) -> int:

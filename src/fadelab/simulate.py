@@ -71,11 +71,11 @@ class BlockScheme:
 
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:
-    """One simulated channel run: y = h * x + z, sample by sample."""
+    """One simulated channel run: y = h * x + z, sample by sample, for z
+    the seed's noise stream at variance ``sigma2``, which is not kept."""
 
     x: np.ndarray
     h: np.ndarray
-    z: np.ndarray
     y: np.ndarray
     sigma2: float
     seed: int
@@ -96,24 +96,30 @@ def gen_inputs(scheme: BlockScheme, n: int, seed: int) -> np.ndarray:
     """Input path x_k = U_{floor(k/b)} * D_k of length n.
 
     U are IID on-off block amplitudes, D are IID +-1 signs, independent of
-    each other; the peak constraint holds surely.  Built with two
-    temporaries of n values, the sign draw (scaled in place) and the
-    repeated amplitudes, where ``(u[k // b] * d).astype(complex)`` made
-    seven: fewer blocks for the heap to keep beside ``simulate``'s noise.
+    each other; the peak constraint holds surely.  x (16 B per sample) is
+    the only allocation of size n: its real parts are formed a slice of
+    ``_SYNTH_CHUNK`` symbols at a time, from the slice's int64 signs and
+    the amplitudes of the blocks that begin in it (each stream drawn in
+    slices is its one-shot draw).  An off symbol of sign -1 is -0.
     """
     n = int(n)
     if n < 1:
         raise DomainError("input length must be >= 1")
     b = scheme.block_length
-    n_blocks = -(-n // b)
     rng_u = rng_stream(seed, "amplitude")
     rng_d = rng_stream(seed, "sign")
-    u = scheme.amplitude * (rng_u.random(n_blocks) < scheme.duty_cycle)
-    d = rng_d.integers(0, 2, size=n)
-    d *= 2
-    d -= 1
     x = np.zeros(n, dtype=complex)
-    np.multiply(np.repeat(u, b)[:n], d, out=x.real)
+    for lo in range(0, n, _SYNTH_CHUNK):
+        hi = min(lo + _SYNTH_CHUNK, n)
+        # the blocks that begin in [lo, hi), after the amplitude of the block
+        # begun before lo, if one runs into the slice
+        fresh = scheme.amplitude * (rng_u.random((hi - 1) // b - (lo - 1) // b)
+                                    < scheme.duty_cycle)
+        u = np.concatenate((u[-1:], fresh)) if lo % b else fresh
+        d = rng_d.integers(0, 2, size=hi - lo)
+        d *= 2
+        d -= 1
+        np.multiply(u[np.arange(lo, hi) // b - lo // b], d, out=x.real[lo:hi])
     return x
 
 
@@ -122,10 +128,10 @@ def apply_channel(x: np.ndarray, model: spectra.FadingModel, sigma2: float,
     """Pass inputs through the channel with freshly drawn fading and noise.
 
     The fading path is synthesized while x (16 B per sample) is held, and
-    the noise is drawn after it.  The CLI's ``simulate`` draws the fading
-    before the inputs instead, holding only the synthesis buffers while the
-    path is built, and the noise beside the inputs; its trace is this one,
-    since each stream has its own seed label.
+    the noise is drawn after it, into the buffer that becomes y.  The CLI's
+    ``simulate`` draws the fading before the inputs instead, holding only
+    the synthesis buffers while the path is built, and the noise beside the
+    inputs; its trace is this one, since each stream has its own seed label.
     """
     sigma2 = float(sigma2)
     if sigma2 <= 0.0:
@@ -135,18 +141,23 @@ def apply_channel(x: np.ndarray, model: spectra.FadingModel, sigma2: float,
     return _channel_trace(x, h, _cn(rng_stream(seed, "noise"), x.size), model, sigma2, seed)
 
 
-def _channel_trace(x: np.ndarray, h: np.ndarray, z: np.ndarray, model: spectra.FadingModel,
+def _channel_trace(x: np.ndarray, h: np.ndarray, y: np.ndarray, model: spectra.FadingModel,
                    sigma2: float, seed: int) -> ChannelTrace:
     """The trace y = h * x + z of complex inputs x through the fading path h
-    of the same length, with z the seed's noise stream drawn by ``_cn``,
-    scaled here in place to the variance sigma2, which the caller has
-    checked is > 0."""
-    n = x.size
-    z *= np.sqrt(sigma2)
-    y = h * x
-    y += z
-    peak = float(np.max(np.abs(x))) if n else 0.0
-    return ChannelTrace(x=x, h=h, z=z, y=y, sigma2=sigma2, seed=int(seed),
+    of the same length, where y enters holding the seed's noise stream
+    drawn by ``_cn`` and leaves holding the output.  A ``_SYNTH_CHUNK``
+    slice at a time, the draw is scaled by sqrt(sigma2) to z (sigma2 > 0,
+    checked by the caller), h * x is added and the peak |x| taken.
+    Addition commutes, so y is ``h * x + z`` bit for bit, and nothing of
+    size n is allocated."""
+    scale = np.sqrt(sigma2)
+    peak = 0.0
+    for lo in range(0, x.size, _SYNTH_CHUNK):
+        part = slice(lo, lo + _SYNTH_CHUNK)
+        y[part] *= scale
+        y[part] += h[part] * x[part]
+        peak = max(peak, float(np.max(np.abs(x[part]))))
+    return ChannelTrace(x=x, h=h, y=y, sigma2=sigma2, seed=int(seed),
                         peak_amplitude=peak, snr=peak * peak / sigma2,
                         model=model.label())
 

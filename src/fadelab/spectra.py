@@ -69,9 +69,9 @@ SERIES_CEILING = 1e4
 _STAGNATION_RUN = 20
 
 #: points per slice of ``_cn``'s scratch, of a law's circulant cell edges,
-#: of ``_circulant_path``'s twiddle tables and of ``_ar1_scan``'s GEMM; its
-#: value moves a circulant path only at rounding level (the twiddles), and
-#: no other result
+#: of ``_circulant_path``'s twiddle tables, of ``_ar1_scan``'s GEMM and of
+#: ``simulate``'s inputs and output; its value moves a circulant path only at
+#: rounding level (the twiddles), and no other result
 _SYNTH_CHUNK = 1 << 15
 
 #: block length of ``_ar1_scan``'s GEMM; its value moves a path only at
@@ -157,8 +157,12 @@ def _next_fast_len(target: int) -> int:
 
 
 def _split(big_n: int) -> tuple[int, int]:
-    """(p, N / p) for N's least prime factor p; N is 11-smooth."""
-    p = next(q for q in (2, 3, 5, 7, 11) if big_n % q == 0)
+    """(p, N / p) for p the least divisor of N that is at least 4 (p = N
+    below 4).  N is 11-smooth, so p is 4, 5, 6, 7, 9 or 11 (2^a 3^b >= 4
+    has 4, 6 or 9): Horner's rule over the p parts stays O(p n) at any N,
+    and one part's transform scratch, about 31 B per point of the part, is
+    at most 7.75 B per circulant point, under the path's 8 B."""
+    p = next((q for q in range(4, 12) if big_n % q == 0), big_n)
     return p, big_n // p
 
 
@@ -189,8 +193,8 @@ def checked_circulant(model: "FadingModel", n: int) -> tuple[np.ndarray, float]:
 
     N runs through ``_next_fast_len(2^j n)``, j = 1, 2, ...  The path's
     covariance is exactly R~(m) = (1/N) sum_k lambda_k e^{i 2 pi k m / N},
-    taken by ``_circulant_lags`` from p real FFTs of length N / p, p the
-    least prime factor of N (no length-N transform); its error is
+    taken by ``_circulant_lags`` from p real FFTs of length N / p, p of
+    ``_split`` (no length-N transform); its error is
     max |R~(m) - R(m)| over m < min(n, ``TOEPLITZ_DIM_CAP``), against the
     law's own lags, fetched once.  The first N whose error is at most
     0.1 / sqrt(n) is kept: a tenth of the smallest standard error with which
@@ -218,8 +222,9 @@ def checked_circulant(model: "FadingModel", n: int) -> tuple[np.ndarray, float]:
 
 def _circulant_path(eig: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """The first n <= N / 2 points of sqrt(N) ifft(sqrt(lambda) xi), xi =
-    ``_cn(rng, N)``, by one Cooley-Tukey split at N's least prime factor p
-    (``_split``), M = N / p; ``eig`` is consumed.
+    ``_cn(rng, N)``, by one Cooley-Tukey split into p parts of M = N / p
+    points, p the least divisor of N that is at least 4 (``_split``);
+    ``eig`` is consumed.
 
     The draws land in p contiguous parts, part r holding the coefficients
     k = r mod p, and each part is scaled by its sqrt(lambda) and inverse
@@ -231,8 +236,9 @@ def _circulant_path(eig: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
     s / N or i / N is below 1/2 and one correctly rounded quotient.  The
     buffer is 16 B per circulant point and the eigenvalues 8 B while both
     live; then one part's transform adds its own scratch (about 31 B per
-    point of the part, so 16 B per circulant point at p = 2), and the path,
-    at most 8 B per circulant point, is allocated after the transforms."""
+    point of the part, so at most 7.75 B per circulant point at p >= 4),
+    and the path, at most 8 B per circulant point, is allocated after the
+    transforms: at most 24 B per circulant point at any phase."""
     big_n = eig.size
     p, m = _split(big_n)
     coef = np.empty((p, m), dtype=complex)
@@ -324,9 +330,10 @@ class FadingModel:
     def synthesize(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Path of length n: ``_circulant_path`` with the eigenvalues of
         ``checked_circulant``, from p inverse FFTs of length N / p, p the
-        least prime factor of N.  Its peak, the transform's own scratch
-        counted, is about 32 B per circulant point at p = 2 (56 B with one
-        length-N transform)."""
+        least divisor of N that is at least 4.  Its peak, the transforms'
+        own scratch counted, is about 24 B per circulant point, that of
+        Horner's rule (32 B with two parts, 56 B with one length-N
+        transform)."""
         return _circulant_path(checked_circulant(self, n)[0], n, rng)
 
     def finite_past_error(self, delta2: float, n: int) -> tuple[float, bool]:

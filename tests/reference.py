@@ -25,7 +25,9 @@ otherwise:
 - ``density_table_by_rows`` reads a density table one row at a time with
   ``float()``, the parse that the package's one ``np.loadtxt`` call keeps;
 - ``breakpoints`` gives the quadrature oracles of the lags and the circulant
-  cells the density's jumps to split at.
+  cells the density's jumps to split at;
+- ``inputs_one_shot`` is the input path drawn whole, every amplitude and
+  sign at once, which the input path formed by slices keeps bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fadelab import mi, spectra
+from fadelab import mi, simulate, spectra
 from fadelab.errors import DomainError, FadingLabError, ParamOutOfRange
 from fadelab.mi import DiscreteInputLaw, MIEstimate
 from fadelab.spectra import _cn
@@ -276,3 +278,15 @@ def breakpoints(model: spectra.FadingModel) -> tuple[float, ...]:
     if isinstance(model, spectra.BandLimited):
         return (-model.lambda_c, model.lambda_c)
     return ()
+
+
+def inputs_one_shot(scheme: simulate.BlockScheme, n: int, seed: int) -> np.ndarray:
+    """x_k = U_{floor(k/b)} * D_k from one draw of the ceil(n / b) amplitudes
+    and one of the n int64 signs."""
+    b = scheme.block_length
+    u = scheme.amplitude * (simulate.rng_stream(seed, "amplitude").random(-(-n // b))
+                            < scheme.duty_cycle)
+    d = simulate.rng_stream(seed, "sign").integers(0, 2, size=n) * 2 - 1
+    x = np.zeros(n, dtype=complex)
+    np.multiply(np.repeat(u, b)[:n], d, out=x.real)
+    return x

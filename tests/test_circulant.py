@@ -1,16 +1,18 @@
-"""Circulant synthesis by one Cooley-Tukey split: the draws, every circulant
-route and the channel noise are bitwise equal to the plain formulas kept
-below (scipy.fft standing in for the numpy.fft the code uses), and the split
-path is the full-length formula (one inverse FFT of length N) to 1e-14 of
-its largest value, at circulant lengths whose least prime factor is each of
-2, 3, 5, 7 and 11.  The circulant lengths are scipy's and pinned traces keep
-their bytes.  A path holds at most 28 B per circulant point while it is
-built, by tracemalloc, and at most 36 B with the transforms' own scratch,
-read from /proc in a fresh process (32 B at p = 2; 56 B with one length-N
-transform); an AR(1) path holds at most 24 B per sample.  The eigenvalues
-are the cell integrals of the density, checked against adaptive
-quadrature, and the covariance error that picks the circulant length is
-checked against a direct sum and independent lags."""
+"""Circulant synthesis by one Cooley-Tukey split into p parts, p the least
+divisor of N that is at least 4: the draws, every circulant route and the
+channel output are bitwise equal to the plain formulas kept below
+(scipy.fft standing in for the numpy.fft the code uses), and the split path
+is the full-length formula (one inverse FFT of length N) to 1e-14 of its
+largest value, at circulant lengths whose p is each of 4, 5, 6, 7, 9 and
+11.  The circulant lengths are scipy's and pinned traces keep their bytes.
+A path holds at most 28 B per circulant point while it is built, by
+tracemalloc, and at most 30 B with the transforms' own scratch, read from
+/proc in a fresh process (about 26 B at p = 4; 32 B at p = 2, 56 B with one
+length-N transform); an AR(1) path holds at most 24 B per sample, and the
+simulate command at most 60 B per sample.  The eigenvalues are the cell
+integrals of the density, checked against adaptive quadrature, and the
+covariance error that picks the circulant length is checked against a
+direct sum and independent lags."""
 
 import hashlib
 import io
@@ -46,17 +48,19 @@ def plain_cn(rng, size):
     return (re + 1j * im) * np.sqrt(0.5)
 
 
-def least_factor(big_n):
-    return min(p for p in (2, 3, 5, 7, 11) if big_n % p == 0)
+def least_divisor_from_4(big_n):
+    """The least divisor of N that is at least 4, N itself below 4."""
+    return next((q for q in range(4, big_n + 1) if big_n % q == 0), big_n)
 
 
 def plain_circulant_path(eig, n, rng):
-    """The split route: p the least prime factor of N, the inverse FFTs E_r
-    of the parts r = k mod p of sqrt(lambda) xi, and Horner's rule over r
-    for (sqrt(N) / p) sum_r w^r E_r[j mod M], with the twiddle w =
-    e^{i 2 pi j / N} the product of the chunk starts' and offsets' tables."""
+    """The split route: p the least divisor of N that is at least 4, the
+    inverse FFTs E_r of the parts r = k mod p of sqrt(lambda) xi, and
+    Horner's rule over r for (sqrt(N) / p) sum_r w^r E_r[j mod M], with the
+    twiddle w = e^{i 2 pi j / N} the product of the chunk starts' and
+    offsets' tables."""
     big_n = eig.size
-    p = least_factor(big_n)
+    p = least_divisor_from_4(big_n)
     m = big_n // p
     xi = plain_cn(rng, big_n)
     parts = [scipy.fft.ifft(np.sqrt(eig[r::p]) * xi[r::p]) for r in range(p)]
@@ -164,7 +168,6 @@ def test_channel_noise_is_the_plain_formula():
     x = fl.gen_inputs(fl.BlockScheme(amplitude=2.0, duty_cycle=0.5, block_length=3), 5000, 4)
     tr = fl.apply_channel(x, fl.bandlimited(0.1), 0.3, 4)
     z = np.sqrt(0.3) * plain_cn(simulate.rng_stream(4, "noise"), 5000)
-    assert tr.z.tobytes() == z.tobytes()
     assert tr.y.tobytes() == (tr.h * x + z).tobytes()
 
 
@@ -175,15 +178,15 @@ def test_next_fast_len_is_scipys():
         scipy.fft.next_fast_len(t) for t in targets]
 
 
-#: sha256 of 10^5-row traces (seed 7), re-recorded when synthesis moved to p
-#: inverse FFTs of length N / p (227, 344 and 391 of the 400,000 h and y
-#: cells moved, each in its last printed digit); ``simulate --out`` unless
-#: the law has no CLI form
+#: sha256 of 10^5-row traces (seed 7), re-recorded when the split moved from
+#: N's least prime factor to its least divisor from 4 (249, 381 and 456 of
+#: the 400,000 h and y cells moved, none by more than 1e-11);
+#: ``simulate --out`` unless the law has no CLI form
 PINNED_TRACES = {
     "line_0.3_bandlimited_0.1":
-        "f3b5d30354432c10376e5ec9c93473ce8c7ccc45e5ca29890857f210c8277720",
-    "jakes_table": "3e3122e6f769f3d30c60f8d2a4c2ca7f4383ce9b42365a8f213849e54dc95028",
-    "autocorr_1_0.5_0.2": "75ef42434f70d0febe0b77729d93a94c78f129f2385a37b9c092a7e6ffb4db22",
+        "e263392036098502b6356abf156ac56152bc09725ca3ab2c8440b33ca9164f12",
+    "jakes_table": "7001c7eec456b6c8a49d08dc745509acb84a9bad111eb7a3e7f5dc7e9045039a",
+    "autocorr_1_0.5_0.2": "638aa2b237115db16bd6e62eb3e0f4c18e9ddb41baa80780c24628273946e039",
 }
 
 
@@ -228,15 +231,19 @@ def test_memory_per_circulant_point(model):
     assert peak <= 28 * big_n
 
 
-def test_simulate_command_memory_per_sample(tmp_path):
+@pytest.mark.parametrize("law", [["ar1", "--a", "0.9"],
+                                 ["line", "--mass", "0.3", "--loc", "0", "--residual",
+                                  "bandlimited", "--lambda-c", "0.1"]], ids=["ar1", "line"])
+def test_simulate_command_memory_per_sample(tmp_path, law):
     # the fading is synthesized before the inputs are drawn, and a line law's
-    # residual before its line sum is allocated, so the traced peak at
-    # n = 2^18 is the trace's own arrays, 72 B per sample; with the inputs
-    # and the line sum held through the synthesis it was 89.  The FFT's own
-    # scratch is not traced
+    # residual before its line sum is allocated; the inputs are formed by
+    # slices and y in the noise buffer, so past the synthesis only x, h and y
+    # (48 B per sample) are of size n: the traced peak at n = 2^18 is about
+    # 53 B per sample for ar1(0.9) and 54 for the line law (73 with the
+    # inputs' temporaries and a separate y).  The FFT's own scratch is not
+    # traced
     n = 1 << 18
-    argv = ["simulate", "--model", "line", "--mass", "0.3", "--loc", "0",
-            "--residual", "bandlimited", "--lambda-c", "0.1", "--out", str(tmp_path / "t.csv")]
+    argv = ["simulate", "--model", *law, "--out", str(tmp_path / "t.csv")]
     assert run([*argv, "--n", "64"]) == 0  # plans, imports and caches outside the count
     tracemalloc.start()
     try:
@@ -244,7 +251,7 @@ def test_simulate_command_memory_per_sample(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 76 * n
+    assert peak <= 60 * n
 
 
 def test_ar1_memory_per_sample():
@@ -286,7 +293,7 @@ def test_peak_rss_per_circulant_point():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert int(proc.stdout) <= 36 * big_n
+    assert int(proc.stdout) <= 30 * big_n
 
 
 CELL_KINDS = (spectra.BandLimited, spectra.TabulatedDensity)
@@ -297,8 +304,9 @@ circulant_laws = every_law.map(lambda m: m.residual if m.jumps else m).filter(
     lambda m: isinstance(m, (*CELL_KINDS, spectra.TabulatedAutocorr)))
 
 
-#: circulant lengths whose least prime factor is 2, 3, 5, 7 and 11
-SPLIT_LENGTHS = [1024, 729, 625, 343, 1331]
+#: circulant lengths split into p = 4, 5, 6, 7, 9 and 11 parts (the least
+#: divisor that is at least 4)
+SPLIT_LENGTHS = [1024, 625, 1458, 343, 729, 1331]
 
 
 @pytest.mark.parametrize("big_n", SPLIT_LENGTHS)
@@ -314,10 +322,25 @@ def test_split_path_is_the_full_length_formula(big_n, model, frac, seed):
     assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
 
 
+def test_split_is_the_least_divisor_from_4():
+    """Over every 11-smooth N <= 10^6: p is the least divisor of N that is
+    at least 4 (N below 4), so p <= 11 and Horner's rule stays O(p n)."""
+    smooth = {1}
+    for q in (2, 3, 5, 7, 11):
+        for k in sorted(smooth):
+            while (k := k * q) <= 10 ** 6:
+                smooth.add(k)
+    assert len(smooth) == 2_432  # the count of 11-smooth numbers up to 10^6
+    for big_n in smooth:
+        p, m = spectra._split(big_n)
+        assert (p, p * m) == (least_divisor_from_4(big_n), big_n)
+        assert p <= 11
+
+
 @pytest.mark.parametrize("big_n", [78_125, 200_000])
 def test_split_path_past_one_chunk(big_n):
     """Paths longer than ``_SYNTH_CHUNK``, at p = 5 (wrapping past M = N / 5
-    twice) and at p = 2."""
+    twice) and at p = 4 (once)."""
     eig = fl.bandlimited(0.1)._circulant_eigenvalues(big_n)
     n = big_n // 2
     old = full_length_path(eig, n, stream(3))

@@ -407,7 +407,7 @@ def random_trace(n, seed):
 
     x = cn()
     x.imag[:4] = (-0.0, 1e-5, 1e16, 0.0)[:n]
-    return simulate.ChannelTrace(x=x, h=cn(), z=cn(), y=cn(), sigma2=0.5, seed=1,
+    return simulate.ChannelTrace(x=x, h=cn(), y=cn(), sigma2=0.5, seed=1,
                                  peak_amplitude=1.0, snr=2.0, model="m")
 
 
@@ -477,7 +477,7 @@ def scaled_trace(n, k):
     x = simulate.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=4), n, 3)
     tr = simulate.apply_channel(x, fl.ar1(0.9), 0.5, 3)
     s = 10.0 ** k
-    return simulate.ChannelTrace(x=tr.x * s, h=tr.h * s, z=tr.z * s, y=tr.y * s, sigma2=0.5,
+    return simulate.ChannelTrace(x=tr.x * s, h=tr.h * s, y=tr.y * s, sigma2=0.5,
                                  seed=3, peak_amplitude=s, snr=2.0, model="m")
 
 

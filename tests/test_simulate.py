@@ -9,12 +9,13 @@ import fadelab as fl
 from fadelab import simulate, spectra
 from fadelab.cli import run
 from fadelab.errors import DomainError, EmbeddingFailure
-from reference import TooShort, empirical_autocorr
+from reference import TooShort, empirical_autocorr, inputs_one_shot
 from test_laws import PROPS
 
 SEED = 20260810
 
 BLOCK = spectra._AR1_BLOCK
+CHUNK = spectra._SYNTH_CHUNK
 
 #: real, negative and complex AR(1) coefficients up to |a| = 0.9999
 ar1_coefficients = st.one_of(
@@ -179,6 +180,16 @@ class TestInputs:
             x = fl.gen_inputs(sch, 10 ** 4, SEED)
             assert np.max(np.abs(x)) <= 3.0
 
+    @PROPS
+    @given(st.integers(1, 3 * CHUNK + 5),
+           st.sampled_from([1, 2, 3, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+           st.sampled_from([0.0, 0.37, 1.0]), st.integers(0, 2 ** 32))
+    def test_sliced_inputs_are_the_one_shot_draw(self, n, b, alpha, seed):
+        # slices that start inside a block, blocks longer than a slice, and
+        # the -0 of an off symbol with a negative sign
+        sch = fl.BlockScheme(amplitude=1.5, duty_cycle=alpha, block_length=b)
+        assert fl.gen_inputs(sch, n, seed).tobytes() == inputs_one_shot(sch, n, seed).tobytes()
+
     def test_scheme_validation(self):
         with pytest.raises(DomainError):
             fl.BlockScheme(amplitude=0.0, duty_cycle=0.5, block_length=1)
@@ -193,8 +204,24 @@ class TestChannel:
         x = fl.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=2),
                           1000, SEED)
         tr = fl.apply_channel(x, fl.ar1(0.5), 2.0, SEED)
-        assert np.array_equal(tr.y, tr.h * tr.x + tr.z)
+        z = np.sqrt(2.0) * spectra._cn(simulate.rng_stream(SEED, "noise"), 1000)
+        assert np.array_equal(tr.y, tr.h * tr.x + z)
         assert tr.snr == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+    @pytest.mark.parametrize("complex_inputs", [False, True])
+    def test_output_is_the_plain_formula(self, n, complex_inputs):
+        # y is formed in the noise buffer a slice at a time, the last slice
+        # possibly of one sample, and the peak |x| lies in the last one
+        rng = np.random.default_rng(n)
+        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n) if complex_inputs
+             else fl.gen_inputs(fl.BlockScheme(amplitude=2.0, duty_cycle=0.5, block_length=3),
+                                n, SEED))
+        x[-1] = 30.0 + 40.0j
+        tr = fl.apply_channel(x, fl.bandlimited(0.1), 0.3, SEED)
+        z = spectra._cn(simulate.rng_stream(SEED, "noise"), n)
+        assert tr.y.tobytes() == (tr.h * x + np.sqrt(0.3) * z).tobytes()
+        assert tr.peak_amplitude == 50.0
 
     def test_silent_input_noise_variance(self):
         x = np.zeros(10 ** 6, dtype=complex)
@@ -205,7 +232,8 @@ class TestChannel:
         x = np.ones(1000, dtype=complex)
         tr = fl.apply_channel(x, fl.ar1(0.5), 1.0, SEED)
         assert np.array_equal(tr.h * tr.x, tr.h)       # unit input is lossless
-        assert np.allclose(tr.y - tr.z, tr.h, atol=1e-15)
+        z = spectra._cn(simulate.rng_stream(SEED, "noise"), 1000)
+        assert np.allclose(tr.y - z, tr.h, atol=1e-15)
         # same master seed, same fading stream as a standalone draw
         assert np.array_equal(tr.h, fl.gen_fading(fl.ar1(0.5), 1000, SEED))
 
