@@ -311,7 +311,7 @@ def _scheme(args: argparse.Namespace) -> simulate.BlockScheme:
 
 
 def _cmd_validate(cfg, model):
-    return spectra.validate(model).to_dict(), None
+    return spectra.validate(model).to_dict()
 
 
 def _cmd_phi(cfg, model):
@@ -334,7 +334,7 @@ def _cmd_phi(cfg, model):
             raise QuadratureFailure(
                 f"phi cross-method disagreement: integral {out['phi_integral']:.9g}, "
                 f"series {out['phi_series']:.9g}, limit {out['phi_limit']:.9g}")
-    return out, None
+    return out
 
 
 def _cmd_predict(cfg, model):
@@ -351,15 +351,15 @@ def _cmd_predict(cfg, model):
         "past_length": "inf" if res.past_length is None else res.past_length,
         "delta2": res.noise_variance,
         "clipped": res.clipped,
-    }, None
+    }
 
 
 def _cmd_capacity(cfg, model):
     ca = asymptotics.capacity_asymptote(model)
     if ca.regime == asymptotics.REGIME_SPECTRAL_LINE:
-        return {"regime": ca.regime, "linear_slope": ca.linear_slope}, None
+        return {"regime": ca.regime, "linear_slope": ca.linear_slope}
     return {"phi": ca.phi, "regime": ca.regime, "kappa": ca.kappa,
-            "alpha_star": ca.alpha_star}, None
+            "alpha_star": ca.alpha_star}
 
 
 def _cmd_scheme(cfg, model):
@@ -377,22 +377,12 @@ def _cmd_scheme(cfg, model):
         "s_of_b": coeffs.s_of_b,
         "block_coeff": coeffs.block_coeff,
         "iid_coeff": coeffs.iid_coeff,
-    }, None
+    }
 
 
 def _cmd_simulate(cfg, model):
-    """The trace of ``apply_channel(gen_inputs(...), ...)``, with the fading
-    drawn first: while the path is synthesized, only the law's synthesis
-    buffers are held.  The inputs are drawn after it, and the noise beside
-    them, on a helper thread (``simulate._cn_beside``), into the buffer
-    that becomes y.  From then on x, h and y (16 B per sample each) are
-    all that is of size n, through the trace's writing."""
     args = cfg.args
-    scheme = _scheme(args)
-    h = simulate.gen_fading(model, args.n, args.seed)
-    y, x = simulate._cn_beside(simulate.rng_stream(args.seed, "noise"), args.n,
-                               partial(simulate.gen_inputs, scheme, args.n, args.seed))
-    return None, simulate._channel_trace(x, h, y, model, args.sigma2, args.seed)
+    return simulate.apply_channel(_scheme(args), model, args.n, args.sigma2, args.seed)
 
 
 def _cmd_mi(cfg, model):
@@ -407,7 +397,7 @@ def _cmd_mi(cfg, model):
         "std_error": est.std_error,
         "n_samples": est.n_samples,
         "seed": est.seed,
-    }, None
+    }
 
 
 def _cmd_sweep(cfg, model):
@@ -451,7 +441,7 @@ def _cmd_sweep(cfg, model):
                     "mi_estimate": est, "mi_stderr": stderr,
                     "seed": args.seed,
                 })
-    return {"summary": summary, "rows": rows}, None
+    return {"summary": summary, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +458,13 @@ def _report_format(cfg: RunConfig) -> str:
     return cfg.args.fmt or ("csv" if cfg.command in ("simulate", "sweep", "mi") else "json")
 
 
-def _emit(cfg: RunConfig, result, trace, fh):
+def _emit(cfg: RunConfig, result, fh):
     fmt = _report_format(cfg)
-    if trace is not None:
+    if isinstance(result, simulate.ChannelTrace):
         if fmt == "json":
-            _trace_to_json(cfg, trace, fh)
+            _trace_to_json(cfg, result, fh)
         else:
-            simulate.trace_to_csv(trace, fh)
+            simulate.trace_to_csv(result, fh)
         return
 
     if fmt == "json":
@@ -557,7 +547,7 @@ def execute(cfg: RunConfig) -> int:
         return EXIT_IO
 
     try:
-        result, trace = _DISPATCH[cfg.command](cfg, model)
+        result = _DISPATCH[cfg.command](cfg, model)
     except FadingLabError as exc:  # usage errors are all raised before dispatch
         name = type(exc).__name__
         if _report_format(cfg) == "json":
@@ -566,7 +556,7 @@ def execute(cfg: RunConfig) -> int:
             text = _config_comments(cfg) + f"error,{name}\ndetail,{_csv_cell(str(exc))}\n"
         code = _write_report(cfg, lambda fh: fh.write(text))
         return EXIT_NUMERICAL if code == EXIT_OK else code
-    return _write_report(cfg, lambda fh: _emit(cfg, result, trace, fh))
+    return _write_report(cfg, lambda fh: _emit(cfg, result, fh))
 
 
 def run(argv: list[str] | None = None) -> int:

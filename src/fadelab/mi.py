@@ -130,15 +130,19 @@ def cond_covariance(x: np.ndarray, model: spectra.FadingModel, sigma2: float) ->
     """Conditional output covariance given the input block x.
 
     Entry (i, j) is R(i-j) x_i conj(x_j) plus sigma2 on the diagonal;
-    Hermitian positive definite for sigma2 > 0.
+    Hermitian positive definite for 0 < sigma2 < inf, and refused where an
+    entry is not finite.
     """
     sigma2 = float(sigma2)
-    if sigma2 <= 0.0:
-        raise DomainError("noise variance must be > 0")
+    if not 0.0 < sigma2 < np.inf:
+        raise DomainError("noise variance must be finite and > 0")
     x = np.asarray(x, dtype=complex)
     b = x.size
-    t = spectra.toeplitz_cov(model, b)
-    return t * np.outer(x, np.conj(x)) + sigma2 * np.eye(b)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        cov = spectra.toeplitz_cov(model, b) * np.outer(x, np.conj(x)) + sigma2 * np.eye(b)
+    if not np.all(np.isfinite(cov)):
+        raise DomainError("conditional covariance is not finite")
+    return cov
 
 
 class _Mixture:

@@ -60,8 +60,8 @@ class BlockScheme:
     block_length: int
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise DomainError("peak amplitude must be > 0")
+        if not 0.0 < self.amplitude < np.inf:
+            raise DomainError("peak amplitude must be finite and > 0")
         if not (0.0 <= self.duty_cycle <= 1.0):
             raise DomainError("duty cycle must lie in [0, 1]")
         if int(self.block_length) < 1:
@@ -123,36 +123,27 @@ def gen_inputs(scheme: BlockScheme, n: int, seed: int) -> np.ndarray:
     return x
 
 
-def apply_channel(x: np.ndarray, model: spectra.FadingModel, sigma2: float,
+def apply_channel(scheme: BlockScheme, model: spectra.FadingModel, n: int, sigma2: float,
                   seed: int) -> ChannelTrace:
-    """Pass inputs through the channel with freshly drawn fading and noise.
+    """The trace y = h * x + z of x = ``gen_inputs(scheme, n, seed)`` through
+    h = ``gen_fading(model, n, seed)``, z the seed's noise stream at variance
+    sigma2 (0 < sigma2 < inf, refused before anything is drawn).
 
-    The fading path is synthesized while x (16 B per sample) is held, and
-    the noise is drawn after it, into the buffer that becomes y.  The CLI's
-    ``simulate`` draws the fading before the inputs instead, holding only
-    the synthesis buffers while the path is built, and the noise beside the
-    inputs; its trace is this one, since each stream has its own seed label.
+    The fading is drawn first, holding only the law's synthesis buffers; then
+    the inputs on the calling thread and the noise beside them (``_cn_beside``)
+    into the buffer that becomes y, each stream under its own seed label.  A
+    ``_SYNTH_CHUNK`` slice at a time, the draw is scaled to z, h * x added and
+    the peak |x| taken: y is ``h * x + z`` bit for bit, and x, h and y (16 B
+    per sample each) are all that is of size n.
     """
     sigma2 = float(sigma2)
-    if sigma2 <= 0.0:
-        raise DomainError("noise variance must be > 0")
-    x = np.asarray(x, dtype=complex)
-    h = gen_fading(model, x.size, seed)
-    return _channel_trace(x, h, _cn(rng_stream(seed, "noise"), x.size), model, sigma2, seed)
-
-
-def _channel_trace(x: np.ndarray, h: np.ndarray, y: np.ndarray, model: spectra.FadingModel,
-                   sigma2: float, seed: int) -> ChannelTrace:
-    """The trace y = h * x + z of complex inputs x through the fading path h
-    of the same length, where y enters holding the seed's noise stream
-    drawn by ``_cn`` and leaves holding the output.  A ``_SYNTH_CHUNK``
-    slice at a time, the draw is scaled by sqrt(sigma2) to z (sigma2 > 0,
-    checked by the caller), h * x is added and the peak |x| taken.
-    Addition commutes, so y is ``h * x + z`` bit for bit, and nothing of
-    size n is allocated."""
+    if not 0.0 < sigma2 < np.inf:
+        raise DomainError("noise variance must be finite and > 0")
+    h = gen_fading(model, n, seed)
+    y, x = _cn_beside(rng_stream(seed, "noise"), h.size, partial(gen_inputs, scheme, n, seed))
     scale = np.sqrt(sigma2)
     peak = 0.0
-    for lo in range(0, x.size, _SYNTH_CHUNK):
+    for lo in range(0, h.size, _SYNTH_CHUNK):
         part = slice(lo, lo + _SYNTH_CHUNK)
         y[part] *= scale
         y[part] += h[part] * x[part]

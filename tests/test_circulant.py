@@ -165,10 +165,10 @@ def test_every_circulant_route_is_the_plain_formula(model, n):
 
 
 def test_channel_noise_is_the_plain_formula():
-    x = fl.gen_inputs(fl.BlockScheme(amplitude=2.0, duty_cycle=0.5, block_length=3), 5000, 4)
-    tr = fl.apply_channel(x, fl.bandlimited(0.1), 0.3, 4)
+    scheme = fl.BlockScheme(amplitude=2.0, duty_cycle=0.5, block_length=3)
+    tr = fl.apply_channel(scheme, fl.bandlimited(0.1), 5000, 0.3, 4)
     z = np.sqrt(0.3) * plain_cn(simulate.rng_stream(4, "noise"), 5000)
-    assert tr.y.tobytes() == (tr.h * x + z).tobytes()
+    assert tr.y.tobytes() == (tr.h * tr.x + z).tobytes()
 
 
 def test_next_fast_len_is_scipys():
@@ -194,11 +194,10 @@ PINNED_TRACES = {
 def test_pinned_trace_bytes(law, tmp_path):
     n, seed = 100_000, 7
     if law == "autocorr_1_0.5_0.2":
-        x = simulate.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=1),
-                                n, seed)
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=1)
         buf = io.StringIO()
         simulate.trace_to_csv(simulate.apply_channel(
-            x, fl.tabulated_autocorr([1.0, 0.5, 0.2]), 1.0, seed), buf)
+            scheme, fl.tabulated_autocorr([1.0, 0.5, 0.2]), n, 1.0, seed), buf)
         data = buf.getvalue().encode()
     else:
         jakes = write_density_table(tmp_path / "jakes.csv", *jakes_like_table())

@@ -264,7 +264,7 @@ class TestCommands:
         assert doc["config"]["command"] == "simulate" and doc["config"]["fmt"] == "json"
         assert doc["k"] == [0, 1, 2, 3, 4]
         scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=1)
-        trace = fl.apply_channel(fl.gen_inputs(scheme, 5, 9), fl.ar1(0.5), 1.0, 9)
+        trace = fl.apply_channel(scheme, fl.ar1(0.5), 5, 1.0, 9)
         for name, column in (("x", trace.x), ("h", trace.h), ("y", trace.y)):
             assert doc[f"re_{name}"] == column.real.tolist()
             assert doc[f"im_{name}"] == column.imag.tolist()
@@ -346,6 +346,20 @@ class TestNumericalConditions:
         assert code == 2
         doc = json.loads(out)
         assert doc["error"] == "ConditionTwelveFails"
+
+    @pytest.mark.parametrize("argv,detail", [
+        (["mi", "--b", "2", "--A", "1e200", "--sigma2", "1"],
+         "conditional covariance is not finite"),
+        (["sweep", "--b-list", "2", "--alpha-list", "0.5", "--snr-list", "1e-320", "--mc"],
+         "noise variance must be finite and > 0"),
+    ], ids=["mi_amplitude", "sweep_snr"])
+    def test_overflowing_scale_exit_two(self, capsys, argv, detail):
+        # A^2 overflows the covariance; A^2 / SNR overflows sigma2
+        code, out = run_cli(capsys, [*argv, "--model", "ar1", "--a", "0.5",
+                                     "--samples", "10000", "--format", "json"])
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["error"], doc["detail"]) == ("DomainError", detail)
 
     def test_phi_series_diverges_exit_two(self, capsys):
         code, out = run_cli(capsys, ["phi", "--model", "line", "--mass", "1.0",

@@ -474,8 +474,8 @@ def test_row_indices_format_as_integers():
 
 def scaled_trace(n, k):
     """A simulated on-off ar1 trace with every value times 10^k."""
-    x = simulate.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=4), n, 3)
-    tr = simulate.apply_channel(x, fl.ar1(0.9), 0.5, 3)
+    scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=4)
+    tr = simulate.apply_channel(scheme, fl.ar1(0.9), n, 0.5, 3)
     s = 10.0 ** k
     return simulate.ChannelTrace(x=tr.x * s, h=tr.h * s, y=tr.y * s, sigma2=0.5,
                                  seed=3, peak_amplitude=s, snr=2.0, model="m")

@@ -104,6 +104,28 @@ class TestCondCovariance:
             assert np.linalg.eigvalsh(c)[0] > 0
             assert np.allclose(c, c.conj().T)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_noise_variance(self, sigma2):
+        with pytest.raises(DomainError, match="noise variance"):
+            fl.cond_covariance(np.ones(2, dtype=complex), fl.ar1(0.5), sigma2)
+
+    def test_overflowing_covariance(self):
+        with pytest.raises(DomainError, match="not finite"):
+            fl.cond_covariance(np.full(2, 1e200, dtype=complex), fl.ar1(0.5), 1.0)
+
+    @pytest.mark.parametrize("amplitude,sigma2s", [
+        (1.0, [1.0, np.nan]), (1.0, [np.inf]), (1e200, [1.0]), (1e160, [1e300, 1e308])])
+    def test_estimators_refuse_before_any_draw(self, monkeypatch, amplitude, sigma2s):
+        drawn = []
+        monkeypatch.setattr(mi, "rng_stream", lambda *args: drawn.append(args))
+        scheme = fl.BlockScheme(amplitude=amplitude, duty_cycle=0.5, block_length=3)
+        with pytest.raises(DomainError):
+            fl.mi_monte_carlo_many(scheme, fl.ar1(0.5), sigma2s, 10_000, SEED)
+        if len(sigma2s) == 1:
+            with pytest.raises(DomainError):
+                fl.mi_monte_carlo(scheme, fl.ar1(0.5), sigma2s[0], 10_000, SEED)
+        assert drawn == []
+
 
 class TestExactCoefficient:
     def test_memoryless_single_symbol(self):

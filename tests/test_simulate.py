@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import fadelab as fl
 from fadelab import simulate, spectra
-from fadelab.cli import run
 from fadelab.errors import DomainError, EmbeddingFailure
 from reference import TooShort, empirical_autocorr, inputs_one_shot
 from test_laws import PROPS
@@ -191,8 +190,9 @@ class TestInputs:
         assert fl.gen_inputs(sch, n, seed).tobytes() == inputs_one_shot(sch, n, seed).tobytes()
 
     def test_scheme_validation(self):
-        with pytest.raises(DomainError):
-            fl.BlockScheme(amplitude=0.0, duty_cycle=0.5, block_length=1)
+        for amplitude in (0.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                fl.BlockScheme(amplitude=amplitude, duty_cycle=0.5, block_length=1)
         with pytest.raises(DomainError):
             fl.BlockScheme(amplitude=1.0, duty_cycle=1.5, block_length=1)
         with pytest.raises(DomainError):
@@ -201,46 +201,59 @@ class TestInputs:
 
 class TestChannel:
     def test_identity(self):
-        x = fl.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=2),
-                          1000, SEED)
-        tr = fl.apply_channel(x, fl.ar1(0.5), 2.0, SEED)
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=2)
+        tr = fl.apply_channel(scheme, fl.ar1(0.5), 1000, 2.0, SEED)
         z = np.sqrt(2.0) * spectra._cn(simulate.rng_stream(SEED, "noise"), 1000)
+        assert np.array_equal(tr.x, fl.gen_inputs(scheme, 1000, SEED))
         assert np.array_equal(tr.y, tr.h * tr.x + z)
         assert tr.snr == pytest.approx(0.5)
 
     @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
-    @pytest.mark.parametrize("complex_inputs", [False, True])
-    def test_output_is_the_plain_formula(self, n, complex_inputs):
+    def test_output_is_the_plain_formula(self, monkeypatch, n):
         # y is formed in the noise buffer a slice at a time, the last slice
         # possibly of one sample, and the peak |x| lies in the last one
-        rng = np.random.default_rng(n)
-        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n) if complex_inputs
-             else fl.gen_inputs(fl.BlockScheme(amplitude=2.0, duty_cycle=0.5, block_length=3),
-                                n, SEED))
-        x[-1] = 30.0 + 40.0j
-        tr = fl.apply_channel(x, fl.bandlimited(0.1), 0.3, SEED)
+        gen_inputs = simulate.gen_inputs
+
+        def peak_last(*args):
+            x = gen_inputs(*args)
+            x[-1] = 30.0 + 40.0j
+            return x
+
+        monkeypatch.setattr(simulate, "gen_inputs", peak_last)
+        scheme = fl.BlockScheme(amplitude=2.0, duty_cycle=0.5, block_length=3)
+        tr = fl.apply_channel(scheme, fl.bandlimited(0.1), n, 0.3, SEED)
         z = spectra._cn(simulate.rng_stream(SEED, "noise"), n)
-        assert tr.y.tobytes() == (tr.h * x + np.sqrt(0.3) * z).tobytes()
+        assert tr.x.tobytes() == peak_last(scheme, n, SEED).tobytes()
+        assert tr.y.tobytes() == (tr.h * tr.x + np.sqrt(0.3) * z).tobytes()
         assert tr.peak_amplitude == 50.0
 
     def test_silent_input_noise_variance(self):
-        x = np.zeros(10 ** 6, dtype=complex)
-        tr = fl.apply_channel(x, fl.memoryless(), 3.0, SEED)
+        silent = fl.BlockScheme(amplitude=1.0, duty_cycle=0.0, block_length=1)
+        tr = fl.apply_channel(silent, fl.memoryless(), 10 ** 6, 3.0, SEED)
+        assert np.all(tr.x == 0.0) and tr.peak_amplitude == 0.0
         assert np.var(tr.y) == pytest.approx(3.0, rel=0.01)
 
-    def test_unit_input_exposes_fading(self):
-        x = np.ones(1000, dtype=complex)
-        tr = fl.apply_channel(x, fl.ar1(0.5), 1.0, SEED)
-        assert np.array_equal(tr.h * tr.x, tr.h)       # unit input is lossless
-        z = spectra._cn(simulate.rng_stream(SEED, "noise"), 1000)
-        assert np.allclose(tr.y - z, tr.h, atol=1e-15)
+    def test_fading_is_gen_fading(self):
         # same master seed, same fading stream as a standalone draw
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=1)
+        tr = fl.apply_channel(scheme, fl.ar1(0.5), 1000, 1.0, SEED)
         assert np.array_equal(tr.h, fl.gen_fading(fl.ar1(0.5), 1000, SEED))
+        assert np.array_equal(np.abs(tr.h * tr.x), np.abs(tr.h))   # unit inputs are lossless
+        z = spectra._cn(simulate.rng_stream(SEED, "noise"), 1000)
+        assert np.allclose(tr.y - z, tr.h * tr.x, atol=1e-15)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_noise_variance_is_refused_before_any_draw(self, monkeypatch, sigma2):
+        drawn = []
+        monkeypatch.setattr(simulate, "rng_stream", lambda *args: drawn.append(args))
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=2)
+        with pytest.raises(DomainError, match="noise variance"):
+            fl.apply_channel(scheme, fl.ar1(0.5), 100, sigma2, SEED)
+        assert drawn == []
 
     def test_trace_csv(self):
-        x = fl.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=1),
-                          4, SEED)
-        tr = fl.apply_channel(x, fl.memoryless(), 1.0, SEED)
+        scheme = fl.BlockScheme(amplitude=1.0, duty_cycle=1.0, block_length=1)
+        tr = fl.apply_channel(scheme, fl.memoryless(), 4, 1.0, SEED)
         buf = io.StringIO()
         fl.trace_to_csv(tr, buf)
         lines = buf.getvalue().splitlines()
@@ -248,19 +261,6 @@ class TestChannel:
         assert "seed=" in lines[0] and "sigma2=" in lines[0] and "A=" in lines[0]
         assert lines[1] == "k,re_x,im_x,re_h,im_h,re_y,im_y"
         assert len(lines) == 2 + 4
-
-    def test_cli_trace_is_apply_channels(self, tmp_path):
-        # the CLI draws the fading before the inputs; each stream has its own
-        # seed label, so its trace is that of the inputs drawn first
-        out = tmp_path / "t.csv"
-        assert run(["simulate", "--model", "line", "--mass", "0.3", "--loc", "0.1",
-                    "--residual", "ar1", "--a", "0.6", "--b", "3", "--alpha", "0.5",
-                    "--sigma2", "0.5", "--n", "5000", "--seed", "9", "--out", str(out)]) == 0
-        x = fl.gen_inputs(fl.BlockScheme(amplitude=1.0, duty_cycle=0.5, block_length=3), 5000, 9)
-        m = fl.line_plus_residual([(0.1, 0.3)], fl.ar1(0.6))
-        buf = io.StringIO()
-        fl.trace_to_csv(fl.apply_channel(x, m, 0.5, 9), buf)
-        assert out.read_text() == buf.getvalue()
 
 
 class TestEmpiricalAutocorr:

@@ -104,14 +104,25 @@ class TestSimulate:
         want = (u[np.arange(n) // b] * d).astype(complex)
         assert fl.gen_inputs(scheme, n, 8).tobytes() == want.tobytes()
 
-    def test_trace_is_apply_channel(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("law,model", [
+        (["line", "--mass", "0.3", "--loc", "0.1", "--residual", "ar1", "--a", "0.6"],
+         fl.line_plus_residual([(0.1, 0.3)], fl.ar1(0.6))),
+        (["bandlimited", "--lambda-c", "0.1"], fl.bandlimited(0.1)),
+    ], ids=["line", "bandlimited"])
+    def test_trace_is_its_streams_drawn_alone(self, monkeypatch, capsys, law, model):
+        # the fading is drawn first and the noise beside the inputs; each
+        # stream has its own seed label, so the report is that of the three
+        # streams drawn one after another
         pin_cpus(monkeypatch, 2)
-        model, scheme = fl.bandlimited(0.1), fl.BlockScheme(2.0, 0.5, 3)
-        tr = fl.apply_channel(fl.gen_inputs(scheme, 5000, 4), model, 0.3, 4)
+        scheme = fl.BlockScheme(amplitude=2.0, duty_cycle=0.5, block_length=3)
+        x, h = fl.gen_inputs(scheme, 5000, 4), fl.gen_fading(model, 5000, 4)
+        y = h * x + np.sqrt(0.3) * spectra._cn(simulate.rng_stream(4, "noise"), 5000)
         buf = io.StringIO()
-        simulate.trace_to_csv(tr, buf)
-        argv = ["simulate", "--model", "bandlimited", "--lambda-c", "0.1", "--n", "5000",
-                "--A", "2", "--alpha", "0.5", "--b", "3", "--sigma2", "0.3", "--seed", "4"]
+        simulate.trace_to_csv(simulate.ChannelTrace(
+            x=x, h=h, y=y, sigma2=0.3, seed=4, peak_amplitude=2.0, snr=2.0 ** 2 / 0.3,
+            model=model.label()), buf)
+        argv = ["simulate", "--model", *law, "--n", "5000", "--A", "2", "--alpha", "0.5",
+                "--b", "3", "--sigma2", "0.3", "--seed", "4"]
         assert report(argv, capsys) == buf.getvalue()
 
 

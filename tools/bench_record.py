@@ -1,11 +1,15 @@
 """Record a before/after pair of benchmark runs as ``BENCH_<n>.json``.
 
 Runs ``bench/run.py --trace 0`` for every workload and seed in two
-checkouts: this working tree ("tree") and a snapshot of a base revision
-("base", exported with ``git archive`` into a scratch directory, so the
-repository itself is not touched).  For each (workload, seed) both sides
-run back to back, and the side that runs first alternates from seed to
-seed.  The file holds each run's provenance line, its three end-to-end
+snapshots, each exported with ``git archive`` into a scratch directory, so
+the repository itself is not touched and neither side sees a file that git
+does not track (a bytecode cache, a bench output): the working tree's
+tracked files ("tree", committed by ``git stash create``, or HEAD when
+they are unchanged) and a base revision ("base").  An untracked file under
+``src/``, ``bench/`` or ``tools/`` would be missing from the tree side, so
+the recorder refuses to run while there is one.  For each (workload, seed)
+both sides run back to back, and the side that runs first alternates from
+seed to seed.  The file holds each run's provenance line, its three end-to-end
 metrics with ``correct``, ``attempted`` and ``failed``, the median and
 quartiles of each metric per side, and the median over seeds of the
 paired relative change tree / base - 1.
@@ -45,6 +49,15 @@ def export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
+def tree_rev() -> str:
+    """A commit of the working tree's tracked files, as ``export`` takes it."""
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "bench", "tools")
+    if untracked:
+        raise SystemExit(f"bench_record: untracked files, which the tree side would miss:\n"
+                         f"{untracked}")
+    return git("stash", "create") or git("rev-parse", "HEAD")
+
+
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run: its provenance line and its JSON summary."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
@@ -81,22 +94,22 @@ def main(argv=None) -> int:
     p.add_argument("--base", default="HEAD~1", help="git revision of the base side")
     p.add_argument("--seeds", nargs="+", required=True, metavar="WORKLOAD=S1,S2,...")
     p.add_argument("--seconds", type=float, default=10.0)
-    p.add_argument("--scratch", type=Path, help="directory for the base snapshot")
+    p.add_argument("--scratch", type=Path, help="directory for the two snapshots")
     args = p.parse_args(argv)
     plan = {w: [int(s) for s in seeds.split(",")]
             for w, seeds in (item.split("=", 1) for item in args.seeds)}
-    base_sha = git("rev-parse", args.base)
+    base_sha, tree_sha = git("rev-parse", args.base), tree_rev()
     record = {
-        "sides": {"tree": {"head": git("rev-parse", "HEAD"),
+        "sides": {"tree": {"head": git("rev-parse", "HEAD"), "sha": tree_sha,
                            "uncommitted": bool(git("status", "--porcelain", "--", "src", "bench"))},
                   "base": {"rev": args.base, "sha": base_sha}},
         "command": f"bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
-        base = Path(tmp) / "base"
-        export(base_sha, base)
-        checkouts = {"tree": ROOT, "base": base}
+        checkouts = {side: Path(tmp) / side for side in ("tree", "base")}
+        export(tree_sha, checkouts["tree"])
+        export(base_sha, checkouts["base"])
         for workload, seeds in plan.items():
             runs = []
             for i, seed in enumerate(seeds):
