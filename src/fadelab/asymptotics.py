@@ -89,17 +89,13 @@ def phi_integral(model: spectra.FadingModel) -> float:
 
 
 def phi_series(model: spectra.FadingModel, tol: float = 1e-7) -> float:
-    """phi as the lag series sum_{nu >= 1} |R(nu)|^2.
-
-    Summed by the law's own rule where it has a closed form (ar1's powers to
-    their tail bound, as r2 (1 - r2^N) / (1 - r2); the band-limited sinc^2
-    series exactly, as (1 - 2 lambda_c) / (4 lambda_c), whatever tol);
-    otherwise by a stagnation rule, which a tabulated density with a "yes"
-    verdict cross-checks against its exact Parseval total.  Only a spectral
-    line, or a tabulated density past ``spectra.SERIES_CEILING`` or its
-    2e6-lag budget, raises :class:`Diverges`; a tol below machine epsilon
-    (no sum is that exact) raises :class:`DomainError`.
-    """
+    """phi as the lag series sum_{nu >= 1} |R(nu)|^2, summed by the law's own
+    ``series`` rule to an absolute tol, or exactly where it has a closed form
+    (a tabulated density: its lags up to the count that its own tail bound
+    certifies, and its end jump's sawtooth in closed form).  Only a spectral
+    line, or a table past ``spectra.SERIES_CEILING`` or whose count passes
+    its lag budget, raises :class:`Diverges`; a tol below machine epsilon
+    (no sum is that exact) raises :class:`DomainError`."""
     tol = float(tol)
     if not tol >= np.finfo(float).eps:
         raise DomainError(f"tol must be >= machine epsilon {np.finfo(float).eps:.3g}")

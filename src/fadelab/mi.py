@@ -364,6 +364,7 @@ def _batches(rng: np.random.Generator, mixes: list[_Mixture], n: int):
             yield j, held_c, y
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _batch_moments(mix: _Mixture, work: _Work, ci: np.ndarray, y: np.ndarray):
     """(rows, mean, sum of squared deviations) of log p(y|x) - log p(y) over
     one batch, computed in ``work``'s buffers alone.
@@ -371,7 +372,9 @@ def _batch_moments(mix: _Mixture, work: _Work, ci: np.ndarray, y: np.ndarray):
     It runs with numpy's ufunc buffer at its least size, 16 elements: at
     the default, 8192, each op that broadcasts over rows shorter than that
     goes through a 64 KiB buffer that numpy allocates per call.  Buffered
-    or not, every op and reduction here gives the same bits.
+    or not, every op and reduction here gives the same bits.  An overflow
+    (products of outputs near the largest double) is left to carry inf or
+    nan into the moments, which ``_estimates`` refuses.
     """
     old = np.setbufsize(16)
     try:
@@ -423,6 +426,8 @@ def _estimates(scheme, model, sigma2s, n_samples, seed) -> list[MIEstimate]:
     totals = [(0, 0.0, 0.0)] * len(mixes)    # merged per mixture in batch order
     for j, moments in _run(tasks, len(mixes) * -(-n_samples // rows), lambda: _Work(mixes, rows)):
         totals[j] = _merge_moments(*totals[j], *moments)
+    if not all(math.isfinite(v) for _, mean, m2 in totals for v in (mean, m2)):
+        raise DomainError("the estimate is not finite: products of outputs overflow")
     estimates = []
     for sigma2, (tot_n, tot_mean, tot_m2) in zip(sigma2s, totals):
         var = tot_m2 / (tot_n - 1) if tot_n > 1 else 0.0

@@ -8,13 +8,16 @@ functions, each lag one DFT entry times the hat's transform, plus a
 half-hat term when the two end values differ.  On any other grid each
 piece contributes a real expression about its midpoint, rotated by its
 phase; a run of lags takes those phases from one exact exp per piece every
-64 lags and a per-call table of in-block rotations.  Of the laws' log
+64 lags and a per-call table of in-block rotations.  The interpolant's
+slope jumps bound the tail of its lag series, which fixes the lag count
+that the series sums (``pl_certified_lags``).  Of the laws' log
 integrals only an autocorrelation table's takes adaptive quadrature
 (``quad_interval``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -63,6 +66,45 @@ def pl_square_integral(grid: np.ndarray, vals: np.ndarray) -> float:
     w = np.diff(grid)
     f0, f1 = vals[:-1], vals[1:]
     return float(np.sum(w * (f0 * f0 + f0 * f1 + f1 * f1) / 3.0))
+
+
+def pl_certified_lags(grid: np.ndarray, vals: np.ndarray, tol: float, most: int) -> int:
+    """The least N <= most past which the interpolant's lag series less its
+    sawtooth, sum_{nu > N} |R(nu)|^2 - D^2 / omega^2 with omega = 2 pi nu
+    and end jump D = vals[-1] - vals[0], is at most tol; most + 1 if none.
+
+    By parts, R(nu) - (-1)^nu D / (i omega) is i / omega times the
+    transform of the slopes s.  Take t = s except on pieces narrower than
+    1/(pi (most + 1)), hence than 1/(pi N), where t is the slope of the
+    nearest wider piece before (cyclically); the transform of t is at most
+    K / omega, K the sum of its jumps at the nodes (the one at -1/2 across
+    the wrap), and that of s - t at most E = sum |s - t| w.  With
+    |R - A| <= K / omega^2 + E / omega the tail is at most
+    E (E + 2|D|) / (4 pi^2 N) + (E + |D|) K / (8 pi^3 N^2) +
+    K^2 / (3 (2 pi)^4 N^3), for t = s (E = 0) or for t as above; both
+    bounds fall with N, and N is the least count where either holds."""
+    w, rise = np.diff(grid), np.diff(vals)
+    d = abs(float(vals[-1] - vals[0]))
+    tails = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slope: K = inf or nan
+        slopes = rise / w
+        for wide in (w > 0.0, w >= 1.0 / (math.pi * (most + 1))):
+            last = np.maximum.accumulate(np.where(wide, np.arange(w.size), -1))
+            t = slopes[np.where(last < 0, last[-1], last)]
+            k = float(np.sum(np.abs(np.diff(t, append=t[:1]))))
+            e = float(np.sum(np.abs(rise - t * w), where=~wide))
+            tails.append((e * (e + 2.0 * d) / (4.0 * math.pi ** 2),
+                          (e + d) * k / (8.0 * math.pi ** 3), k * k / (3.0 * (2.0 * math.pi) ** 4)))
+    return 1 + bisect.bisect_left(range(1, most + 1), True, key=lambda n: any(
+        a / n + b / n ** 2 + c / n ** 3 <= tol for a, b, c in tails))
+
+
+def pl_uniform(grid: np.ndarray) -> bool:
+    """Whether every node is within 4 ulps of 1/2, about 4.4e-16, of
+    ``linspace(-1/2, 1/2, grid.size)``: the grids of ``pl_fourier``'s FFT
+    route."""
+    off = np.abs(grid - np.linspace(-HALF, HALF, grid.size))
+    return bool(np.all(off <= 4 * np.spacing(HALF)))
 
 
 #: coefficients of psi(r)/r = sum_{k >= 1} (-1)^(k+1) r^(k-1) / (k (k+1)), highest
@@ -218,11 +260,10 @@ def pl_fourier(grid: np.ndarray, vals: np.ndarray, m) -> np.ndarray:
     """Exact Fourier coefficients ``\\int e^{i 2 pi m lam} f(lam) dlam`` of the
     piecewise-linear interpolant, vectorized over integer lags ``m``.
 
-    Uniform grid (every node within 4 ulps of 1/2, about 4.4e-16, of
-    ``linspace(-1/2, 1/2, N + 1)``), O(N log N + lags): with h = 1/N the
-    nodes f_0..f_{N-1} carry full hats of transform e^{i omega lam_j} h
-    sinc^2(m h), whose sum is h sinc^2(m h) (-1)^m D[m mod N] with
-    D = N ifft(f_0..f_{N-1}); periodicity in lam wraps f_0's left half-hat
+    Uniform grid of N pieces (``pl_uniform``), O(N log N + lags): with
+    h = 1/N the nodes f_0..f_{N-1} carry full hats of transform
+    e^{i omega lam_j} h sinc^2(m h), whose sum is h sinc^2(m h) (-1)^m
+    D[m mod N] with D = N ifft(f_0..f_{N-1}); periodicity in lam wraps f_0's left half-hat
     round to lam = 1/2, so the rising half-hat there adds (f_N - f_0) h
     e^{i pi m - i omega h} g2(i omega h) (see ``_g2``).
 
@@ -242,7 +283,7 @@ def pl_fourier(grid: np.ndarray, vals: np.ndarray, m) -> np.ndarray:
     """
     ms = np.atleast_1d(np.asarray(m))
     n = grid.size - 1
-    if np.all(np.abs(grid - np.linspace(-HALF, HALF, n + 1)) <= 4 * np.spacing(HALF)):
+    if pl_uniform(grid):
         h = 1.0 / n
         k = ms % n
         dft = n * np.fft.ifft(vals[:n])

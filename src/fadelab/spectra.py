@@ -40,7 +40,6 @@ from .errors import (
     NoDensity,
     NotNormalized,
     ParamOutOfRange,
-    QuadratureFailure,
 )
 
 VERDICT_YES = "yes"
@@ -65,13 +64,19 @@ _DENSITY_FLOOR = -1e-9
 #: verdict is a heuristic); no other kind's sum has a ceiling
 SERIES_CEILING = 1e4
 
-#: consecutive negligible terms required to stop a tabulated density's lag series
-_STAGNATION_RUN = 20
+#: the most lags a tabulated density's lag series fetches
+SERIES_LAG_BUDGET = 2_000_000
+
+#: the most lags times pieces that a tabulated density's lag series fetches
+#: on ``quadrature.pl_fourier``'s per-piece route: about 80 s at the 1.2e7
+#: per second measured on a 2-CPU x86_64
+SERIES_PIECE_LAG_BUDGET = 10 ** 9
 
 #: points per slice of ``_cn``'s scratch, of a law's circulant cell edges,
-#: of ``_circulant_path``'s twiddle tables, of ``_ar1_scan``'s GEMM and of
-#: ``simulate``'s inputs and output; its value moves a circulant path only at
-#: rounding level (the twiddles), and no other result
+#: of ``_circulant_path``'s twiddle tables, of ``_ar1_scan``'s GEMM, of a
+#: table's lag series and of ``simulate``'s inputs and output; its value moves
+#: a circulant path (the twiddles) and a table's lag series (the order of its
+#: sum) only at rounding level, and no other result
 _SYNTH_CHUNK = 1 << 15
 
 #: block length of ``_ar1_scan``'s GEMM; its value moves a path only at
@@ -655,33 +660,28 @@ class TabulatedDensity(FadingModel):
         return quadrature.pl_log_integral(self.grid, self.values, delta2)
 
     def series(self, tol):
-        """sum_{nu >= 1} |R(nu)|^2 term by term, stopped after
-        ``_STAGNATION_RUN`` negligible terms in a row, with lags fetched in
-        chunks of 32, 64, ..., 512, then 512 at a time.  Its exact total
-        (integral f^2 - 1) / 2 (Parseval) is refused before any lag is fetched
-        when it passes ``SERIES_CEILING``; by Bessel's inequality no partial
-        sum exceeds it.  No stagnation within 2e6 lags raises
-        :class:`Diverges`, and a sum more than 1e-4 off the total under a
-        "yes" verdict, :class:`QuadratureFailure`."""
-        exact = 0.5 * (self.square_integral() - 1.0)
-        if exact > SERIES_CEILING:
+        """sum_{nu >= 1} |R(nu)|^2 to an absolute tol: the N lags that
+        ``quadrature.pl_certified_lags`` certifies, ``_SYNTH_CHUNK`` at a
+        time, less the end jump's sawtooth D^2 / (2 pi nu)^2, plus its total
+        D^2 / 24.  Before any lag, :class:`Diverges` where N passes
+        ``SERIES_LAG_BUDGET`` (and, off the FFT route, N times the pieces
+        ``SERIES_PIECE_LAG_BUDGET``), or the exact total (integral f^2 - 1) / 2
+        (Parseval; by Bessel no partial sum exceeds it) ``SERIES_CEILING``."""
+        if 0.5 * (self.square_integral() - 1.0) > SERIES_CEILING:
             raise Diverges(f"the lag series sums to more than {SERIES_CEILING:g}")
-        total, quiet = 0.0, 0
-        start, chunk = 1, 32
-        while quiet < _STAGNATION_RUN:
-            if start > 2_000_000:
-                raise Diverges("series did not stagnate within the lag budget")
-            stop = start + chunk
-            for t in np.abs(self.lags(start, stop)) ** 2:
-                total += float(t)
-                quiet = quiet + 1 if t < tol * max(total, 1.0) else 0
-                if quiet >= _STAGNATION_RUN:
-                    break
-            start, chunk = stop, min(2 * chunk, 512)
-        if self.density_square_integrable == VERDICT_YES and abs(total - exact) > 1e-4:
-            raise QuadratureFailure(
-                f"series ({total:.8g}) and density ({exact:.8g}) routes disagree")
-        return total
+        most = SERIES_LAG_BUDGET
+        if not quadrature.pl_uniform(self.grid):
+            most = min(most, SERIES_PIECE_LAG_BUDGET // (self.grid.size - 1))
+        n = quadrature.pl_certified_lags(self.grid, self.values, tol, most)
+        if n > most:
+            raise Diverges(f"the certified tail needs more than {most:g} lags")
+        d = float(self.values[-1] - self.values[0])
+        total = 0.0
+        for start in range(1, n + 1, _SYNTH_CHUNK):
+            stop = min(start + _SYNTH_CHUNK, n + 1)
+            saw = d / (2.0 * math.pi * np.arange(start, stop))
+            total += float(np.sum(np.abs(self.lags(start, stop)) ** 2 - saw ** 2))
+        return total + d * d / 24.0
 
 
 @_law

@@ -26,6 +26,9 @@ otherwise:
   ``float()``, the parse that the package's one ``np.loadtxt`` call keeps;
 - ``breakpoints`` gives the quadrature oracles of the lags and the circulant
   cells the density's jumps to split at;
+- ``certified_lags`` is the lag count of a density table's lag series, as
+  the positive root of the cubic that each of its two tail bounds sets
+  equal to tol;
 - ``inputs_one_shot`` is the input path drawn whole, every amplitude and
   sign at once, which the input path formed by slices keeps bit for bit.
 """
@@ -278,6 +281,45 @@ def breakpoints(model: spectra.FadingModel) -> tuple[float, ...]:
     if isinstance(model, spectra.BandLimited):
         return (-model.lambda_c, model.lambda_c)
     return ()
+
+
+def certified_lags(table: spectra.TabulatedDensity, tol: float) -> int | None:
+    """The least N at which E (E + 2|D|) / (4 pi^2 N) + (E + |D|) K / (8 pi^3 N^2)
+    + K^2 / (3 (2 pi)^4 N^3) <= tol, for either of two (K, E): the sizes of
+    the slope jumps summed, the one at -1/2 taken across the wrap, with
+    E = 0; or the same with each piece narrower than 1/(pi (most + 1))
+    taking the slope of the nearest wider piece before it and adding its
+    own slope's excess over that times its width to E.  D is the end jump
+    and most the budget, ``spectra.SERIES_LAG_BUDGET`` and, off the FFT
+    route, ``spectra.SERIES_PIECE_LAG_BUDGET`` over the pieces; None past
+    it.  Each bound falls with N, so N is the ceiling of the one positive
+    root of tol N^3 - a N^2 - b N - c."""
+    xs, fs = table.grid.tolist(), table.values.tolist()
+    pieces = len(xs) - 1
+    most = spectra.SERIES_LAG_BUDGET
+    if np.any(np.abs(table.grid - np.linspace(-0.5, 0.5, pieces + 1)) > 4 * np.spacing(0.5)):
+        most = min(most, spectra.SERIES_PIECE_LAG_BUDGET // pieces)
+    d, best = abs(fs[-1] - fs[0]), None
+    for cut in (0.0, 1.0 / (np.pi * (most + 1))):
+        with np.errstate(over="ignore", invalid="ignore"):    # a piece too narrow for its slope
+            slopes = [np.float64(fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j]) for j in range(pieces)]
+            last = max([j for j in range(pieces) if xs[j + 1] - xs[j] >= cut], default=pieces - 1)
+            taken, e = [], 0.0
+            for j in range(pieces):
+                if xs[j + 1] - xs[j] >= cut:
+                    last = j
+                taken.append(slopes[last])
+                if last != j:
+                    e += abs((fs[j + 1] - fs[j]) - taken[j] * (xs[j + 1] - xs[j]))
+            k = sum(abs(taken[j] - taken[j - 1]) for j in range(pieces))
+            cubic = np.array([tol, -e * (e + 2 * d) / (4 * np.pi ** 2),
+                              -(e + d) * k / (8 * np.pi ** 3), -k * k / (3 * (2 * np.pi) ** 4)])
+        if not np.all(np.isfinite(cubic)):
+            continue
+        roots = np.roots(cubic)
+        n = max(1, int(np.ceil(np.max(roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)]))))
+        best = n if best is None else min(best, n)
+    return best if best is not None and best <= most else None
 
 
 def inputs_one_shot(scheme: simulate.BlockScheme, n: int, seed: int) -> np.ndarray:

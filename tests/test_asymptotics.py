@@ -58,7 +58,7 @@ class TestPhiRoutes:
         with pytest.raises(NoDensity):
             fl.phi_integral(fl.line_plus_residual([(0.0, 0.3)], fl.memoryless()))
 
-    def test_series_stagnation_route_on_table(self):
+    def test_series_certified_route_on_table(self):
         xs = np.linspace(-0.5, 0.5, 4001)
         tab = fl.tabulated_density(xs, fl.density(fl.ar1(0.5), xs))
         assert fl.phi_series(tab) == pytest.approx(fl.phi_integral(tab), abs=1e-6)

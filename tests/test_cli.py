@@ -352,14 +352,56 @@ class TestNumericalConditions:
          "conditional covariance is not finite"),
         (["sweep", "--b-list", "2", "--alpha-list", "0.5", "--snr-list", "1e-320", "--mc"],
          "noise variance must be finite and > 0"),
-    ], ids=["mi_amplitude", "sweep_snr"])
+        (["mi", "--b", "2", "--alpha", "0.5", "--A", "1e154", "--sigma2", "1e-300"],
+         "the estimate is not finite: products of outputs overflow"),
+        (["mi", "--b", "4", "--alpha", "0.5", "--A", "1e154", "--sigma2", "1"],
+         "the estimate is not finite: products of outputs overflow"),
+        (["sweep", "--b-list", "2", "--alpha-list", "0.5", "--snr-list", "1e10",
+          "--A", "1e154", "--mc"],
+         "the estimate is not finite: products of outputs overflow"),
+    ], ids=["mi_amplitude", "sweep_snr", "mi_infinite_snr", "mi_outputs", "sweep_outputs"])
     def test_overflowing_scale_exit_two(self, capsys, argv, detail):
-        # A^2 overflows the covariance; A^2 / SNR overflows sigma2
+        # A^2 overflows the covariance; A^2 / SNR overflows sigma2; at A^2 = 1e308
+        # the covariance is finite but a product of two outputs is not
         code, out = run_cli(capsys, [*argv, "--model", "ar1", "--a", "0.5",
                                      "--samples", "10000", "--format", "json"])
         assert code == 2
         doc = json.loads(out)
         assert (doc["error"], doc["detail"]) == ("DomainError", detail)
+
+    def test_a_large_finite_scale_keeps_its_estimate(self, capsys):
+        # outputs near 1e140 and an SNR of 1e300 overflow nothing
+        code, out = run_cli(capsys, ["mi", "--model", "ar1", "--a", "0.5", "--b", "2",
+                                     "--alpha", "0.5", "--A", "1e140", "--sigma2", "1e-20",
+                                     "--samples", "10000"])
+        assert code == 0
+        assert out.splitlines()[-1] == "2,1e+300,0.5,0.795399927449,0.0036291464829,10000,0"
+
+    @pytest.mark.parametrize("argv", [["capacity"], ["phi", "--method", "all"]],
+                             ids=["capacity", "phi_all"])
+    def test_a_ramp_with_unequal_end_values_exit_zero(self, capsys, tmp_path, argv):
+        # its lag series is the sawtooth's alone, D^2 / 24 = 1/24, with one lag
+        path = write_density_table(tmp_path / "ramp.csv", [-0.5, 0.0, 0.5], [0.5, 1.0, 1.5])
+        code, out = run_cli(capsys, [*argv, "--model", "table", "--table", str(path),
+                                     "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc.get("phi_series", doc.get("phi")) == pytest.approx(1 / 24, abs=1e-15)
+
+    @pytest.mark.parametrize("argv", [["capacity"], ["phi", "--method", "all"]],
+                             ids=["capacity", "phi_all"])
+    def test_a_small_step_over_a_near_coincident_node_pair_exit_zero(self, capsys, tmp_path, argv):
+        # the 1e-12 piece's slope of 1e9 would need more than the lag budget
+        # as two slope jumps; bounded by its rise of 0.001 it needs a few lags
+        path = write_density_table(tmp_path / "step.csv", [-0.5, 0.0, 1e-12, 0.5],
+                                   [1.0, 1.0, 1.001, 1.001])
+        code, out = run_cli(capsys, [*argv, "--model", "table", "--table", str(path),
+                                     "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        phi = doc.get("phi", doc.get("phi_integral"))
+        assert phi == pytest.approx(1.2487509e-07, rel=1e-6)
+        assert abs(doc.get("phi_series", phi) - phi) <= 1e-7
 
     def test_phi_series_diverges_exit_two(self, capsys):
         code, out = run_cli(capsys, ["phi", "--model", "line", "--mass", "1.0",

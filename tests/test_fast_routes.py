@@ -7,8 +7,9 @@ the infinite past,
 the band-limited lag series in closed form against 50-digit
 1/(4 lambda_c) - 1/2 in constant time and memory down to lambda_c = 1e-300,
 uniform-grid table lags at one point each and a nudged grid on the
-per-piece route against mpmath, the table series refused by its Parseval
-total,
+per-piece route against mpmath, the table series' certified lags each
+fetched once and none fetched past the piece-lag budget or where its
+Parseval total passes the ceiling,
 the line-law series refused before any lag, the AR(1) series in closed
 form against mpmath in constant memory however close a is to 1, the
 decade extension of the phi-limit grid and its unconverged estimate
@@ -38,6 +39,7 @@ import fadelab as fl
 from fadelab import cli, prediction, quadrature, simulate, spectra
 from fadelab.cli import run
 from fadelab.errors import DimensionTooLarge, Diverges, DomainError
+from reference import certified_lags
 from test_laws import PROPS, _mp_pl_fourier, every_law
 
 
@@ -181,12 +183,12 @@ def test_durbin_on_ar1_lags_reaches_the_infinite_past(a, delta2, n):
 
 @pytest.fixture
 def pl_fourier_lags(monkeypatch):
-    """Lags asked of ``quadrature.pl_fourier``, one entry per call."""
+    """Lags asked of ``quadrature.pl_fourier``, one array per call."""
     calls = []
     real = quadrature.pl_fourier
 
     def counting(*args, **kwargs):
-        calls.append(args[2].size)
+        calls.append(args[2])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "pl_fourier", counting)
@@ -233,19 +235,41 @@ def test_a_nudged_node_takes_the_per_piece_route(g2_points, monkeypatch):
 def test_finite_past_computes_the_lags_once(pl_fourier_lags):
     table = ar1_table()
     fl.finite_past_pred_error(table, 0.1, 64)
-    assert pl_fourier_lags == [65]
+    assert [m.size for m in pl_fourier_lags] == [65]
 
 
 def test_validate_computes_the_lags_once(pl_fourier_lags):
     table = ar1_table()
     fl.validate(table)
-    assert pl_fourier_lags == [64]
+    assert [m.size for m in pl_fourier_lags] == [64]
 
 
-def test_lag_series_fetches_few_lags(pl_fourier_lags):
+def test_lag_series_fetches_each_certified_lag_once(pl_fourier_lags):
+    # the tail bound fixes N before any lag is fetched; tilted by 1 + lam/5,
+    # the table keeps its mass and its end values differ by 0.05; a step of
+    # 0.001 over a 1e-12 piece is bounded by its rise, not its slope of 1e9
     table = ar1_table()
-    fl.phi_series(table)
-    assert sum(pl_fourier_lags) < 128
+    assert certified_lags(table, 1e-7) <= 512
+    tilted = fl.tabulated_density(table.grid, table.values * (1.0 + 0.2 * table.grid))
+    step = fl.tabulated_density([-0.5, 0.0, 1e-12, 0.5], [1.0, 1.0, 1.001, 1.001])
+    for law in (table, tilted, step):
+        n = certified_lags(law, 1e-7)
+        pl_fourier_lags.clear()
+        fl.phi_series(law)
+        assert np.array_equal(np.concatenate(pl_fourier_lags), np.arange(1, n + 1))
+
+
+def test_lag_series_past_the_piece_lag_budget_fetches_no_lag(pl_fourier_lags):
+    # a nudged node puts the table on the per-piece route, where the 6e4 lags
+    # that ar1(0.99)'s slope jumps certify cost 20,000 pieces each
+    xs = np.linspace(-0.5, 0.5, 20001)
+    xs[6667] += 1e-6
+    table = fl.tabulated_density(xs, fl.density(fl.ar1(0.99), xs))
+    assert not quadrature.pl_uniform(table.grid)
+    assert certified_lags(table, 1e-7) is None
+    with pytest.raises(Diverges, match="the certified tail needs more than 50000 lags"):
+        fl.phi_series(table)
+    assert pl_fourier_lags == []
 
 
 def test_lag_series_past_the_ceiling_fetches_no_lag(pl_fourier_lags, jakes_model):
