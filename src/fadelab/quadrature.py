@@ -2,17 +2,17 @@
 
 Tabulated densities are piecewise linear, so their mass, CDF, squared
 integral, log integrals and Fourier coefficients all have exact
-per-interval expressions.  On a uniform grid the Fourier coefficients come
-instead from one FFT of the node values: the interpolant is a sum of hat
-functions, each lag one DFT entry times the hat's transform, plus a
-half-hat term when the two end values differ.  On any other grid each
-piece contributes a real expression about its midpoint, rotated by its
-phase; a run of lags takes those phases from one exact exp per piece every
-64 lags and a per-call table of in-block rotations.  The interpolant's
-slope jumps bound the tail of its lag series, which fixes the lag count
-that the series sums (``pl_certified_lags``).  Of the laws' log
-integrals only an autocorrelation table's takes adaptive quadrature
-(``quad_interval``).
+per-interval expressions.  The Fourier coefficients, asked as a run of
+lags, take one transform of a linear piece: a real expression about its
+midpoint, rotated by its phase.  On a uniform grid the interpolant is a
+sum of hat functions, each lag one entry of one FFT of the node values
+times the hat's transform, plus the one piece where the two end values
+differ, the rising end half-hat.  On any other grid every piece is summed,
+its phases from one exact exp per piece every 64 lags and a per-call
+table of in-block rotations.  The interpolant's slope jumps bound the
+tail of its lag series, which fixes the lag count that the series sums
+(``pl_certified_lags``).  Of the laws' log integrals only an
+autocorrelation table's takes adaptive quadrature (``quad_interval``).
 """
 
 from __future__ import annotations
@@ -157,11 +157,7 @@ def pl_log_integral(grid: np.ndarray, vals: np.ndarray, delta2: float = 0.0) -> 
     return float(np.sum(_log_linear_piece(u0, u1, np.diff(grid), 1.0 if delta2 else 0.0)))
 
 
-#: Taylor coefficients of g2(z) = (e^z (z - 1) + 1)/z^2, highest order first;
-#: 18 terms reach double precision for |z| < 1
-_G2_TAYLOR = np.array([1.0 / (math.factorial(k) * (k + 2)) for k in range(17, -1, -1)])
-
-#: lags per block of a contiguous run: each block takes one exact exp row per
+#: lags per block of a run: each block takes one exact exp row per
 #: piece, times the call's table of in-block rotations
 _BLOCK = 64
 
@@ -172,21 +168,6 @@ _SERIES_BELOW = 0.5
 _ST_SERIES = np.array([[[(-1) ** k / math.factorial(2 * k + 1)],
                         [(-1) ** k * (2 * k + 2) / math.factorial(2 * k + 3)]]
                        for k in range(6, -1, -1)])
-
-
-def _g2(z: np.ndarray) -> np.ndarray:
-    """g2(z) = integral_0^1 t e^{zt} dt, by its Taylor series where |z| < 1,
-    whose closed form cancels there."""
-    g2 = np.empty_like(z)
-    small = np.abs(z) < 1.0
-    zs = z[small]
-    p2 = np.zeros_like(zs)
-    for c2 in _G2_TAYLOR:
-        p2 = p2 * zs + c2
-    g2[small] = p2
-    zb = z[~small]
-    g2[~small] = (np.exp(zb) * (zb - 1.0) + 1.0) / (zb * zb)
-    return g2
 
 
 def _turns(x: np.ndarray, lo=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +209,8 @@ def _piece_weights(a: np.ndarray, ea: np.ndarray, u: np.ndarray, v: np.ndarray) 
     return q
 
 
-def _piece_fourier(grid: np.ndarray, vals: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """``pl_fourier``'s per-piece route at the 1-d integer lags ``ms``."""
+def _piece_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``pl_fourier``'s per-piece route at the lags start..stop-1."""
     x0, x1 = grid[:-1], grid[1:]
     s = x0 + x1
     e = s - x0  # with the next line, the rounding error of s (Knuth's two-sum)
@@ -237,61 +218,58 @@ def _piece_fourier(grid: np.ndarray, vals: np.ndarray, ms: np.ndarray) -> np.nda
     h = 0.5 * (x1 - x0)
     half = _turns(h)
     u, v = h * (vals[:-1] + vals[1:]), h * np.diff(vals)
-    lags = ms.astype(float)
-    out = np.empty(ms.shape, dtype=complex)
-    run = bool(np.all(np.diff(ms) == 1))
-    if run:
-        k = np.arange(min(_BLOCK, ms.size), dtype=float)
-        rot_c, rot_a = _cis(k, centre), _cis(k, half)
-    for i in range(0, ms.size, _BLOCK):
+    lags = np.arange(start, stop, dtype=float)
+    out = np.empty(lags.size, dtype=complex)
+    k = np.arange(min(_BLOCK, lags.size), dtype=float)
+    rot_c, rot_a = _cis(k, centre), _cis(k, half)
+    for i in range(0, lags.size, _BLOCK):
         mb = lags[i:i + _BLOCK]
-        if run:
-            ec = _cis(mb[0], centre) * rot_c[:mb.size]
-            ea = _cis(mb[0], half) * rot_a[:mb.size]
-        else:
-            ec, ea = _cis(mb, centre), _cis(mb, half)
+        ec = _cis(mb[0], centre) * rot_c[:mb.size]
+        ea = _cis(mb[0], half) * rot_a[:mb.size]
         q = _piece_weights(np.multiply.outer(2.0 * np.pi * mb, h), ea, u, v)
         out[i:i + mb.size] = np.einsum("ij,ij->i", ec, q)
-    out[ms == 0] = np.trapezoid(vals, grid)
+    if start <= 0 < stop:
+        out[-start] = pl_mass(grid, vals)
     return out
 
 
-def pl_fourier(grid: np.ndarray, vals: np.ndarray, m) -> np.ndarray:
+def pl_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Exact Fourier coefficients ``\\int e^{i 2 pi m lam} f(lam) dlam`` of the
-    piecewise-linear interpolant, vectorized over integer lags ``m``.
+    piecewise-linear interpolant at the integer lags m = start..stop-1.
+
+    The piece of width w about its midpoint c contributes
+    e^{i omega c} w (fbar S(a) + (i/2) (f1 - f0) T(a)) with omega = 2 pi m,
+    a = omega w / 2, fbar = (f0 + f1)/2, S(a) = sin(a)/a and
+    T(a) = (sin a - a cos a)/a^2 (``_piece_weights``), which stays accurate on
+    pieces too narrow for the textbook form
+    (f1 e1 - f0 e0)/(i omega) - slope (e1 - e0)/(i omega)^2 because S and T
+    come from their series where |a| < 1/2.
 
     Uniform grid of N pieces (``pl_uniform``), O(N log N + lags): with
     h = 1/N the nodes f_0..f_{N-1} carry full hats of transform
-    e^{i omega lam_j} h sinc^2(m h), whose sum is h sinc^2(m h) (-1)^m
-    D[m mod N] with D = N ifft(f_0..f_{N-1}); periodicity in lam wraps f_0's left half-hat
-    round to lam = 1/2, so the rising half-hat there adds (f_N - f_0) h
-    e^{i pi m - i omega h} g2(i omega h) (see ``_g2``).
+    e^{i omega lam_j} h sinc^2(m h), exactly 0 at nonzero multiples of N,
+    whose sum is h (-1)^m sinc^2(m h) D[m mod N] with D = N ifft(f_0..f_{N-1});
+    periodicity in lam wraps f_0's left half-hat round to lam = 1/2, and what
+    the interpolant has there beyond it is one piece, [1/2 - h, 1/2] rising
+    from 0 to f_N - f_0, whose term is h (-1)^m e^{-ia} (r S(a) + i r T(a))
+    with a = pi m h and r = (f_N - f_0)/2, exactly 0 when the end values agree.
 
-    Any other grid, O(pieces x lags) in real arithmetic: the piece of width
-    w about its midpoint c contributes
-    e^{i omega c} w (fbar S(a) + (i/2) (f1 - f0) T(a)) with a = omega w / 2,
-    fbar = (f0 + f1)/2, S(a) = sin(a)/a and T(a) = (sin a - a cos a)/a^2,
-    which stays accurate on pieces too narrow for the textbook form
-    (f1 e1 - f0 e0)/(i omega) - slope (e1 - e0)/(i omega)^2 because S and T
-    come from their series where |a| < 1/2.  Phases are m c and m w / 2
-    turns reduced modulo 1 exactly, c carrying the rounding of (x0 + x1)/2,
-    so they stay accurate to rounding at any lag below 2^23.  A contiguous
-    run of lags goes 64 at a time, each block one exact exp per piece of its
-    first lag times the call's table of in-block rotations e^{i 2 pi k c}
-    and e^{i pi k w}, k < 64; any other lag array takes an exact exp per
-    (lag, piece).
+    Any other grid, O(pieces x lags) in real arithmetic, piece by piece.
+    Phases are m c and m w / 2 turns reduced modulo 1 exactly, c carrying
+    the rounding of (x0 + x1)/2, so they stay accurate to rounding at any lag
+    below 2^23.  The lags go 64 at a time, each block one exact exp per piece
+    of its first lag times the call's table of in-block rotations
+    e^{i 2 pi k c} and e^{i pi k w}, k < 64.  m = 0 is the mass.
     """
-    ms = np.atleast_1d(np.asarray(m))
+    if not pl_uniform(grid):
+        return _piece_fourier(grid, vals, start, stop)
     n = grid.size - 1
-    if pl_uniform(grid):
-        h = 1.0 / n
-        k = ms % n
-        dft = n * np.fft.ifft(vals[:n])
-        g2 = _g2(2j * np.pi * h * ms)
-        out = h * (-1.0) ** ms * (np.sinc(ms * h) ** 2 * dft[k]
-                                  + (vals[n] - vals[0]) * np.exp(-2j * np.pi * h * k) * g2)
-    else:
-        out = _piece_fourier(grid, vals, ms)
-    if np.isscalar(m):
-        return out[0]
-    return out
+    h = 1.0 / n
+    ms = np.arange(start, stop)
+    k = ms % n
+    hat = np.sinc(ms * h) ** 2
+    hat[(k == 0) & (ms != 0)] = 0.0  # np.sinc is about 1e-17, not 0, at nonzero integers
+    ea = np.exp(1j * np.pi * h * (ms % (2 * n)))  # e^{ia}, its phase reduced first
+    r = 0.5 * (vals[n] - vals[0])
+    end = _piece_weights(np.pi * h * ms, ea, r, r) * ea.conj()
+    return h * (-1.0) ** ms * (hat * (n * np.fft.ifft(vals[:n]))[k] + end)

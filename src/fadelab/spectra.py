@@ -637,7 +637,7 @@ class TabulatedDensity(FadingModel):
         return f"table(n={self.grid.size})"
 
     def lags(self, start, stop):
-        return quadrature.pl_fourier(self.grid, self.values, np.arange(start, stop))
+        return quadrature.pl_fourier(self.grid, self.values, start, stop)
 
     def _density(self, x):
         return np.interp(x, self.grid, self.values)

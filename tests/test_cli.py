@@ -388,6 +388,24 @@ class TestNumericalConditions:
         doc = json.loads(out)
         assert doc.get("phi_series", doc.get("phi")) == pytest.approx(1 / 24, abs=1e-15)
 
+    @pytest.mark.parametrize("argv", [["validate"], ["phi", "--method", "all"], ["capacity"],
+                                      ["scheme", "--b", "3"]],
+                             ids=["validate", "phi_all", "capacity", "scheme_b3"])
+    def test_a_flat_two_node_table_is_exactly_the_memoryless_law(self, capsys, tmp_path, argv):
+        # its one piece is a hat whose transform is exactly 0 at every nonzero
+        # lag, so each number is memoryless's to the bit; tables with more
+        # nodes keep the DFT's own rounding, about 1e-17 a lag
+        path = write_density_table(tmp_path / "flat.csv", [-0.5, 0.5], [1.0, 1.0])
+        docs = []
+        for law in (["--model", "table", "--table", str(path)], ["--model", "memoryless"]):
+            code, out = run_cli(capsys, [*argv, *law, "--format", "json"])
+            assert code == 0
+            doc = json.loads(out)
+            for key in ("config", "model", "condition12_estimates"):
+                doc.pop(key, None)
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     @pytest.mark.parametrize("argv", [["capacity"], ["phi", "--method", "all"]],
                              ids=["capacity", "phi_all"])
     def test_a_small_step_over_a_near_coincident_node_pair_exit_zero(self, capsys, tmp_path, argv):

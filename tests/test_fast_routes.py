@@ -188,7 +188,7 @@ def pl_fourier_lags(monkeypatch):
     real = quadrature.pl_fourier
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(np.arange(args[2], args[3]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "pl_fourier", counting)
@@ -196,16 +196,16 @@ def pl_fourier_lags(monkeypatch):
 
 
 @pytest.fixture
-def g2_points(monkeypatch):
-    """Points evaluated by ``quadrature._g2``, one entry per call."""
+def piece_points(monkeypatch):
+    """Points evaluated by ``quadrature._piece_weights``, one entry per call."""
     calls = []
-    real = quadrature._g2
+    real = quadrature._piece_weights
 
-    def counting(z):
-        calls.append(z.size)
-        return real(z)
+    def counting(a, *args):
+        calls.append(a.size)
+        return real(a, *args)
 
-    monkeypatch.setattr(quadrature, "_g2", counting)
+    monkeypatch.setattr(quadrature, "_piece_weights", counting)
     return calls
 
 
@@ -214,22 +214,22 @@ def ar1_table(nodes=201):
     return fl.tabulated_density(xs, fl.density(fl.ar1(0.6), xs))
 
 
-def test_uniform_table_lags_take_one_point_each(g2_points):
+def test_uniform_table_lags_take_one_point_each(piece_points):
+    # the end piece's one point per lag; the hats are one FFT
     fl.finite_past_pred_error(ar1_table(2001), 0.1, 1024)
-    assert sum(g2_points) == 1025
+    assert sum(piece_points) == 1025
 
 
-def test_a_nudged_node_takes_the_per_piece_route(g2_points, monkeypatch):
+def test_a_nudged_node_takes_the_per_piece_route(piece_points, monkeypatch):
     table = ar1_table(2001)
     grid = np.array(table.grid)
     grid[1000] += 1e-9
     nudged = fl.tabulated_density(grid, table.values)
     monkeypatch.setattr(np.fft, "ifft", None)  # the FFT route would fail
-    ms = np.array([1, 7, 2000, 2001])
-    got = quadrature.pl_fourier(nudged.grid, nudged.values, ms)
-    assert g2_points == []
-    for m, r in zip(ms, got):
-        assert abs(r - _mp_pl_fourier(nudged.grid, nudged.values, int(m))) <= 1e-12
+    for m in (1, 7, 2000, 2001):
+        got = quadrature.pl_fourier(nudged.grid, nudged.values, m, m + 1)
+        assert abs(got[0] - _mp_pl_fourier(nudged.grid, nudged.values, m)) <= 1e-12
+    assert piece_points == [2000] * 4  # one point per (lag, piece)
 
 
 def test_finite_past_computes_the_lags_once(pl_fourier_lags):

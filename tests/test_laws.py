@@ -131,8 +131,8 @@ def test_a_far_run_of_lags_is_each_lag_asked_alone():
     # midpoints carry their own rounding, so the lag is still within 1e-14
     grid, vals = jakes_like_table()
     ms = np.arange(2 ** 16 - 127, 2 ** 16 + 1)
-    got = quadrature.pl_fourier(grid, vals, ms)
-    alone = np.array([quadrature.pl_fourier(grid, vals, m) for m in ms])
+    got = quadrature.pl_fourier(grid, vals, ms[0], ms[-1] + 1)
+    alone = np.array([quadrature.pl_fourier(grid, vals, m, m + 1)[0] for m in ms])
     assert np.max(np.abs(got - alone)) <= 1e-13
     assert abs(got[-1] - _mp_pl_fourier(grid, vals, 2 ** 16)) <= 1e-14
 
@@ -163,16 +163,22 @@ some_lags = st.one_of(st.integers(-64, 64), st.integers(-2 ** 16, 2 ** 16))
 
 
 @PROPS
-@given(piece_tables(), some_lags, st.integers(1, 150), st.data())
-def test_per_piece_route_on_a_run_of_lags(table, start, length, data):
-    # the run's blocks rotate an exact exp row; each entry stays its lag asked alone
+@given(piece_tables(), some_lags, st.integers(1, 150), st.integers(-64, 64), st.integers(1, 6),
+       st.data())
+def test_per_piece_route_on_a_run_of_lags(table, start, length, near, short, data):
+    # the run's blocks rotate an exact exp row; each entry stays its lag asked
+    # alone; a short run near 0, where S and T switch between series and
+    # closed form on coarse grids, is each lag's 50-digit value
     grid, vals = table
     ms = np.arange(start, start + length)
-    got = quadrature._piece_fourier(grid, vals, ms)
+    got = quadrature._piece_fourier(grid, vals, start, start + length)
     for j in {0, length - 1, data.draw(st.integers(0, length - 1))}:
         assert abs(got[j] - _mp_lag(grid, vals, int(ms[j]))) <= 1e-12
-    alone = np.array([quadrature._piece_fourier(grid, vals, ms[j:j + 1])[0] for j in range(length)])
+    alone = np.array([quadrature._piece_fourier(grid, vals, m, m + 1)[0] for m in ms])
     assert np.max(np.abs(got - alone)) <= 1e-13
+    got_near = quadrature._piece_fourier(grid, vals, near, near + short)
+    for m, r in zip(range(near, near + short), got_near):
+        assert abs(r - _mp_lag(grid, vals, m)) <= 1e-12
     model = fl.tabulated_density(grid, vals)
     n = min(int(np.max(np.abs(ms))), spectra.TOEPLITZ_DIM_CAP)
     lags = fl.autocorr_lags(model, n)
@@ -181,14 +187,16 @@ def test_per_piece_route_on_a_run_of_lags(table, start, length, data):
 
 
 @PROPS
-@given(piece_tables(), st.lists(st.one_of(st.just(0), some_lags), min_size=1, max_size=6))
-def test_per_piece_route_on_scattered_lags(table, lags):
-    grid, vals = table
-    got = quadrature._piece_fourier(grid, vals, np.array(lags))
-    for m, r in zip(lags, got):
-        assert abs(r - _mp_lag(grid, vals, m)) <= 1e-12
-    r = quadrature.pl_fourier(grid, vals, lags[0])
-    assert np.ndim(r) == 0 and abs(r - _mp_lag(grid, vals, lags[0])) <= 1e-12
+@given(table_laws(), st.integers(-64, -1), st.integers(1, 64))
+def test_lag_zero_of_a_run_is_the_mass(model, start, stop):
+    # exactly the trapezoid on the per-piece route; on the FFT route the hat
+    # sum and the end piece at m = 0 add to it up to rounding
+    got = quadrature.pl_fourier(model.grid, model.values, start, stop)
+    mass = quadrature.pl_mass(model.grid, model.values)
+    if quadrature.pl_uniform(model.grid):
+        assert abs(got[-start] - mass) <= 1e-14
+    else:
+        assert got[-start] == mass
 
 
 def uniform_table(n, equal_ends):
@@ -205,21 +213,34 @@ def test_pl_fourier_on_a_uniform_grid(n, equal_ends):
     # lags at and past N fold onto the DFT's aliases; m = 0 is the mass
     grid, vals = uniform_table(n, equal_ends)
     ms = np.array([1, n - 1, n, n + 1, 3 * n + 2, 1000])
-    got = quadrature.pl_fourier(grid, vals, ms)
-    for m, r in zip(ms, got):
-        assert abs(r - _mp_pl_fourier(grid, vals, int(m))) <= 1e-12
-    assert abs(quadrature.pl_fourier(grid, vals, np.array([0]))[0]
-               - quadrature.pl_mass(grid, vals)) <= 1e-14
+    got = quadrature.pl_fourier(grid, vals, 0, ms.max() + 1)
+    for m in ms:
+        assert abs(got[m] - _mp_pl_fourier(grid, vals, int(m))) <= 1e-12
+    assert abs(got[0] - quadrature.pl_mass(grid, vals)) <= 1e-14
 
 
-@pytest.mark.parametrize("uniform", [True, False])
-def test_pl_fourier_of_a_scalar_lag_is_a_complex_scalar(uniform):
-    grid, vals = uniform_table(7, False)
-    if not uniform:
-        grid[3] += 1e-3
-    r = quadrature.pl_fourier(grid, vals, 5)
-    assert np.ndim(r) == 0 and np.iscomplexobj(r)
-    assert r == quadrature.pl_fourier(grid, vals, np.array([5]))[0]
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 401])
+def test_equal_end_uniform_lags_at_multiples_of_n_are_zero(n):
+    # every hat's transform vanishes there, and with equal ends so does the end piece
+    grid, vals = uniform_table(n, True)
+    ms = np.arange(-2 * n, 3 * n + 1)
+    got = quadrature.pl_fourier(grid, vals, ms[0], ms[-1] + 1)
+    assert np.all(got[(ms % n == 0) & (ms != 0)] == 0.0)
+
+
+uniform_unequal_tables = table_laws().filter(
+    lambda t: quadrature.pl_uniform(t.grid) and t.values[-1] != t.values[0])
+
+
+@PROPS
+@given(uniform_unequal_tables, st.integers(0, 4096), st.data())
+def test_end_piece_past_n_lags(model, offset, data):
+    # past N the end piece's a = pi m / N is at least pi, its closed form
+    grid, vals = model.grid, model.values
+    start = grid.size - 1 + offset
+    got = quadrature.pl_fourier(grid, vals, start, start + 64)
+    for j in {0, 63, data.draw(st.integers(0, 63))}:
+        assert abs(got[j] - _mp_pl_fourier(grid, vals, start + j)) <= 1e-12
 
 
 @pytest.mark.parametrize("a", [0.97, 0.99, 0.995])
