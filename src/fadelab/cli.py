@@ -407,15 +407,14 @@ def _cmd_sweep(cfg, model):
         raise NoDensity("sweep needs a density-regime model")
     phi = ca.phi
     label = model.label()
-    block_max, block_arg = asymptotics.asymptotic_block_max(phi)
     iid_max, iid_arg = asymptotics.asymptotic_iid_max(phi)
     summary = {
         "phi": phi,
-        "asymptotic_block_max": block_max,
-        "asymptotic_block_argmax": block_arg,
+        "asymptotic_block_max": ca.kappa,
+        "asymptotic_block_argmax": ca.alpha_star,
         "asymptotic_iid_max": iid_max,
         "asymptotic_iid_argmax": iid_arg,
-        "iid_vs_block_gap": block_max - iid_max,
+        "iid_vs_block_gap": ca.kappa - iid_max,
     }
     rows = []
     for b in args.b_list:

@@ -13,10 +13,10 @@ Each kind of law is one frozen subclass of :class:`FadingModel`
 carrying that kind's formulas: label, lags, density, mass, squared and log
 integrals, lag-series rule, finite-past prediction error and path
 synthesis.  The module functions are the public API and delegate to the
-class.  Bounded densities are square
-integrable by construction, and ``validate`` reports their exact squared
-integral; a tabulated density gets a heuristic verdict, once, at
-construction, from blind estimates of its squared integral on nested grids.
+class.  Bounded densities are square integrable by construction, and
+``validate`` reports their exact squared integral; a tabulated density gets
+a heuristic verdict when it is first read, from blind estimates of its
+squared integral on nested grids that one evaluation of it gives.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar, Sequence
 
@@ -300,17 +300,15 @@ class FadingModel:
     ``jumps`` lists the spectral lines (location, mass); the distribution is
     absolutely continuous iff there are none.  ``density_square_integrable``
     is the one verdict on square integrability of the density: "yes", "no"
-    or "undetermined".  Each kind sets it once: "yes" for the bounded
-    densities whose exact squared integral is a finite double, the probe's
-    verdict for a tabulated density (decided at construction), the
-    residual's for a line law ("undetermined" for pure lines), with the
-    squared integrals that back it in ``condition12_estimates``: the exact
-    one for a bounded density.
+    or "undetermined", with the squared integrals that back it in
+    ``condition12_estimates``.  A bounded density has the rule below, on
+    its exact squared integral; a tabulated density has the probe's verdict
+    (``_table_probe``, decided when first read, from one evaluation) and a
+    line law its residual's ("undetermined" for pure lines).
     """
 
     jumps: tuple[tuple[float, float], ...] = ()
     residual: "FadingModel | None" = None
-    density_square_integrable = VERDICT_YES
     #: R(m) = 0 for every m != 0: no past predicts the present
     white: ClassVar[bool] = False
 
@@ -324,13 +322,21 @@ class FadingModel:
         return float(out[0]) if arr.ndim == 0 else out
 
     @property
+    def density_square_integrable(self) -> str:
+        """"yes" where the exact squared integral is a finite double, else
+        "undetermined" (a band-limited law's below lambda_c of about
+        2.8e-309), so that no route takes phi from it."""
+        return VERDICT_YES if math.isfinite(self.square_integral()) else VERDICT_UNDETERMINED
+
+    @property
     def condition12_estimates(self) -> tuple[float, ...]:
         """The exact squared-density integral, alone."""
         return (self.square_integral(),)
 
     def density_nonnegative(self) -> bool:
-        """Whether f >= ``_DENSITY_FLOOR`` on 4097 uniform points."""
-        return bool(np.min(self.density(np.linspace(-0.5, 0.5, 4097))) >= _DENSITY_FLOOR)
+        """True: a closed form is non-negative by its formula, and a
+        table's interpolant runs through values clipped at 0 when built."""
+        return True
 
     def synthesize(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Path of length n: ``_circulant_path`` with the eigenvalues of
@@ -460,7 +466,9 @@ class AR1(FadingModel):
         return f"ar1(a={_num(a.real)}{_num(a.imag, '+')}j)"
 
     def lags(self, start, stop):
-        return np.asarray(self.a, dtype=complex) ** np.arange(start, stop)
+        ms = np.arange(start, stop)
+        out = np.asarray(self.a, dtype=complex) ** np.abs(ms)
+        return np.conjugate(out, out=out, where=ms < 0)
 
     def _density(self, x):
         a = self.a
@@ -574,13 +582,6 @@ class BandLimited(FadingModel):
     def square_integral(self):
         return 1.0 / (2.0 * self.lambda_c)
 
-    @property
-    def density_square_integrable(self):
-        """"yes" where the exact 1/(2 lambda_c) is a finite double;
-        "undetermined" below lambda_c of about 2.8e-309, where it overflows,
-        so that no route takes phi from it."""
-        return VERDICT_YES if math.isfinite(self.square_integral()) else VERDICT_UNDETERMINED
-
     def log_integral(self, delta2):
         """w log1p(1/x) with w = 2 lambda_c, x = w delta2; where 1/x is not a
         finite double, w (log1p(x) - log w - log delta2)."""
@@ -612,26 +613,19 @@ class TabulatedDensity(FadingModel):
     """Piecewise-linear density through (grid, values), unit mass.
 
     Mass, squared and log integrals and the lags are exact per-interval
-    formulas; the square-integrability verdict is the probe's, decided at
-    construction from the law's blind estimates.
+    formulas; the square-integrability verdict and its estimates are the
+    probe's (``_table_probe``), made once, when either is first read.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    density_square_integrable: str = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "density_square_integrable", _table_verdict(self))
 
     @cached_property
-    def condition12_estimates(self):
-        """Blind uniform trapezoids of the squared interpolant on 64 intervals
-        and 3 halvings, made once, deliberately ignoring the table's own
-        nodes: the table approximates an unknown density and the probe
-        watches how the estimate behaves as the grid refines."""
-        grids = (np.linspace(-0.5, 0.5, CONDITION12_BASE_INTERVALS * 2 ** r + 1)
-                 for r in range(CONDITION12_ROUNDS + 1))
-        return tuple(float(np.trapezoid(density(self, xs) ** 2, xs)) for xs in grids)
+    def _probe(self) -> tuple[str, tuple[float, ...]]:
+        return _table_probe(self)
+
+    density_square_integrable = property(lambda self: self._probe[0])
+    condition12_estimates = property(lambda self: self._probe[1])
 
     def label(self) -> str:
         return f"table(n={self.grid.size})"
@@ -697,9 +691,9 @@ class TabulatedAutocorr(FadingModel):
     def lags(self, start, stop):
         ms = np.arange(start, stop)
         out = np.zeros(ms.size, dtype=complex)
-        inside = ms < self.values.size
-        out[inside] = self.values[ms[inside]]
-        return out
+        inside = np.abs(ms) < self.values.size
+        out[inside] = self.values[np.abs(ms[inside])]
+        return np.conjugate(out, out=out, where=ms < 0)
 
     def _density(self, x):
         r = self.values
@@ -736,12 +730,13 @@ class TabulatedAutocorr(FadingModel):
 
     def _grid_density(self):
         """The density at k / N, k = 0..N - 1, N the least power of two
-        >= 64 (M + 1) and >= 4096 (so the grid holds the 4097 uniform points
-        of the generic check): one Hermitian FFT of the lags."""
+        >= 64 (M + 1), 64 points per period of the highest harmonic, and
+        >= 4096: one Hermitian FFT of the lags."""
         return np.fft.hfft(self.values, 1 << max(12, (64 * self.values.size - 1).bit_length()))
 
     def density_nonnegative(self):
-        """On the grid that ``log_integral`` checks, ``_grid_density``."""
+        """Whether f >= ``_DENSITY_FLOOR`` on ``_grid_density``, the grid that
+        ``log_integral`` checks: a truncated Fourier series may dip below 0."""
         return bool(self._grid_density().min() >= _DENSITY_FLOOR)
 
     def series(self, tol):
@@ -1131,43 +1126,31 @@ def _durbin_error(c: np.ndarray, reflections: np.ndarray | None = None) -> tuple
 # square-integrability probe
 # ---------------------------------------------------------------------------
 
-def _lower_darboux_sums(table: TabulatedDensity) -> tuple[float, ...]:
-    """Lower Darboux sums of the squared density on nested dyadic grids.
-
-    Monotone nondecreasing under refinement by construction, so their
-    growth is a stable divergence signal on spiky tables, free of the
-    alignment jitter that plagues point-sampling rules near a singularity.
-    """
-    n_fine = CONDITION12_BASE_INTERVALS * 2 ** CONDITION12_ROUNDS
-    xs = np.union1d(np.linspace(-0.5, 0.5, n_fine + 1), table.grid)
-    sq = np.asarray(density(table, xs), dtype=float) ** 2
-    fine_walls = np.linspace(-0.5, 0.5, n_fine + 1)
-    out = []
-    for r in range(CONDITION12_ROUNDS + 1):
-        stride = 2 ** (CONDITION12_ROUNDS - r)
-        walls = fine_walls[::stride]
-        idx = np.searchsorted(xs, walls)
-        mins = np.minimum.reduceat(sq, idx[:-1])
-        mins = np.minimum(mins, sq[idx[1:]])
-        out.append(float(np.sum(mins) / (walls.size - 1)))
-    return tuple(out)
-
-
-def _table_verdict(table: TabulatedDensity) -> str:
-    """Verdict "yes" when the last two estimates agree to a relative 1e-3; for
-    estimates that fail to stabilize, lower Darboux sums on the same nested
-    grids decide "no" when they are still growing at the finest grid and
-    have grown past a factor of 4 overall.  Anything else is
-    "undetermined".  A verdict, not a proof."""
-    est = table.condition12_estimates
+def _table_probe(table: TabulatedDensity) -> tuple[str, tuple[float, ...]]:
+    """A table's square-integrability verdict and four estimates, from one
+    evaluation of the squared interpolant on the 513 uniform walls and the
+    table's nodes.  The estimates are blind trapezoids on the walls at
+    strides 8, 4, 2 and 1: the table approximates an unknown density, and
+    the probe watches how they behave as the grid refines.  "yes" when the
+    last two agree to a relative 1e-3; else the lower Darboux sums on the
+    same grids, over every point (nondecreasing under refinement, so free
+    of the alignment jitter of point samples near a singularity), decide
+    "no" when still growing at the finest grid and grown past a factor of 4
+    overall.  Anything else is "undetermined".  A verdict, not a proof."""
+    walls = np.linspace(-0.5, 0.5, CONDITION12_BASE_INTERVALS * 2 ** CONDITION12_ROUNDS + 1)
+    xs = np.union1d(walls, table.grid)
+    sq = density(table, xs) ** 2
+    at = [np.searchsorted(xs, walls[::2 ** r]) for r in range(CONDITION12_ROUNDS, -1, -1)]
+    est = tuple(float(np.trapezoid(sq[idx], xs[idx])) for idx in at)
     last, prev = est[-1], est[-2]
     if abs(last - prev) <= max(CONDITION12_STABILIZE_RTOL * abs(last), 1e-12):
-        return VERDICT_YES
-    low = _lower_darboux_sums(table)
+        return VERDICT_YES, est
+    low = [float(np.sum(np.minimum(np.minimum.reduceat(sq, idx[:-1]), sq[idx[1:]])) / (idx.size - 1))
+           for idx in at]
     growing = low[-1] > low[-2] * (1.0 + CONDITION12_STABILIZE_RTOL)
     if growing and low[0] > 0.0 and low[-1] > CONDITION12_DIVERGENCE_FACTOR * low[0]:
-        return VERDICT_NO
-    return VERDICT_UNDETERMINED
+        return VERDICT_NO, est
+    return VERDICT_UNDETERMINED, est
 
 
 def condition12_probe(model: FadingModel) -> tuple[str, tuple[float, ...]]:
@@ -1175,9 +1158,10 @@ def condition12_probe(model: FadingModel) -> tuple[str, tuple[float, ...]]:
     integrals that back it.
 
     The verdict is ``model.density_square_integrable``.  A bounded density
-    reports its exact squared integral alone.  A tabulated density decided
-    its verdict at construction from four blind estimates on nested grids
-    (64 intervals, 3 halvings), made once and kept; a line law reports its
+    reports its exact squared integral alone.  A tabulated density decides
+    its verdict when it is first read, from four blind estimates on nested
+    grids (64 intervals, 3 halvings) that one evaluation of its interpolant
+    gives (``_table_probe``), and keeps it; a line law reports its
     residual's, times the squared residual weight.
     """
     return model.density_square_integrable, model.condition12_estimates

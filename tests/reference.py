@@ -30,7 +30,11 @@ otherwise:
   the positive root of the cubic that each of its two tail bounds sets
   equal to tol;
 - ``inputs_one_shot`` is the input path drawn whole, every amplitude and
-  sign at once, which the input path formed by slices keeps bit for bit.
+  sign at once, which the input path formed by slices keeps bit for bit;
+- ``table_probe`` is a density table's square-integrability verdict and
+  estimates by one evaluation per grid, four trapezoids and a fifth
+  evaluation for the lower Darboux sums, which the one-evaluation probe
+  keeps bit for bit.
 """
 
 from __future__ import annotations
@@ -332,3 +336,29 @@ def inputs_one_shot(scheme: simulate.BlockScheme, n: int, seed: int) -> np.ndarr
     x = np.zeros(n, dtype=complex)
     np.multiply(np.repeat(u, b)[:n], d, out=x.real)
     return x
+
+
+def table_probe(table: spectra.TabulatedDensity) -> tuple[str, tuple[float, ...]]:
+    """The verdict and estimates of ``spectra._table_probe``, each grid
+    evaluated on its own: trapezoids of the squared interpolant on
+    ``linspace(-1/2, 1/2, 64 2^r + 1)``, r = 0..3, and, where the last two
+    differ by more than a relative 1e-3, the lower Darboux sums on the same
+    grids from the interpolant on the union of the finest one and the
+    table's nodes."""
+    rounds, base = spectra.CONDITION12_ROUNDS, spectra.CONDITION12_BASE_INTERVALS
+    rtol = spectra.CONDITION12_STABILIZE_RTOL
+    grids = [np.linspace(-0.5, 0.5, base * 2 ** r + 1) for r in range(rounds + 1)]
+    est = tuple(float(np.trapezoid(spectra.density(table, xs) ** 2, xs)) for xs in grids)
+    if abs(est[-1] - est[-2]) <= max(rtol * abs(est[-1]), 1e-12):
+        return spectra.VERDICT_YES, est
+    xs = np.union1d(grids[-1], table.grid)
+    sq = spectra.density(table, xs) ** 2
+    low = []
+    for walls in grids:
+        idx = np.searchsorted(xs, walls)
+        mins = np.minimum(np.minimum.reduceat(sq, idx[:-1]), sq[idx[1:]])
+        low.append(float(np.sum(mins) / (walls.size - 1)))
+    if (low[-1] > low[-2] * (1.0 + rtol) and low[0] > 0.0
+            and low[-1] > spectra.CONDITION12_DIVERGENCE_FACTOR * low[0]):
+        return spectra.VERDICT_NO, est
+    return spectra.VERDICT_UNDETERMINED, est

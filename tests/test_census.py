@@ -11,7 +11,9 @@ import collections
 import numpy as np
 
 import fadelab as fl
+from fadelab import spectra
 from fadelab.errors import FadingLabError
+from reference import table_probe
 
 #: tables drawn: about 2.6 s on 2-CPU x86_64
 TABLES = 1000
@@ -54,3 +56,10 @@ def test_table_census():
             outcome = type(exc).__name__
         counts[(table.density_square_integrable, outcome)] += 1
     assert dict(counts) == TABLE_OUTCOMES
+
+
+def test_census_table_probes_keep_their_reference():
+    """Each census table's one-evaluation probe is its reference's, bit for
+    bit: verdict and the four estimates."""
+    for table in census_tables(TABLES):
+        assert spectra._table_probe(table) == table_probe(table)

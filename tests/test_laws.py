@@ -11,7 +11,7 @@ import fadelab as fl
 from fadelab import quadrature, spectra
 from fadelab.errors import Diverges
 from conftest import jakes_like_table
-from reference import breakpoints, certified_lags
+from reference import breakpoints, certified_lags, table_probe
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -259,11 +259,12 @@ def test_closed_forms_report_their_exact_square_integral(model):
 
 
 def test_closed_form_kinds_skip_the_probe(monkeypatch):
-    """Only a table probes its density, once, as it is built: 65, 129, 257
-    and 513 points.  Closed-form and line laws report their verdict and
-    estimates without evaluating theirs, and a table's validate (which
-    checks the density's sign on 4097 points), phi_series and capacity reuse
-    what it built."""
+    """Only a table probes its density, once, when its verdict is first
+    read: the 513 walls and its 8 nodes that are not walls.  Building it
+    evaluates nothing; closed-form and line laws report their verdict and
+    estimates without evaluating theirs, and a table's validate (whose
+    density is non-negative by construction), phi_series and capacity reuse
+    the probe."""
     sizes = []
     evaluate = spectra.FadingModel.density
 
@@ -280,13 +281,35 @@ def test_closed_form_kinds_skip_the_probe(monkeypatch):
     assert sizes == []
     xs = np.linspace(-0.5, 0.5, 11)
     table = fl.tabulated_density(xs, np.ones_like(xs))
+    assert sizes == []
     assert table.density_square_integrable == "yes"
-    assert sizes == [65, 129, 257, 513]
+    assert sizes == [521]
     rep = fl.validate(table)
     fl.phi_series(table)
     fl.capacity_asymptote(table)
-    assert sizes == [65, 129, 257, 513, 4097]
+    assert sizes == [521]
     assert (rep.condition12_verdict, rep.condition12_estimates) == spectra.condition12_probe(table)
+
+
+@PROPS
+@given(table_laws())
+def test_table_probe_keeps_its_reference(table):
+    """One evaluation on the union grid gives the verdict and the four
+    estimates that one evaluation per grid gave, bit for bit."""
+    assert spectra._table_probe(table) == table_probe(table)
+
+
+@PROPS
+@given(every_law, st.integers(0, 300))
+def test_negative_lags_are_conjugates(model, k):
+    """lags(-k, k + 1) holds R(-m) = conj R(m): bitwise, but within 4e-15
+    where the law holds a density table, whose lags at -m are summed on
+    their own rather than conjugated."""
+    r = model.lags(0, k + 1)
+    mirrored = np.concatenate((np.conj(r[:0:-1]), r))
+    tables = isinstance(model, spectra.TabulatedDensity) or isinstance(
+        model.residual, spectra.TabulatedDensity)
+    np.testing.assert_allclose(model.lags(-k, k + 1), mirrored, rtol=0, atol=4e-15 if tables else 0)
 
 
 @PROPS
