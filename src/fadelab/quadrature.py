@@ -7,9 +7,12 @@ lags, take one transform of a linear piece: a real expression about its
 midpoint, rotated by its phase.  On a uniform grid the interpolant is a
 sum of hat functions, each lag one entry of one FFT of the node values
 times the hat's transform, plus the one piece where the two end values
-differ, the rising end half-hat.  On any other grid every piece is summed,
-its phases from one exact exp per piece every 64 lags and a per-call
-table of in-block rotations.  The interpolant's slope jumps bound the
+differ, the rising end half-hat.  On any other grid the steep pieces are
+summed piece by piece, their phases from one exact exp per piece every 64
+lags and a per-call table of in-block rotations, and the rest take the
+kink form, the interpolant's value and slope jumps at its nodes, by one
+nonuniform FFT ("exponential of semicircle" kernel; Barnett, Magland &
+af Klinteberg 2019).  The interpolant's slope jumps bound the
 tail of its lag series, which fixes the lag count that the series sums
 (``pl_certified_lags``).  Of the laws' log integrals only an
 autocorrelation table's takes adaptive quadrature (``quad_interval``).
@@ -157,8 +160,8 @@ def pl_log_integral(grid: np.ndarray, vals: np.ndarray, delta2: float = 0.0) -> 
     return float(np.sum(_log_linear_piece(u0, u1, np.diff(grid), 1.0 if delta2 else 0.0)))
 
 
-#: lags per block of a run: each block takes one exact exp row per
-#: piece, times the call's table of in-block rotations
+#: lags per block of a run on the per-piece route: each block takes one
+#: exact exp row per piece, times the call's table of in-block rotations
 _BLOCK = 64
 
 #: below |a| = 1/2, where the closed form of T cancels, S(a) and T(a)/a come
@@ -168,6 +171,19 @@ _SERIES_BELOW = 0.5
 _ST_SERIES = np.array([[[(-1) ** k / math.factorial(2 * k + 1)],
                         [(-1) ** k * (2 * k + 2) / math.factorial(2 * k + 3)]]
                        for k in range(6, -1, -1)])
+
+#: the accuracy target of a lag on a grid that is not uniform is 2^9 eps,
+#: about 1.1e-13 of a unit-mass table's R(0) = 1: a piece is steep where its
+#: slope s would put eps |s| / (2 pi)^2, its share of the kink form's floor at
+#: lag 1, above it, |s| > 2^9 (2 pi)^2 (about 2.0e4)
+_STEEP_SLOPE = 2.0 ** 9 * (2.0 * math.pi) ** 2
+
+#: kernel points per node of the nonuniform FFT: the "exponential of
+#: semicircle" kernel of shape 2.3 W errs by about 10^(1 - W) of the
+#: strengths' sum (Barnett, Magland & af Klinteberg 2019), eps at W = 16, on a
+#: grid at least 4 times oversampled, where the kernel's transform keeps 0.6
+#: of its peak across the run (0.12 at twice), so dividing by it costs a bit
+_W = 16
 
 
 def _turns(x: np.ndarray, lo=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -209,16 +225,16 @@ def _piece_weights(a: np.ndarray, ea: np.ndarray, u: np.ndarray, v: np.ndarray) 
     return q
 
 
-def _piece_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """``pl_fourier``'s per-piece route at the lags start..stop-1."""
-    x0, x1 = grid[:-1], grid[1:]
+def _pieces(x0, x1, f0, f1, lo: int, hi: int) -> np.ndarray:
+    """The exact transforms of the linear pieces [x0, x1] from f0 to f1,
+    summed, at the lags lo..hi (``pl_fourier``'s per-piece sum)."""
     s = x0 + x1
     e = s - x0  # with the next line, the rounding error of s (Knuth's two-sum)
     centre = _turns(0.5 * s, 0.5 * ((x0 - (s - e)) + (x1 - e)))
     h = 0.5 * (x1 - x0)
     half = _turns(h)
-    u, v = h * (vals[:-1] + vals[1:]), h * np.diff(vals)
-    lags = np.arange(start, stop, dtype=float)
+    u, v = h * (f0 + f1), h * (f1 - f0)
+    lags = np.arange(lo, hi + 1, dtype=float)
     out = np.empty(lags.size, dtype=complex)
     k = np.arange(min(_BLOCK, lags.size), dtype=float)
     rot_c, rot_a = _cis(k, centre), _cis(k, half)
@@ -228,6 +244,63 @@ def _piece_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) ->
         ea = _cis(mb[0], half) * rot_a[:mb.size]
         q = _piece_weights(np.multiply.outer(2.0 * np.pi * mb, h), ea, u, v)
         out[i:i + mb.size] = np.einsum("ij,ij->i", ec, q)
+    return out
+
+
+def _es(z: np.ndarray) -> np.ndarray:
+    """The kernel e^{beta (sqrt(1 - z^2) - 1)} on |z| <= 1, beta = 2.3 W, its
+    exponent taken as -beta z^2 / (1 + sqrt(1 - z^2)), which does not cancel."""
+    return np.exp(-2.3 * _W * z * z / (1.0 + np.sqrt((1.0 - z) * (1.0 + z))))
+
+
+def _nufft(x: np.ndarray, strengths: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """sum_j a_j e^{i 2 pi m x_j} at the lags m = lo..hi for each row a of
+    ``strengths``, by a type-1 nonuniform FFT about a centre lag c, 0 for a
+    run that starts within its length of 0 and its middle otherwise:
+    a_j e^{i 2 pi c x_j} spread by the kernel ``_es``, W cells a node, on a
+    power-of-2 grid of at least 8 max|m - c| and 2 W cells, so that x times its
+    size is exact; one inverse FFT per row; each lag divided by the kernel's
+    transform, the trapezoid sum of its samples at a quarter of a cell by one
+    real FFT, exact to rounding."""
+    mid = (lo + hi) // 2 if lo > hi - lo else 0
+    size = 1 << (max(8 * (hi - mid), 2 * _W) - 1).bit_length()
+    a = strengths * _cis(mid, _turns(x))
+    t = x * size
+    cell = np.ceil(t - _W / 2)[:, None] + np.arange(_W)
+    kernel = _es((cell - t[:, None]) / (_W / 2))
+    cell = cell.astype(np.intp).ravel() % size
+    g = np.array([np.bincount(cell, (kernel * row.real[:, None]).ravel(), size)
+                  + 1j * np.bincount(cell, (kernel * row.imag[:, None]).ravel(), size) for row in a])
+    quarter = np.arange(-2 * _W, 2 * _W + 1)
+    fine = np.zeros(4 * size)
+    fine[quarter] = _es(quarter / (2.0 * _W))
+    ks = np.arange(lo - mid, hi - mid + 1)
+    return np.fft.ifft(g)[:, ks] / (np.fft.rfft(fine).real[np.abs(ks)] / (4 * size))
+
+
+def _split_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``pl_fourier`` on a grid that is not uniform."""
+    ms = np.arange(start, stop)
+    out = np.empty(ms.size, dtype=complex)
+    lag = np.abs(ms[ms != 0])
+    if lag.size:
+        lo, hi = int(lag.min()), int(lag.max())
+        x0, x1, f0, f1 = grid[:-1], grid[1:], vals[:-1], vals[1:]
+        with np.errstate(over="ignore"):  # a slope past the largest double: steep
+            slope = (f1 - f0) / (x1 - x0)
+        flat = (np.abs(slope) <= _STEEP_SLOPE) & (2 * (hi - lo + 1) > _W)
+        r = np.zeros(hi - lo + 1, dtype=complex)
+        if not flat.all():
+            r += _pieces(x0[~flat], x1[~flat], f0[~flat], f1[~flat], lo, hi)
+        if flat.any():
+            s = np.where(flat, slope, 0.0)
+            c = np.roll(s, 1) - s
+            d = np.where(np.roll(flat, 1), np.roll(f1, 1), 0.0) - np.where(flat, f0, 0.0)
+            big_c, big_d = _nufft(x0, np.array([c, d]), lo, hi)
+            omega = 2.0 * np.pi * np.arange(lo, hi + 1)
+            r += big_d / (1j * omega) + big_c / omega ** 2
+        out[ms != 0] = r[lag - lo]
+        np.conjugate(out, out=out, where=ms < 0)
     if start <= 0 < stop:
         out[-start] = pl_mass(grid, vals)
     return out
@@ -254,15 +327,27 @@ def pl_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.
     from 0 to f_N - f_0, whose term is h (-1)^m e^{-ia} (r S(a) + i r T(a))
     with a = pi m h and r = (f_N - f_0)/2, exactly 0 when the end values agree.
 
-    Any other grid, O(pieces x lags) in real arithmetic, piece by piece.
-    Phases are m c and m w / 2 turns reduced modulo 1 exactly, c carrying
-    the rounding of (x0 + x1)/2, so they stay accurate to rounding at any lag
-    below 2^23.  The lags go 64 at a time, each block one exact exp per piece
-    of its first lag times the call's table of in-block rotations
-    e^{i 2 pi k c} and e^{i pi k w}, k < 64.  m = 0 is the mass.
+    Any other grid: the lags 1..max|m| once, m < 0 their conjugates and
+    m = 0 the mass, each lag to an accuracy target of 2^9 eps.  Steep
+    pieces, whose slope s puts eps |s| / (2 pi)^2 above the target
+    (``_STEEP_SLOPE``), are summed piece by piece (``_pieces``),
+    O(steep pieces x lags): phases m c and m w / 2 turns reduced modulo 1
+    exactly, c carrying the rounding of (x0 + x1)/2, so accurate to rounding
+    at any lag below 2^23, 64 lags a block, each one exact exp per piece of
+    its first lag times the call's in-block rotations e^{i 2 pi k c} and
+    e^{i pi k w}, k < 64.  The rest take the kink form: by parts, the
+    interpolant with the steep pieces cut out has transform
+    sum_j e^{i omega x_j} (d_j / (i omega) + c_j / omega^2), d_j its value
+    jump and c_j its slope jump at node x_j (the node at -1/2 folded with
+    1/2), both sums by one nonuniform FFT (``_nufft``), O(W nodes + lags
+    log lags), whose kernel width W = 16 and 4-fold oversampling keep it
+    within a few times the kink form's rounding floor
+    eps (sum |d_j| / omega + sum |c_j| / omega^2).  A run of at most W/2 lags
+    takes every piece the per-piece way: a (lag, piece) term costs about two
+    of the W kernel points that the transform spreads a node.
     """
     if not pl_uniform(grid):
-        return _piece_fourier(grid, vals, start, stop)
+        return _split_fourier(grid, vals, start, stop)
     n = grid.size - 1
     h = 1.0 / n
     ms = np.arange(start, stop)

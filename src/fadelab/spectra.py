@@ -67,11 +67,6 @@ SERIES_CEILING = 1e4
 #: the most lags a tabulated density's lag series fetches
 SERIES_LAG_BUDGET = 2_000_000
 
-#: the most lags times pieces that a tabulated density's lag series fetches
-#: on ``quadrature.pl_fourier``'s per-piece route: about 80 s at the 1.2e7
-#: per second measured on a 2-CPU x86_64
-SERIES_PIECE_LAG_BUDGET = 10 ** 9
-
 #: points per slice of ``_cn``'s scratch, of a law's circulant cell edges,
 #: of ``_circulant_path``'s twiddle tables, of ``_ar1_scan``'s GEMM, of a
 #: table's lag series and of ``simulate``'s inputs and output; its value moves
@@ -567,7 +562,16 @@ class BandLimited(FadingModel):
         return f"bandlimited(lambda_c={_num(self.lambda_c)})"
 
     def lags(self, start, stop):
-        return np.sinc(2.0 * self.lambda_c * np.arange(start, stop)).astype(complex)
+        """sinc(2 lambda_c m), exactly 0 where 2 lambda_c m is a nonzero
+        integer on the exact ratio lambda_c = p / q (np.sinc is about 4e-17
+        there): at the multiples of q / gcd(q, 2p)."""
+        ms = np.arange(start, stop)
+        out = np.sinc(2.0 * self.lambda_c * ms).astype(complex)
+        p, q = self.lambda_c.as_integer_ratio()
+        step = q // math.gcd(q, 2 * p)
+        if step <= max(-start, stop - 1):
+            out[(ms % step == 0) & (ms != 0)] = 0.0
+        return out
 
     def _density(self, x):
         return np.where(np.abs(x) <= self.lambda_c, 1.0 / (2.0 * self.lambda_c), 0.0)
@@ -657,18 +661,17 @@ class TabulatedDensity(FadingModel):
         """sum_{nu >= 1} |R(nu)|^2 to an absolute tol: the N lags that
         ``quadrature.pl_certified_lags`` certifies, ``_SYNTH_CHUNK`` at a
         time, less the end jump's sawtooth D^2 / (2 pi nu)^2, plus its total
-        D^2 / 24.  Before any lag, :class:`Diverges` where N passes
-        ``SERIES_LAG_BUDGET`` (and, off the FFT route, N times the pieces
-        ``SERIES_PIECE_LAG_BUDGET``), or the exact total (integral f^2 - 1) / 2
-        (Parseval; by Bessel no partial sum exceeds it) ``SERIES_CEILING``."""
+        D^2 / 24.  The lags cost O(N log N) on any grid: one FFT on a uniform
+        one, else a nonuniform FFT plus O(N) per steep piece
+        (``quadrature.pl_fourier``).  Before any lag, :class:`Diverges` where
+        N passes ``SERIES_LAG_BUDGET``, or the exact total
+        (integral f^2 - 1) / 2 (Parseval; by Bessel no partial sum exceeds it)
+        ``SERIES_CEILING``."""
         if 0.5 * (self.square_integral() - 1.0) > SERIES_CEILING:
             raise Diverges(f"the lag series sums to more than {SERIES_CEILING:g}")
-        most = SERIES_LAG_BUDGET
-        if not quadrature.pl_uniform(self.grid):
-            most = min(most, SERIES_PIECE_LAG_BUDGET // (self.grid.size - 1))
-        n = quadrature.pl_certified_lags(self.grid, self.values, tol, most)
-        if n > most:
-            raise Diverges(f"the certified tail needs more than {most:g} lags")
+        n = quadrature.pl_certified_lags(self.grid, self.values, tol, SERIES_LAG_BUDGET)
+        if n > SERIES_LAG_BUDGET:
+            raise Diverges(f"the certified tail needs more than {SERIES_LAG_BUDGET:g} lags")
         d = float(self.values[-1] - self.values[0])
         total = 0.0
         for start in range(1, n + 1, _SYNTH_CHUNK):

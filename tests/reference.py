@@ -29,6 +29,11 @@ otherwise:
 - ``certified_lags`` is the lag count of a density table's lag series, as
   the positive root of the cubic that each of its two tail bounds sets
   equal to tol;
+- ``piece_fourier`` is a density table's lags piece by piece, each lag's
+  phases taken on their own and the pieces summed pairwise, against the
+  split route of ``quadrature.pl_fourier`` (steep pieces in blocks of
+  rotated lags, the rest by the kink form's nonuniform FFT), and
+  ``kink_floor`` the rounding floor of that kink form;
 - ``inputs_one_shot`` is the input path drawn whole, every amplitude and
   sign at once, which the input path formed by slices keeps bit for bit;
 - ``table_probe`` is a density table's square-integrability verdict and
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fadelab import mi, simulate, spectra
+from fadelab import mi, quadrature, simulate, spectra
 from fadelab.errors import DomainError, FadingLabError, ParamOutOfRange
 from fadelab.mi import DiscreteInputLaw, MIEstimate
 from fadelab.spectra import _cn
@@ -294,15 +299,12 @@ def certified_lags(table: spectra.TabulatedDensity, tol: float) -> int | None:
     E = 0; or the same with each piece narrower than 1/(pi (most + 1))
     taking the slope of the nearest wider piece before it and adding its
     own slope's excess over that times its width to E.  D is the end jump
-    and most the budget, ``spectra.SERIES_LAG_BUDGET`` and, off the FFT
-    route, ``spectra.SERIES_PIECE_LAG_BUDGET`` over the pieces; None past
-    it.  Each bound falls with N, so N is the ceiling of the one positive
-    root of tol N^3 - a N^2 - b N - c."""
+    and most the budget, ``spectra.SERIES_LAG_BUDGET``; None past it.  Each
+    bound falls with N, so N is the ceiling of the one positive root of
+    tol N^3 - a N^2 - b N - c."""
     xs, fs = table.grid.tolist(), table.values.tolist()
     pieces = len(xs) - 1
     most = spectra.SERIES_LAG_BUDGET
-    if np.any(np.abs(table.grid - np.linspace(-0.5, 0.5, pieces + 1)) > 4 * np.spacing(0.5)):
-        most = min(most, spectra.SERIES_PIECE_LAG_BUDGET // pieces)
     d, best = abs(fs[-1] - fs[0]), None
     for cut in (0.0, 1.0 / (np.pi * (most + 1))):
         with np.errstate(over="ignore", invalid="ignore"):    # a piece too narrow for its slope
@@ -324,6 +326,52 @@ def certified_lags(table: spectra.TabulatedDensity, tol: float) -> int | None:
         n = max(1, int(np.ceil(np.max(roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)]))))
         best = n if best is None else min(best, n)
     return best if best is not None and best <= most else None
+
+
+def piece_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The lags start..stop-1 of the piecewise-linear interpolant, each piece's
+    exact transform e^{i omega c} w (fbar S(a) + (i/2)(f1 - f0) T(a)) about its
+    midpoint c (``quadrature._piece_weights``) with both phases of every lag
+    taken on their own, 16 lags a row, and the pieces summed pairwise (numpy's
+    sum along a row); m = 0 is the trapezoid."""
+    x0, x1 = grid[:-1], grid[1:]
+    s = x0 + x1
+    e = s - x0
+    centre = quadrature._turns(0.5 * s, 0.5 * ((x0 - (s - e)) + (x1 - e)))
+    h = 0.5 * (x1 - x0)
+    half = quadrature._turns(h)
+    u, v = h * (vals[:-1] + vals[1:]), h * np.diff(vals)
+    lags = np.arange(start, stop, dtype=float)
+    out = np.empty(lags.size, dtype=complex)
+    for i in range(0, lags.size, 16):
+        m = lags[i:i + 16]
+        q = quadrature._piece_weights(np.multiply.outer(2.0 * np.pi * m, h),
+                                      quadrature._cis(m, half), u, v)
+        out[i:i + 16] = np.sum(quadrature._cis(m, centre) * q, axis=1)
+    if start <= 0 < stop:
+        out[-start] = quadrature.pl_mass(grid, vals)
+    return out
+
+
+def kink_floor(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """eps (sum |d_j| / omega + sum |c_j| / omega^2) at the lags start..stop-1
+    (0 at m = 0), with omega = 2 pi |m| and the value jumps d and slope jumps
+    c at the nodes of the pieces that ``quadrature.pl_fourier`` sends to the
+    kink form on a grid that is not uniform: those whose slope is at most
+    ``quadrature._STEEP_SLOPE`` in size, the node at -1/2 folded with 1/2."""
+    with np.errstate(over="ignore"):
+        slope = np.diff(vals) / np.diff(grid)
+    flat = np.abs(slope) <= quadrature._STEEP_SLOPE
+    d_sum = c_sum = 0.0
+    for j in range(grid.size - 1):  # node j: the piece before it (cyclically), then the one after
+        before, after = (j - 1) % (grid.size - 1), j
+        left = vals[before + 1] if flat[before] else 0.0
+        right = vals[after] if flat[after] else 0.0
+        d_sum += abs(left - right)
+        c_sum += abs((slope[before] if flat[before] else 0.0) - (slope[after] if flat[after] else 0.0))
+    omega = 2.0 * np.pi * np.abs(np.arange(start, stop, dtype=float))
+    omega[omega == 0.0] = np.inf
+    return np.finfo(float).eps * (d_sum / omega + c_sum / omega ** 2)
 
 
 def inputs_one_shot(scheme: simulate.BlockScheme, n: int, seed: int) -> np.ndarray:

@@ -6,10 +6,11 @@ lag fetched for AR(1) or white laws and Durbin kept on AR(1) lags against
 the infinite past,
 the band-limited lag series in closed form against 50-digit
 1/(4 lambda_c) - 1/2 in constant time and memory down to lambda_c = 1e-300,
-uniform-grid table lags at one point each and a nudged grid on the
-per-piece route against mpmath, the table series' certified lags each
-fetched once and none fetched past the piece-lag budget or where its
-Parseval total passes the ceiling,
+uniform-grid table lags at one point each and a nudged grid's run of lags
+by the kink form against mpmath, the table series' certified lags each
+fetched once, a nudged fine table's series at its Parseval total and none
+fetched where that total passes the ceiling, a nudged table's finite past
+on the per-piece oracle's lags,
 the line-law series refused before any lag, the AR(1) series in closed
 form against mpmath in constant memory however close a is to 1, the
 decade extension of the phi-limit grid and its unconverged estimate
@@ -39,7 +40,7 @@ import fadelab as fl
 from fadelab import cli, prediction, quadrature, simulate, spectra
 from fadelab.cli import run
 from fadelab.errors import DimensionTooLarge, Diverges, DomainError
-from reference import certified_lags
+from reference import certified_lags, piece_fourier
 from test_laws import PROPS, _mp_pl_fourier, every_law
 
 
@@ -91,10 +92,15 @@ def test_breakdown_with_noise_is_refused():
     # valid laws that break down by rounding keep the clipping route: a tiny
     # delta2, and one that breaks down at order 151 = n with delta2 above
     # n^2 eps R(0) but under the floor k^2 eps sum |c(j)|
-    for law, delta2, n in [(fl.bandlimited(0.25), 1e-15, 128),
+    for law, delta2, n in [(fl.bandlimited(0.25), 1e-16, 128),
                            (fl.bandlimited(0.04), 10.0 ** -11.125, 151)]:
         res = fl.finite_past_pred_error(law, delta2, n)
         assert (res.error, res.clipped) == (0.0, True)
+    # with its even lags exactly 0, bandlimited(0.25) at delta2 = 1e-15 no
+    # longer breaks down: its error is a 60-digit solve's 7.3022e-8 to the
+    # condition number's 1/delta2
+    res = fl.finite_past_pred_error(fl.bandlimited(0.25), 1e-15, 128)
+    assert not res.clipped and res.error == pytest.approx(7.3022454e-8, rel=0.3)
 
 
 def test_breakdown_solves_no_dense_system(monkeypatch):
@@ -220,16 +226,33 @@ def test_uniform_table_lags_take_one_point_each(piece_points):
     assert sum(piece_points) == 1025
 
 
-def test_a_nudged_node_takes_the_per_piece_route(piece_points, monkeypatch):
+def test_a_nudged_node_takes_the_kink_form(piece_points):
+    # a run of 2,001 lags on a grid that is not uniform: the smooth table has
+    # no steep piece, so every piece takes the kink form's nonuniform FFT and
+    # none the per-piece weights
     table = ar1_table(2001)
     grid = np.array(table.grid)
     grid[1000] += 1e-9
     nudged = fl.tabulated_density(grid, table.values)
-    monkeypatch.setattr(np.fft, "ifft", None)  # the FFT route would fail
+    got = quadrature.pl_fourier(nudged.grid, nudged.values, 1, 2002)
     for m in (1, 7, 2000, 2001):
-        got = quadrature.pl_fourier(nudged.grid, nudged.values, m, m + 1)
-        assert abs(got[0] - _mp_pl_fourier(nudged.grid, nudged.values, m)) <= 1e-12
-    assert piece_points == [2000] * 4  # one point per (lag, piece)
+        assert abs(got[m - 1] - _mp_pl_fourier(nudged.grid, nudged.values, m)) <= 1e-12
+    assert piece_points == []
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99])
+def test_finite_past_of_a_nudged_table_meets_the_oracle_lags(a, monkeypatch):
+    # Durbin's recursion amplifies the kink form's lag errors; at n = 4096 the
+    # error stays within 1e-10 relative of the per-piece oracle lags' error
+    xs = np.linspace(-0.5, 0.5, 2001)
+    xs[667] += 0.1 / 2000
+    table = fl.tabulated_density(xs, fl.density(fl.ar1(a), xs))
+    delta2s = (1e-6, 1e-3, 0.1)
+    got = [fl.finite_past_pred_error(table, d2, 4096).error for d2 in delta2s]
+    oracle = piece_fourier(table.grid, table.values, 0, 4097)
+    monkeypatch.setattr(quadrature, "pl_fourier", lambda grid, vals, start, stop: oracle[start:stop].copy())
+    for d2, err in zip(delta2s, got):
+        assert err == pytest.approx(fl.finite_past_pred_error(table, d2, 4096).error, rel=1e-10)
 
 
 def test_finite_past_computes_the_lags_once(pl_fourier_lags):
@@ -259,17 +282,18 @@ def test_lag_series_fetches_each_certified_lag_once(pl_fourier_lags):
         assert np.array_equal(np.concatenate(pl_fourier_lags), np.arange(1, n + 1))
 
 
-def test_lag_series_past_the_piece_lag_budget_fetches_no_lag(pl_fourier_lags):
-    # a nudged node puts the table on the per-piece route, where the 6e4 lags
-    # that ar1(0.99)'s slope jumps certify cost 20,000 pieces each
+def test_lag_series_of_a_nudged_fine_table_meets_parseval(pl_fourier_lags):
+    # a nudged node takes the table off the FFT route; the 6e4 lags that
+    # ar1(0.99)'s slope jumps certify, on 20,000 pieces, sum to within the
+    # tolerance of the exact total (integral f^2 - 1) / 2
     xs = np.linspace(-0.5, 0.5, 20001)
     xs[6667] += 1e-6
     table = fl.tabulated_density(xs, fl.density(fl.ar1(0.99), xs))
     assert not quadrature.pl_uniform(table.grid)
-    assert certified_lags(table, 1e-7) is None
-    with pytest.raises(Diverges, match="the certified tail needs more than 50000 lags"):
-        fl.phi_series(table)
-    assert pl_fourier_lags == []
+    n = certified_lags(table, 1e-7)
+    assert n > 50_000
+    assert fl.phi_series(table) == pytest.approx(0.5 * (table.square_integral() - 1.0), abs=1e-6)
+    assert np.array_equal(np.concatenate(pl_fourier_lags), np.arange(1, n + 1))
 
 
 def test_lag_series_past_the_ceiling_fetches_no_lag(pl_fourier_lags, jakes_model):

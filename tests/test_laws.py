@@ -2,6 +2,8 @@
 piecewise-linear Fourier coefficients against mpmath, and the
 square-integrability verdicts that the closed-form kinds carry."""
 
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ import fadelab as fl
 from fadelab import quadrature, spectra
 from fadelab.errors import Diverges
 from conftest import jakes_like_table
-from reference import breakpoints, certified_lags, table_probe
+from test_census import TABLES, census_tables
+from reference import breakpoints, certified_lags, kink_floor, piece_fourier, table_probe
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -26,7 +29,7 @@ def ar1_laws(draw):
 @st.composite
 def table_laws(draw):
     """Half uniform grids, which take ``pl_fourier``'s FFT route, with equal or
-    unequal end values; half scattered grids, which take the per-piece route."""
+    unequal end values; half scattered grids, which take the split route."""
     if draw(st.booleans()):
         grid = np.linspace(-0.5, 0.5, draw(st.integers(2, 400)) + 1)
     else:
@@ -139,7 +142,7 @@ def test_a_far_run_of_lags_is_each_lag_asked_alone():
 
 @st.composite
 def piece_tables(draw):
-    """Unit-mass tables for the per-piece route: band edges graded
+    """Unit-mass tables for the per-piece oracle: band edges graded
     geometrically down to ``depth``, uniform grids with jittered inner nodes,
     and the 2-node grid."""
     kind = draw(st.sampled_from(["graded", "jittered", "two nodes"]))
@@ -166,17 +169,17 @@ some_lags = st.one_of(st.integers(-64, 64), st.integers(-2 ** 16, 2 ** 16))
 @given(piece_tables(), some_lags, st.integers(1, 150), st.integers(-64, 64), st.integers(1, 6),
        st.data())
 def test_per_piece_route_on_a_run_of_lags(table, start, length, near, short, data):
-    # the run's blocks rotate an exact exp row; each entry stays its lag asked
-    # alone; a short run near 0, where S and T switch between series and
-    # closed form on coarse grids, is each lag's 50-digit value
+    # the oracle's rows of lags; each entry stays its lag asked alone; a
+    # short run near 0, where S and T switch between series and closed form
+    # on coarse grids, is each lag's 50-digit value
     grid, vals = table
     ms = np.arange(start, start + length)
-    got = quadrature._piece_fourier(grid, vals, start, start + length)
+    got = piece_fourier(grid, vals, start, start + length)
     for j in {0, length - 1, data.draw(st.integers(0, length - 1))}:
         assert abs(got[j] - _mp_lag(grid, vals, int(ms[j]))) <= 1e-12
-    alone = np.array([quadrature._piece_fourier(grid, vals, m, m + 1)[0] for m in ms])
+    alone = np.array([piece_fourier(grid, vals, m, m + 1)[0] for m in ms])
     assert np.max(np.abs(got - alone)) <= 1e-13
-    got_near = quadrature._piece_fourier(grid, vals, near, near + short)
+    got_near = piece_fourier(grid, vals, near, near + short)
     for m, r in zip(range(near, near + short), got_near):
         assert abs(r - _mp_lag(grid, vals, m)) <= 1e-12
     model = fl.tabulated_density(grid, vals)
@@ -189,7 +192,7 @@ def test_per_piece_route_on_a_run_of_lags(table, start, length, near, short, dat
 @PROPS
 @given(table_laws(), st.integers(-64, -1), st.integers(1, 64))
 def test_lag_zero_of_a_run_is_the_mass(model, start, stop):
-    # exactly the trapezoid on the per-piece route; on the FFT route the hat
+    # exactly the trapezoid on the split route; on the FFT route the hat
     # sum and the end piece at m = 0 add to it up to rounding
     got = quadrature.pl_fourier(model.grid, model.values, start, stop)
     mass = quadrature.pl_mass(model.grid, model.values)
@@ -197,6 +200,44 @@ def test_lag_zero_of_a_run_is_the_mass(model, start, stop):
         assert abs(got[-start] - mass) <= 1e-14
     else:
         assert got[-start] == mass
+
+
+@functools.cache
+def scattered_census_tables():
+    return [(t.grid, t.values) for t in census_tables(TABLES) if not quadrature.pl_uniform(t.grid)]
+
+
+#: tables on grids that are not uniform: the scattered half of ``table_laws()``,
+#: of the census, and the Jakes-like table at gamma = 0.6, 0.75 and 0.9
+split_tables = st.one_of(
+    table_laws().filter(lambda t: not quadrature.pl_uniform(t.grid)).map(lambda t: (t.grid, t.values)),
+    st.deferred(lambda: st.sampled_from(scattered_census_tables())),
+    st.sampled_from([0.6, 0.75, 0.9]).map(lambda gamma: jakes_like_table(gamma=gamma)))
+
+
+@settings(PROPS, max_examples=100)
+@given(split_tables, st.integers(-70, 3000), st.integers(1, 400))
+def test_split_route_within_ten_floors_of_the_oracle(table, start, length):
+    # each lag within 10 times the kink form's floor eps (sum |d| / omega +
+    # sum |c| / omega^2) of the pieces it takes, plus eps times the mass, the
+    # per-piece sums' own rounding
+    grid, vals = table
+    stop = start + length
+    got = quadrature.pl_fourier(grid, vals, start, stop)
+    floor = kink_floor(grid, vals, start, stop) + np.finfo(float).eps * quadrature.pl_mass(grid, vals)
+    assert np.all(np.abs(got - piece_fourier(grid, vals, start, stop)) <= 10.0 * floor)
+
+
+def test_a_half_band_is_the_memoryless_law():
+    # np.sinc is about 4e-17, not 0, at nonzero integers: the lags are 0 where
+    # 2 lambda_c m is a nonzero integer on the exact ratio lambda_c = p / q
+    half = fl.bandlimited(0.5)
+    assert fl.s_of_b(half, 3) == 0.0
+    assert fl.validate(half).psd_min_eigenvalue == 1.0
+    ms = np.arange(-64, 65)
+    lags = fl.bandlimited(0.25).lags(-64, 65)
+    assert np.all(lags[(ms % 2 == 0) & (ms != 0)] == 0.0)
+    assert np.all(lags[ms % 2 == 1] != 0.0)
 
 
 def uniform_table(n, equal_ends):
