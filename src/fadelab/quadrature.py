@@ -255,13 +255,12 @@ def _es(z: np.ndarray) -> np.ndarray:
 
 def _nufft(x: np.ndarray, strengths: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """sum_j a_j e^{i 2 pi m x_j} at the lags m = lo..hi for each row a of
-    ``strengths``, by a type-1 nonuniform FFT about a centre lag c, 0 for a
-    run that starts within its length of 0 and its middle otherwise:
-    a_j e^{i 2 pi c x_j} spread by the kernel ``_es``, W cells a node, on a
-    power-of-2 grid of at least 8 max|m - c| and 2 W cells, so that x times its
-    size is exact; one inverse FFT per row; each lag divided by the kernel's
-    transform, the trapezoid sum of its samples at a quarter of a cell by one
-    real FFT, exact to rounding."""
+    ``strengths``: a type-1 nonuniform FFT about a centre lag c (0 for a run
+    within its length of 0, else its middle), a_j e^{i 2 pi c x_j} spread W
+    cells a node on a power-of-2 grid (x times its size is exact) of at least
+    8 max|m - c| and 2 W cells, one inverse FFT per row, and each lag divided
+    by the kernel's transform: the trapezoid sum of its samples at a quarter
+    of a cell, by one real FFT, exact to rounding."""
     mid = (lo + hi) // 2 if lo > hi - lo else 0
     size = 1 << (max(8 * (hi - mid), 2 * _W) - 1).bit_length()
     a = strengths * _cis(mid, _turns(x))

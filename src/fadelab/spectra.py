@@ -661,12 +661,11 @@ class TabulatedDensity(FadingModel):
         """sum_{nu >= 1} |R(nu)|^2 to an absolute tol: the N lags that
         ``quadrature.pl_certified_lags`` certifies, ``_SYNTH_CHUNK`` at a
         time, less the end jump's sawtooth D^2 / (2 pi nu)^2, plus its total
-        D^2 / 24.  The lags cost O(N log N) on any grid: one FFT on a uniform
-        one, else a nonuniform FFT plus O(N) per steep piece
-        (``quadrature.pl_fourier``).  Before any lag, :class:`Diverges` where
-        N passes ``SERIES_LAG_BUDGET``, or the exact total
-        (integral f^2 - 1) / 2 (Parseval; by Bessel no partial sum exceeds it)
-        ``SERIES_CEILING``."""
+        D^2 / 24.  The lags take one FFT on a uniform grid, else a nonuniform
+        FFT and N terms per steep piece (``quadrature.pl_fourier``).  Before
+        any lag, :class:`Diverges` where N passes ``SERIES_LAG_BUDGET``, or the
+        exact total (integral f^2 - 1) / 2 (Parseval; by Bessel no partial sum
+        exceeds it) ``SERIES_CEILING``."""
         if 0.5 * (self.square_integral() - 1.0) > SERIES_CEILING:
             raise Diverges(f"the lag series sums to more than {SERIES_CEILING:g}")
         n = quadrature.pl_certified_lags(self.grid, self.values, tol, SERIES_LAG_BUDGET)
