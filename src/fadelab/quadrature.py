@@ -173,9 +173,11 @@ _ST_SERIES = np.array([[[(-1) ** k / math.factorial(2 * k + 1)],
                        for k in range(6, -1, -1)])
 
 #: the accuracy target of a lag on a grid that is not uniform is 2^9 eps,
-#: about 1.1e-13 of a unit-mass table's R(0) = 1: a piece is steep where its
-#: slope s would put eps |s| / (2 pi)^2, its share of the kink form's floor at
-#: lag 1, above it, |s| > 2^9 (2 pi)^2 (about 2.0e4)
+#: about 1.1e-13 of a unit-mass table's R(0) = 1: in a run whose least lag is
+#: lo, a piece is steep where its slope s would put eps |s| / (2 pi)^2, its
+#: share of the kink form's floor at lag 1, above lo times the target,
+#: |s| > 2^9 (2 pi)^2 lo (about 2.0e4 lo); its share at a lag m >= lo is then
+#: at most the target times lo / m^2, and summed over m >= lo twice the target
 _STEEP_SLOPE = 2.0 ** 9 * (2.0 * math.pi) ** 2
 
 #: kernel points per node of the nonuniform FFT: the "exponential of
@@ -287,7 +289,7 @@ def _split_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) ->
         x0, x1, f0, f1 = grid[:-1], grid[1:], vals[:-1], vals[1:]
         with np.errstate(over="ignore"):  # a slope past the largest double: steep
             slope = (f1 - f0) / (x1 - x0)
-        flat = (np.abs(slope) <= _STEEP_SLOPE) & (2 * (hi - lo + 1) > _W)
+        flat = (np.abs(slope) <= _STEEP_SLOPE * lo) & (2 * (hi - lo + 1) > _W)
         r = np.zeros(hi - lo + 1, dtype=complex)
         if not flat.all():
             r += _pieces(x0[~flat], x1[~flat], f0[~flat], f1[~flat], lo, hi)
@@ -328,8 +330,8 @@ def pl_fourier(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.
 
     Any other grid: the lags 1..max|m| once, m < 0 their conjugates and
     m = 0 the mass, each lag to an accuracy target of 2^9 eps.  Steep
-    pieces, whose slope s puts eps |s| / (2 pi)^2 above the target
-    (``_STEEP_SLOPE``), are summed piece by piece (``_pieces``),
+    pieces, whose slope s puts eps |s| / (2 pi)^2 above the target times the
+    run's least lag (``_STEEP_SLOPE``), are summed piece by piece (``_pieces``),
     O(steep pieces x lags): phases m c and m w / 2 turns reduced modulo 1
     exactly, c carrying the rounding of (x0 + x1)/2, so accurate to rounding
     at any lag below 2^23, 64 lags a block, each one exact exp per piece of

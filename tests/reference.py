@@ -358,10 +358,12 @@ def kink_floor(grid: np.ndarray, vals: np.ndarray, start: int, stop: int) -> np.
     (0 at m = 0), with omega = 2 pi |m| and the value jumps d and slope jumps
     c at the nodes of the pieces that ``quadrature.pl_fourier`` sends to the
     kink form on a grid that is not uniform: those whose slope is at most
-    ``quadrature._STEEP_SLOPE`` in size, the node at -1/2 folded with 1/2."""
+    ``quadrature._STEEP_SLOPE`` times the run's least lag |m| >= 1 in size,
+    the node at -1/2 folded with 1/2."""
+    least = max(1, min(abs(m) for m in range(start, stop)))
     with np.errstate(over="ignore"):
         slope = np.diff(vals) / np.diff(grid)
-    flat = np.abs(slope) <= quadrature._STEEP_SLOPE
+    flat = np.abs(slope) <= quadrature._STEEP_SLOPE * least
     d_sum = c_sum = 0.0
     for j in range(grid.size - 1):  # node j: the piece before it (cyclically), then the one after
         before, after = (j - 1) % (grid.size - 1), j

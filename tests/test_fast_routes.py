@@ -282,10 +282,12 @@ def test_lag_series_fetches_each_certified_lag_once(pl_fourier_lags):
         assert np.array_equal(np.concatenate(pl_fourier_lags), np.arange(1, n + 1))
 
 
-def test_lag_series_of_a_nudged_fine_table_meets_parseval(pl_fourier_lags):
+def test_lag_series_of_a_nudged_fine_table_meets_parseval(pl_fourier_lags, piece_points):
     # a nudged node takes the table off the FFT route; the 6e4 lags that
     # ar1(0.99)'s slope jumps certify, on 20,000 pieces, sum to within the
-    # tolerance of the exact total (integral f^2 - 1) / 2
+    # tolerance of the exact total (integral f^2 - 1) / 2; the pieces steep
+    # at lag 1 are summed piece by piece in the first chunk alone, since the
+    # steep slope grows with a run's least lag
     xs = np.linspace(-0.5, 0.5, 20001)
     xs[6667] += 1e-6
     table = fl.tabulated_density(xs, fl.density(fl.ar1(0.99), xs))
@@ -294,6 +296,8 @@ def test_lag_series_of_a_nudged_fine_table_meets_parseval(pl_fourier_lags):
     assert n > 50_000
     assert fl.phi_series(table) == pytest.approx(0.5 * (table.square_integral() - 1.0), abs=1e-6)
     assert np.array_equal(np.concatenate(pl_fourier_lags), np.arange(1, n + 1))
+    steep = np.sum(np.abs(np.diff(table.values) / np.diff(table.grid)) > quadrature._STEEP_SLOPE)
+    assert steep > 0 and sum(piece_points) == spectra._SYNTH_CHUNK * steep
 
 
 def test_lag_series_past_the_ceiling_fetches_no_lag(pl_fourier_lags, jakes_model):
